@@ -12,18 +12,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tamelab.certify import (
-    is_nonresidue,
+    first_nonresidue,
     quaternion_uniform_suite,
     sl2_relation_suite,
     slm_series_suite,
 )
-
-
-def first_nonresidue(p):
-    a = 2
-    while not is_nonresidue(a, p):
-        a += 1
-    return a
 
 
 def main():

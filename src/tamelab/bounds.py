@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .errors import InvalidSignature
+from .errors import InvalidSignature, SchemaError
 
 _DIGITS = 40
 
@@ -136,13 +136,16 @@ class SplittingBoundInput:
 
     @classmethod
     def from_json(cls, obj) -> "SplittingBoundInput":
-        return cls(
-            Fraction(str(obj["abs_discriminant"])),
-            int(obj["r1"]),
-            int(obj["r2"]),
-            tuple(int(n) for n in obj.get("prime_norms", [])),
-            bool(obj.get("grh", False)),
-        )
+        try:
+            return cls(
+                Fraction(str(obj["abs_discriminant"])),
+                int(obj["r1"]),
+                int(obj["r2"]),
+                tuple(int(n) for n in obj.get("prime_norms", [])),
+                bool(obj.get("grh", False)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad splitting-bound payload: {exc}") from exc
 
 
 @dataclass

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import (
     CertificateInvalid,
     DomainError,
+    GuardFailed,
     NotNonresidue,
     RingMismatch,
     SchemaError,
@@ -36,7 +37,13 @@ from .padic import (
     hensel_sqrt,
     int_valuation,
 )
-from .pcentral import FiniteQuotientGroup, PCentralChain, dictionary_bracket
+from .liealg import SpanTracker
+from .pcentral import (
+    FiniteQuotientGroup,
+    PCentralChain,
+    _reduce_matrix,
+    dictionary_bracket,
+)
 from .report import SuiteReport
 
 
@@ -222,15 +229,9 @@ def _weight_monomials(ring: SeriesRing, k: int):
         yield a0, beta, ring.from_terms({beta: ring.p**a0})
 
 
-def _embedded(ring, m: int, entries: dict) -> RingMatrix:
-    rows = [[ring.one() if i == j else ring.zero() for j in range(m)] for i in range(m)]
-    for (i, j), val in entries.items():
-        rows[i][j] = val
-    return RingMatrix(ring, rows)
-
-
-def _embedded_raw(ring, m: int, entries: dict) -> RingMatrix:
-    rows = [[ring.zero() for _ in range(m)] for _ in range(m)]
+def _embedded(ring, m: int, entries: dict, diagonal: int = 1) -> RingMatrix:
+    """diagonal * I with the given entries overwritten."""
+    rows = [[ring.from_int(diagonal * (i == j)) for j in range(m)] for i in range(m)]
     for (i, j), val in entries.items():
         rows[i][j] = val
     return RingMatrix(ring, rows)
@@ -313,8 +314,8 @@ def slm_series_suite(
                 s_swap * lower * s_swap.inverse() == int_power(lower, exponent),
             )
             one = ring.one()
-            n_mat = _embedded_raw(
-                ring, m, {(i, i): one, (i, j): one, (j, i): -one, (j, j): -one}
+            n_mat = _embedded(
+                ring, m, {(i, i): one, (i, j): one, (j, i): -one, (j, j): -one}, 0
             )
             d_mat = _embedded(
                 ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c}
@@ -344,22 +345,10 @@ def slm_series_suite(
 
 
 def _fp_rank(rows: list, p: int) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    rank_ = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank_, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        inv = pow(rows[rank_][c], -1, p)
-        rows[rank_] = [(inv * x) % p for x in rows[rank_]]
-        for i in range(len(rows)):
-            if i != rank_ and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank_])]
-        rank_ += 1
-    return rank_
+    tracker = SpanTracker(len(rows[0]) if rows else 0, p)
+    for row in rows:
+        tracker._insert(tracker._reduce(row))
+    return tracker.rank
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +419,14 @@ def stable_generation_audit(
 
 def is_nonresidue(a: int, p: int) -> bool:
     return pow(a % p, (p - 1) // 2, p) == p - 1
+
+
+def first_nonresidue(p: int) -> int:
+    """The least a >= 2 that is a quadratic nonresidue mod p."""
+    a = 2
+    while not is_nonresidue(a, p):
+        a += 1
+    return a
 
 
 def quaternion_matrices(ring: ScalarRing, a: int) -> dict:
@@ -522,16 +519,7 @@ def quaternion_uniform_suite(
 def _quaternion_coordinates(bracket: RingMatrix, basis, p: int):
     """Solve bracket = c1 A0 + c2 B0 + c3 C0 via disjoint probe entries."""
     prec = bracket.ring.prec
-    reduced = [
-        RingMatrix(
-            bracket.ring,
-            [
-                [PadicScalar(p, prec, e.value) for e in row]
-                for row in mat.rows
-            ],
-        )
-        for mat in basis
-    ]
+    reduced = [_reduce_matrix(mat, prec) for mat in basis]
     probes = [(1, 0), (2, 0), (3, 0)]  # A0, B0, C0 are the only ones nonzero there
     coords = []
     for idx, (r, c) in enumerate(probes):
@@ -550,24 +538,16 @@ def _quaternion_coordinates(bracket: RingMatrix, basis, p: int):
         coords.append(PadicScalar(p, scaled_prec, coord))
     # consistency: the combination must reproduce the bracket at that precision
     combo_prec = min(c_.prec for c_ in coords)
-    lhs = _reduce_to(bracket, combo_prec)
+    lhs = _reduce_matrix(bracket, combo_prec)
     combo = None
     for coord, mat in zip(coords, reduced):
-        term = _reduce_to(mat, combo_prec).scale(
+        term = _reduce_matrix(mat, combo_prec).scale(
             PadicScalar(p, combo_prec, coord.value)
         )
         combo = term if combo is None else combo + term
     if combo != lhs:
         return None
     return [c_.value for c_ in coords]
-
-
-def _reduce_to(mat: RingMatrix, prec: int) -> RingMatrix:
-    ring = ScalarRing(mat.ring.p, prec)
-    return RingMatrix(
-        ring,
-        [[PadicScalar(ring.p, prec, e.value) for e in row] for row in mat.rows],
-    )
 
 
 def _cyclic_direction_certificate_search(directions, exponent_bound: int):
@@ -649,6 +629,7 @@ def brute_search_certificate(
             PadicScalar(G.p, G.prec, unit),
             k,
         )
-        assert verify_certificate(cert)
+        if not verify_certificate(cert):
+            raise GuardFailed("scanned certificate fails its identity")
         return cert
     return None

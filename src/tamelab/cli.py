@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import bounds, certify, liealg, pcentral
 from .errors import (
+    DomainError,
     LimitExceeded,
     SchemaError,
     TamelabError,
@@ -90,18 +91,11 @@ def cmd_verify_examples(args) -> int:
             certify.slm_series_suite(args.m, args.k, args.nvars, trunc, args.p)
         )
     if args.suite in ("quaternion", "all"):
-        a = args.a if args.a is not None else _first_nonresidue(args.p)
+        a = args.a if args.a is not None else certify.first_nonresidue(args.p)
         suites.append(certify.quaternion_uniform_suite(a, args.p, args.prec))
     items = [item for suite in suites for item in suite.items]
     data = {suite.name: suite.data for suite in suites}
     return _emit(args, "verify-examples", items, data)
-
-
-def _first_nonresidue(p: int) -> int:
-    a = 2
-    while not certify.is_nonresidue(a, p):
-        a += 1
-    return a
 
 
 def cmd_pcentral(args) -> int:
@@ -170,6 +164,8 @@ def cmd_plan(args) -> int:
         with open(args.cert) as fh:
             cert = certify.GroupInertialCertificate.from_json(json.load(fh))
     else:
+        if args.a % args.p == 0:
+            raise SchemaError(f"--a must be a unit mod {args.p}, got {args.a}")
         cert = certify.standard_inertial_certificate(args.p, args.prec, args.a, args.k)
     b = PadicScalar(args.p, args.prec, args.b)
     plan = certify.build_local_plan(cert, b)
@@ -299,7 +295,7 @@ def main(argv=None) -> int:
     except (LimitExceeded, WindowTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SchemaError, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, DomainError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TamelabError as exc:

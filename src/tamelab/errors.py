@@ -18,7 +18,7 @@ class NonResidue(TamelabError):
 
 
 class DomainError(TamelabError):
-    """Argument outside the domain of a p-adic special function."""
+    """Argument outside the domain of a function (a usage error at the CLI)."""
 
 
 class NonUnitDeterminant(TamelabError):
@@ -65,13 +65,17 @@ class TameRelationFailed(TamelabError):
     """
 
 
-class NotNonresidue(TamelabError):
+class NotNonresidue(DomainError):
     """Quaternion parameter must be a quadratic nonresidue mod p."""
 
 
-class InvalidSignature(TamelabError):
+class InvalidSignature(DomainError):
     """Arithmetic-bound input with an impossible signature (r1, r2, norms)."""
 
 
 class SchemaError(TamelabError):
     """Malformed JSON input."""
+
+
+class GuardFailed(TamelabError):
+    """An exactness guard failed: a computed value misses its defining identity."""

@@ -7,17 +7,22 @@ harvests of inertial elements, and the three-valued toral / pluperfect
 verdicts.  Universal toral-ness is not decidable by sampling, so sampled
 all-pass results are reported as evidence, never upgraded to certainty;
 the only exact toral verdict is the abelian case.
+
+`SpanTracker` is the one exact elimination kernel, a reduced echelon basis
+over Q or F_p; rref, solve, nullspace, minimal polynomials (one Krylov
+pass) and the F_p rank of `certify` all run on it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DomainError, SchemaError, ZeroVector
+from .errors import DomainError, GuardFailed, SchemaError, ZeroVector
 
 Vector = tuple
 Matrix = tuple
@@ -26,7 +31,7 @@ _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q
+# exact linear algebra: one reduced-echelon kernel over Q or F_p
 
 
 def _vec(values) -> Vector:
@@ -54,30 +59,80 @@ def _is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
 
+def _sub_multiple(u: list, f, row: list, p) -> list:
+    """u - f * row, entrywise, skipping the zero entries of row."""
+    if p is None:
+        return [x - f * y if y else x for x, y in zip(u, row)]
+    return [(x - f * y) % p if y else x for x, y in zip(u, row)]
+
+
+class SpanTracker:
+    """Row space in reduced row echelon form, over Q or, given a prime p, F_p.
+
+    This is the package's one elimination routine.  rows[i] has a 1 in
+    column pivots[i] and a 0 in every other pivot column; rows stay in
+    insertion order.  Over F_p the entries are ints in [0, p).
+    """
+
+    def __init__(self, dim: int, p: int | None = None):
+        self.dim = dim
+        self.p = p
+        self.rows: list = []
+        self.pivots: list = []
+
+    def _reduce(self, v) -> list:
+        """v minus the combination of stored rows that clears every pivot column."""
+        p = self.p
+        v = [Fraction(x) for x in v] if p is None else [x % p for x in v]
+        for row, c in zip(self.rows, self.pivots):
+            if v[c]:
+                v = _sub_multiple(v, v[c], row, p)
+        return v
+
+    def _insert(self, v: list) -> bool:
+        """Store a reduced vector as a pivot row; False when it is zero."""
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        p = self.p
+        if v[c] != 1 and p is None:
+            inv = 1 / v[c]
+            v = [inv * x if x else x for x in v]
+        elif v[c] != 1:
+            inv = pow(v[c], -1, p)
+            v = [inv * x % p for x in v]
+        for i, row in enumerate(self.rows):
+            if row[c]:
+                self.rows[i] = _sub_multiple(row, row[c], v, p)
+        self.rows.append(v)
+        self.pivots.append(c)
+        return True
+
+    def contains(self, v: Vector) -> bool:
+        return not any(self._reduce(v))
+
+    def add(self, v: Vector) -> bool:
+        """Insert v; True when it enlarged the span."""
+        return self._insert(self._reduce(v))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def full(self) -> bool:
+        return len(self.rows) == self.dim
+
+
 def rref(rows) -> tuple[list, list]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(map(Fraction, r)) for r in rows]
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], pivots
+    tracker = SpanTracker(len(rows[0]))
+    for row in rows:
+        tracker._insert(tracker._reduce(row))
+    order = sorted(range(tracker.rank), key=tracker.pivots.__getitem__)
+    return [tuple(tracker.rows[i]) for i in order], [tracker.pivots[i] for i in order]
 
 
 def rank(rows) -> int:
@@ -90,9 +145,8 @@ def solve(a_rows, b: Vector):
     ncols = len(a_rows[0]) if a_rows else 0
     aug = [list(a_rows[i]) + [b[i]] for i in range(n)]
     reduced, pivots = rref(aug)
-    for row, c in zip(reduced, pivots):
-        if c == ncols:
-            return None
+    if ncols in pivots:
+        return None
     x = [Fraction(0)] * ncols
     for row, c in zip(reduced, pivots):
         x[c] = row[-1]
@@ -114,32 +168,6 @@ def nullspace(a_rows) -> list:
             v[c] = -row[f]
         basis.append(tuple(v))
     return basis
-
-
-class SpanTracker:
-    """Incrementally maintained row space with exact rank queries."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list = []
-
-    def contains(self, v: Vector) -> bool:
-        return rank(self.rows + [v]) == len(self.rows)
-
-    def add(self, v: Vector) -> bool:
-        """Insert v; True when it enlarged the span."""
-        if _is_zero(v) or self.contains(v):
-            return False
-        self.rows, _ = rref(self.rows + [v])
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @property
-    def full(self) -> bool:
-        return len(self.rows) == self.dim
 
 
 # polynomial helpers (coefficient lists, low degree first)
@@ -211,9 +239,7 @@ def rational_roots(poly: list) -> list:
     poly = poly[low:]
     if len(poly) <= 1:
         return sorted(set(roots))
-    denom = 1
-    for c in poly:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * denom) for c in poly]
     a0, an = ints[0], ints[-1]
     if abs(a0) > _ROOT_SEARCH_BOUND or abs(an) > _ROOT_SEARCH_BOUND:
@@ -226,42 +252,30 @@ def rational_roots(poly: list) -> list:
     return sorted(set(roots))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def minimal_polynomial(mat: Matrix) -> list:
-    """Monic minimal polynomial of a square matrix, low degree first."""
+    """Monic minimal polynomial of a square matrix, low degree first.
+
+    One Krylov pass: the flattened powers I, A, A^2, ... are reduced in turn
+    against the earlier ones, each tagged by a unit vector in d + 1 extra
+    columns.  The first power whose matrix part reduces to zero carries the
+    monic relation in its tag columns.
+    """
     d = len(mat)
     size = d * d
-
-    def flat(m):
-        return tuple(m[i][j] for i in range(d) for j in range(d))
-
-    def mul(a, b):
-        return tuple(
-            tuple(sum(a[i][t] * b[t][j] for t in range(d)) for j in range(d))
-            for i in range(d)
-        )
-
-    ident = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
-    )
-    powers = [ident]
-    current = ident
-    while True:
-        rows = [flat(m) for m in powers]
-        current = mul(current, mat)
-        target = flat(current)
-        coeffs = solve([[rows[r][c] for r in range(len(rows))] for c in range(size)], target)
-        if coeffs is not None:
-            k = len(powers)
-            return [-c for c in coeffs] + [Fraction(1)]
-        powers.append(current)
-        if len(powers) > d + 1:
-            raise AssertionError("minimal polynomial search exceeded dimension")
+    tracker = SpanTracker(size + d + 1)
+    columns = [[(t, b) for t, b in enumerate(col) if b] for col in zip(*mat)]
+    power = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    for k in range(d + 1):
+        tags = [int(j == k) for j in range(d + 1)]
+        v = tracker._reduce([x for row in power for x in row] + tags)
+        if not any(v[:size]):
+            return v[size : size + k + 1]
+        tracker._insert(v)
+        power = [
+            [sum(row[t] * b for t, b in col if row[t]) for col in columns]
+            for row in power
+        ]
+    raise GuardFailed("minimal polynomial degree exceeds the dimension")
 
 
 def is_squarefree(poly: list) -> bool:
@@ -312,17 +326,8 @@ class LieAlgebra:
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of ad_x: y -> [x, y]; column c is [x, e_c]."""
-        cols = []
-        for c in range(self.dim):
-            col = list(_zero_vec(self.dim))
-            for i, xi in enumerate(x):
-                if xi == 0:
-                    continue
-                for t, wt in enumerate(self.table[i][c]):
-                    if wt != 0:
-                        col[t] += xi * wt
-            cols.append(col)
-        return tuple(tuple(cols[c][r] for c in range(self.dim)) for r in range(self.dim))
+        cols = [self.bracket(x, self.basis_vector(c)) for c in range(self.dim)]
+        return tuple(zip(*cols))
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
@@ -485,7 +490,8 @@ def inertial_solve(L: LieAlgebra, y) -> InertialLieCertificate | None:
     if x is None:
         return None
     cert = InertialLieCertificate(y, x, Fraction(1))
-    assert cert.holds_in(L)
+    if not cert.holds_in(L):
+        raise GuardFailed("solver returned x with [x, y] != y")
     return cert
 
 
@@ -590,20 +596,18 @@ def inertial_span(
 
     if not tracker.full:
         for x in _mining_probes(L):
-            mu = minimal_polynomial(L.ad(x))
-            for lam in rational_roots(mu):
+            ad = L.ad(x)
+            for lam in rational_roots(minimal_polynomial(ad)):
                 if lam == 0:
                     continue
                 shifted = [
-                    tuple(
-                        row[c] - (lam if r == c else 0)
-                        for c, _ in enumerate(row)
-                    )
-                    for r, row in enumerate(L.ad(x))
+                    [a - lam if r == c else a for c, a in enumerate(row)]
+                    for r, row in enumerate(ad)
                 ]
                 for y in nullspace(shifted):
                     cert = InertialLieCertificate(y, x, lam)
-                    assert cert.holds_in(L)
+                    if not cert.holds_in(L):
+                        raise GuardFailed("mined eigenvector fails [x, y] = lambda y")
                     harvest(cert)
             if tracker.full:
                 break

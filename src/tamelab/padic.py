@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, NonResidue, NonUnit, PrecisionMismatch, SchemaError
+from .errors import (
+    DomainError,
+    GuardFailed,
+    NonResidue,
+    NonUnit,
+    PrecisionMismatch,
+    SchemaError,
+)
 
 # ---------------------------------------------------------------------------
 # integer helpers
@@ -255,7 +262,8 @@ def hensel_sqrt(u: PadicScalar) -> PadicScalar:
         modulus = min(modulus * modulus, p**prec)
         r = (r + u.value * pow(r, -1, modulus)) * inv2 % modulus
     root = PadicScalar(p, prec, r)
-    assert (root * root).value == u.value
+    if (root * root).value != u.value:
+        raise GuardFailed("Hensel lift does not square to its argument")
     return root
 
 
@@ -493,7 +501,8 @@ class SeriesElement:
         while depth < ring.trunc:
             x = x * (two - self * x)
             depth *= 2
-        assert (self * x) == ring.one()
+        if self * x != ring.one():
+            raise GuardFailed("Newton iteration did not reach the series inverse")
         return x
 
     def sorted_terms(self) -> list:

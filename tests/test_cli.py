@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from tamelab import cli
 from tamelab.certify import standard_inertial_certificate
@@ -186,3 +187,29 @@ def test_closure_limit_env_override(capsys, monkeypatch):
         capsys, "pcentral", "--m", "2", "--p", "3", "--prec", "4", "--window", "2"
     )
     assert code == 2
+
+
+def test_bound_input_missing_key_is_schema_error(capsys, tmp_path):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({"r1": 1, "r2": 0}))
+    code, _, err = run(capsys, "bound", "--input", str(path))
+    assert code == 3
+    assert "abs_discriminant" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gs", "--d", "2", "--degrees", "1"],
+        ["bound", "--disc", "0", "--r1", "1", "--r2", "0"],
+        ["verify-examples", "--p", "3", "--suite", "quaternion", "--a", "1"],
+        ["plan", "--a", "3", "--b", "1", "--k", "1", "--p", "3", "--prec", "4"],
+    ],
+    ids=["gs-degree-1", "bound-disc-0", "quaternion-square-a", "plan-nonunit-a"],
+)
+def test_invalid_input_exits_with_usage_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")

@@ -1,14 +1,23 @@
 """Lie classification: invariants, solvers, verdicts, fixtures."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from tamelab import liealg as liealg_module
+from tamelab.certify import _fp_rank
 
 from tamelab.errors import DomainError, ZeroVector
 from tamelab.liealg import (
     LieAlgebra,
+    SpanTracker,
     abelian_table,
     ad_semisimple,
     classify,
@@ -21,12 +30,15 @@ from tamelab.liealg import (
     list_fixtures,
     load_fixture,
     minimal_polynomial,
+    nullspace,
     quaternion_table,
     radical,
     rank,
+    rref,
     sl2_table,
     sl_table,
     solvable2_table,
+    solve,
     validate,
 )
 
@@ -363,3 +375,291 @@ def test_fixtures_load_and_validate():
 
 def test_fixture_roundtrip_sl2():
     assert load_fixture("sl2").table == sl2_table().table
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against the routines it replaced
+#
+# The oracles below are the earlier column-wise Gauss-Jordan `rref`, the
+# per-power `solve` behind the earlier `minimal_polynomial`, and the earlier
+# F_p rank of `certify`, kept verbatim apart from their names.
+
+
+def _oracle_rref(rows):
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def _oracle_solve(a_rows, b):
+    n = len(b)
+    ncols = len(a_rows[0]) if a_rows else 0
+    aug = [list(a_rows[i]) + [b[i]] for i in range(n)]
+    reduced, pivots = _oracle_rref(aug)
+    for row, c in zip(reduced, pivots):
+        if c == ncols:
+            return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[-1]
+    return tuple(x)
+
+
+def _oracle_minimal_polynomial(mat):
+    d = len(mat)
+    size = d * d
+
+    def flat(m):
+        return tuple(m[i][j] for i in range(d) for j in range(d))
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][t] * b[t][j] for t in range(d)) for j in range(d))
+            for i in range(d)
+        )
+
+    ident = tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
+    )
+    powers = [ident]
+    current = ident
+    while True:
+        rows = [flat(m) for m in powers]
+        current = mul(current, mat)
+        target = flat(current)
+        coeffs = _oracle_solve(
+            [[rows[r][c] for r in range(len(rows))] for c in range(size)], target
+        )
+        if coeffs is not None:
+            return [-c for c in coeffs] + [Fraction(1)]
+        powers.append(current)
+        if len(powers) > d + 1:
+            raise AssertionError("minimal polynomial search exceeded dimension")
+
+
+def _oracle_fp_rank(rows, p):
+    rows = [list(r) for r in rows if any(r)]
+    rank_ = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank_, len(rows)) if rows[i][c] % p), None)
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        inv = pow(rows[rank_][c], -1, p)
+        rows[rank_] = [(inv * x) % p for x in rows[rank_]]
+        for i in range(len(rows)):
+            if i != rank_ and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank_])]
+        rank_ += 1
+    return rank_
+
+
+def _random_entry(rng):
+    if rng.random() < 0.4:
+        return Fraction(0)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _rational_matrix(rng, shape, nrows, ncols):
+    """Seeded matrices of a named shape: empty, zero-rows, deficient, wide, tall."""
+    if shape == "empty":
+        return []
+    if shape == "deficient":
+        k = max(1, min(nrows, ncols) - 2)
+        left = [[_random_entry(rng) for _ in range(k)] for _ in range(nrows)]
+        right = [[_random_entry(rng) for _ in range(ncols)] for _ in range(k)]
+        return [
+            [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    if shape == "wide":
+        nrows, ncols = min(nrows, ncols), max(nrows, ncols) + 3
+    elif shape == "tall":
+        nrows, ncols = max(nrows, ncols) + 3, min(nrows, ncols)
+    rows = [[_random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    if shape == "zero-rows":
+        for i in rng.sample(range(nrows), k=max(1, nrows // 2)):
+            rows[i] = [Fraction(0)] * ncols
+    return rows
+
+
+_SHAPES = ["empty", "zero-rows", "deficient", "wide", "tall"]
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("seed", range(8))
+def test_rref_rank_solve_nullspace_match_oracle(shape, seed):
+    rng = random.Random(1000 * seed + _SHAPES.index(shape))
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    rows = _rational_matrix(rng, shape, nrows, ncols)
+    want = _oracle_rref(rows)
+    assert rref(rows) == want
+    assert rank(rows) == len(want[0])
+    if not rows:
+        assert nullspace(rows) == []
+        return
+    ncols = len(rows[0])
+    kernel = nullspace(rows)
+    assert len(kernel) == ncols - len(want[0])
+    for v in kernel:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    for b in (
+        tuple(_random_entry(rng) for _ in rows),
+        tuple(sum(row[j] for j in range(0, ncols, 2)) for row in rows),
+    ):
+        assert solve(rows, b) == _oracle_solve(rows, b)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("seed", range(10))
+def test_fp_rank_matches_oracle(p, seed):
+    rng = random.Random(seed * 31 + p)
+    nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+    rows = [[rng.randint(-2 * p, 2 * p) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and seed % 2:
+        rows[rng.randrange(nrows)] = [p * rng.randint(0, 2) for _ in range(ncols)]
+        rows.append([(a + 2 * b) for a, b in zip(rows[0], rows[-1])])
+    assert _fp_rank(rows, p) == _oracle_fp_rank(rows, p)
+    tracker = SpanTracker(ncols, p)
+    for row in rows:
+        tracker.add(row)
+    for row, c in zip(tracker.rows, tracker.pivots):
+        assert all(0 <= x < p for x in row)
+        assert [row[c2] for c2 in tracker.pivots] == [int(c2 == c) for c2 in tracker.pivots]
+    assert all(tracker.contains(row) for row in rows)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_span_tracker_sequence_matches_oracle(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 7)
+    tracker = SpanTracker(dim)
+    inserted = []
+    for _ in range(3 * dim):
+        roll = rng.random()
+        if roll < 0.15:
+            v = (Fraction(0),) * dim
+        elif roll < 0.45 and inserted:
+            picks = rng.sample(inserted, k=min(len(inserted), 2))
+            v = tuple(
+                sum(_random_entry(rng) * w[j] for w in picks) for j in range(dim)
+            )
+            v = tuple(Fraction(x) for x in v)
+        else:
+            v = tuple(_random_entry(rng) for _ in range(dim))
+        before = len(_oracle_rref(inserted)[0]) if inserted else 0
+        after = len(_oracle_rref(inserted + [v])[0])
+        assert tracker.contains(v) == (after == before)
+        assert tracker.add(v) == (after > before)
+        inserted.append(v)
+        assert tracker.rank == after
+        assert tracker.full == (after == dim)
+    order = sorted(range(tracker.rank), key=tracker.pivots.__getitem__)
+    assert ([tuple(tracker.rows[i]) for i in order], sorted(tracker.pivots)) == (
+        _oracle_rref(inserted)
+    )
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_adjoint_rref_and_minimal_polynomials_match_oracle(m):
+    L = sl_table(m)
+    rng = random.Random(m)
+    probes = [L.basis_vector(i) for i in range(0, L.dim, 3)]
+    probes.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(L.dim)))
+    if m == 3:
+        probes += [
+            tuple(Fraction(rng.randint(-2, 2)) for _ in range(L.dim)) for _ in range(3)
+        ]
+    for x in probes:
+        ad = L.ad(x)
+        assert rref(ad) == _oracle_rref(ad)
+        assert minimal_polynomial(ad) == _oracle_minimal_polynomial(ad)
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_random_minimal_polynomials_match_oracle(d):
+    rng = random.Random(d)
+    mat = [[_random_entry(rng) for _ in range(d)] for _ in range(d)]
+    if d % 2:
+        # a repeated eigenvalue keeps the minimal polynomial below degree d
+        mat = [[Fraction(2 if i == j else 0) for j in range(d)] for i in range(d)]
+        mat[0][d - 1] += 1
+    assert minimal_polynomial(mat) == _oracle_minimal_polynomial(mat)
+
+
+def test_sympy_cross_check_rref_and_minimal_polynomial():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    x = sympy.Symbol("x")
+    for shape in _SHAPES[1:]:
+        rows = _rational_matrix(rng, shape, 4, 5)
+        reduced, pivots = rref(rows)
+        want, want_pivots = sympy.Matrix(rows).rref()
+        assert list(want_pivots) == pivots
+        assert [tuple(want.row(i)) for i in range(len(pivots))] == [
+            tuple(sympy.Rational(c.numerator, c.denominator) for c in row)
+            for row in reduced
+        ]
+    L = sl_table(3)
+    for vec in (L.basis_vector(0), L.basis_vector(6), tuple(range(-4, 4))):
+        ad = L.ad(vec)
+        mu = minimal_polynomial(ad)
+        A = sympy.Matrix(ad)
+        poly = sympy.Poly(list(reversed(mu)), x)
+        value = sympy.zeros(*A.shape)
+        for k, c in enumerate(mu):
+            value += c * A**k
+        assert value == sympy.zeros(*A.shape)
+        assert sympy.div(A.charpoly(x).as_expr(), poly.as_expr(), x)[1] == 0
+        krylov = sympy.Matrix([list(A**k) for k in range(len(mu) - 1)])
+        assert krylov.rank() == len(mu) - 1
+
+
+# ---------------------------------------------------------------------------
+# exactness guards survive python -O
+
+
+def test_inertial_solve_guard_runs_under_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from tamelab import liealg
+        from tamelab.errors import GuardFailed
+
+        liealg.solve = lambda a_rows, b: tuple(Fraction(0) for _ in b)
+        try:
+            liealg.inertial_solve(liealg.sl2_table(), (0, 1, 0))
+        except GuardFailed:
+            print("guard raised", sys.flags.optimize)
+        """
+    )
+    src = str(Path(liealg_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "guard raised 1"
