@@ -91,8 +91,8 @@ class GroupInertialCertificate:
 
 def verify_certificate(cert: GroupInertialCertificate) -> bool:
     """Exact check of [x, y] = y^(a p^k) at the working precision."""
-    if cert.x.ring != cert.y.ring or cert.a.p != cert.y.ring.p:
-        raise RingMismatch("certificate pieces live over different rings")
+    if cert.x.ring != cert.y.ring or cert.x.m != cert.y.m or cert.a.p != cert.y.ring.p:
+        raise RingMismatch("certificate pieces live over different rings or sizes")
     if cert.k < 1 or not cert.a.is_unit():
         return False
     if cert.y == RingMatrix.identity(cert.y.ring, cert.y.m):
@@ -276,10 +276,10 @@ def slm_series_suite(
     def gr_coords(w: RingMatrix):
         """Coordinates of (w - I)'s weight-k part in the graded layer, mod p."""
         coords = [0] * gr_dim
+        delta = (w - RingMatrix.identity(ring, m)).rows
         for i in range(m):
             for j in range(m):
-                entry = w.rows[i][j] - (ring.one() if i == j else ring.zero())
-                for exps, coeff in entry.coeffs.items():
+                for exps, coeff in delta[i][j].coeffs.items():
                     t_deg = sum(exps)
                     val = int_valuation(coeff, p, truncation - t_deg)
                     if t_deg + val != k or exps not in mono_index:

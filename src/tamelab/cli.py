@@ -24,7 +24,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .matgrp import int_power, sl_standard_generators
-from .padic import PadicScalar, is_odd_prime
+from .padic import PadicScalar, ScalarRing, is_odd_prime
 from .report import FAIL, INDETERMINATE, PASS, CheckItem, SuiteReport, check
 
 EXIT_OK = 0
@@ -163,6 +163,11 @@ def cmd_plan(args) -> int:
     if args.cert:
         with open(args.cert) as fh:
             cert = certify.GroupInertialCertificate.from_json(json.load(fh))
+        ring = ScalarRing(args.p, args.prec)
+        if cert.ring != ring or cert.a.ring != ring:
+            raise SchemaError(
+                f"certificate ring does not match --p {args.p} --prec {args.prec}"
+            )
     else:
         if args.a % args.p == 0:
             raise SchemaError(f"--a must be a unit mod {args.p}, got {args.a}")
@@ -245,7 +250,6 @@ def build_parser() -> _Parser:
 
     lie = sub.add_parser("lie", help="classify a structure-constant algebra")
     lie.add_argument("--input", required=True)
-    lie.add_argument("--tests", default="classify", choices=["classify"])
     lie.add_argument("--seed", type=int, required=True)
     lie.add_argument("--trials", type=int, default=200)
     lie.add_argument("--samples", type=int, default=20)

@@ -49,10 +49,6 @@ class ZeroVector(TamelabError):
     """A nonzero vector was required."""
 
 
-class RingMismatch(TamelabError):
-    """Certificate pieces live over different coefficient rings."""
-
-
 class CertificateInvalid(TamelabError):
     """The defining identity of an inertial certificate fails."""
 
@@ -67,6 +63,10 @@ class TameRelationFailed(TamelabError):
 
 class NotNonresidue(DomainError):
     """Quaternion parameter must be a quadratic nonresidue mod p."""
+
+
+class RingMismatch(DomainError):
+    """Certificate pieces live over different coefficient rings."""
 
 
 class InvalidSignature(DomainError):

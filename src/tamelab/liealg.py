@@ -424,17 +424,20 @@ def is_perfect(L: LieAlgebra) -> bool:
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
-    ads = [L.ad(L.basis_vector(i)) for i in range(L.dim)]
+    """kappa(e_i, e_j) = tr(ad_i ad_j), summed once per pair over ad_i's nonzeros."""
     d = L.dim
-    out = []
+    ads = [L.ad(L.basis_vector(i)) for i in range(d)]
+    out = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(
-                sum(ads[i][r][c] * ads[j][c][r] for r in range(d) for c in range(d))
+        support = [
+            (r, c, v) for r, row in enumerate(ads[i]) for c, v in enumerate(row) if v
+        ]
+        for j in range(i, d):
+            ad_j = ads[j]
+            out[i][j] = out[j][i] = sum(
+                (v * ad_j[c][r] for r, c, v in support), Fraction(0)
             )
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(row) for row in out)
 
 
 def radical(L: LieAlgebra) -> list:

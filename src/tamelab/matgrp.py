@@ -8,9 +8,20 @@ the first congruence subgroup of SL_m.
 The commutator convention is load-bearing: it is the one under which the
 diagonal/unipotent relations of the SL_2 construction hold with exponent q-1 on the nose, and
 flipping it flips exponent signs everywhere downstream.
+
+This module owns the one packed matrix kernel.  A matrix is a flat
+row-major tuple of ring-native entries (ints in [0, p^N) over a
+`ScalarRing`, `SeriesElement`s over a `SeriesRing`), and the private loops
+below run on such tuples with + - * only, finishing each entry with
+`% mod`: p^N for scalars, a no-op for series.  `RingMatrix` and the
+enumerated groups of `pcentral` share them; `PadicScalar` is the view at
+the boundary (`rows`, `det`, `trace`, JSON).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from operator import mul
 
 from .errors import (
     DepthError,
@@ -32,33 +43,171 @@ from .padic import (
 Ring = ScalarRing | SeriesRing
 
 
+@lru_cache(maxsize=None)
+class _Entries:
+    """How a matrix over `ring` packs its entries, and the view back.
+
+    One instance per ring (the class is cached).  Series elements reduce
+    themselves, so over a series ring `mod` is this object, and `e % mod`
+    returns e unchanged.
+    """
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        self.scalar = isinstance(ring, ScalarRing)
+        self.mod = ring.modulus if self.scalar else self
+        self.zero, self.one = (0, 1) if self.scalar else (ring.zero(), ring.one())
+
+    def __rmod__(self, e):
+        return e
+
+    def pack(self, e):
+        if getattr(e, "ring", None) != self.ring:
+            raise PrecisionMismatch("entries live in different rings")
+        return e.value if self.scalar else e
+
+    def view(self, e):
+        return PadicScalar(self.ring.p, self.ring.prec, e) if self.scalar else e
+
+    def depth(self, e) -> int:
+        if self.scalar:
+            return int_valuation(e % self.mod, self.ring.p, self.ring.prec)
+        return e.depth()
+
+
+# ---------------------------------------------------------------------------
+# the kernel: loops over flat row-major tuples of size m*m
+
+
+def _identity(m: int, zero, one) -> tuple:
+    return tuple(one if i == j else zero for i in range(m) for j in range(m))
+
+
+def _mul(a: tuple, b: tuple, m: int, mod) -> tuple:
+    if m == 2:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (
+            (a0 * b0 + a1 * b2) % mod,
+            (a0 * b1 + a1 * b3) % mod,
+            (a2 * b0 + a3 * b2) % mod,
+            (a2 * b1 + a3 * b3) % mod,
+        )
+    rows = [(a[i], a[i + 1 : i + m]) for i in range(0, m * m, m)]
+    cols = [(b[j], b[j + m :: m]) for j in range(m)]
+    return tuple(
+        sum(map(mul, r_tail, c_tail), r0 * c0) % mod
+        for r0, r_tail in rows
+        for c0, c_tail in cols
+    )
+
+
+def _scale(a: tuple, c, mod) -> tuple:
+    return tuple(c * e % mod for e in a)
+
+
+def _pow(a: tuple, e: int, m: int, mod, acc: tuple) -> tuple:
+    """acc * a^e for e >= 0 by square-and-multiply; acc is usually the identity."""
+    while e:
+        if e & 1:
+            acc = _mul(acc, a, m, mod)
+        e >>= 1
+        if e:
+            a = _mul(a, a, m, mod)
+    return acc
+
+
+def _det(a: tuple, m: int, mod, one):
+    """Division-free determinant: row-by-row expansion as a DP over used columns."""
+    dp = {0: one}
+    for k in range(m):
+        row = a[k * m : (k + 1) * m]
+        nxt: dict = {}
+        for mask, val in dp.items():
+            odd = False
+            for j in range(m):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                term = -(val * row[j]) if odd else val * row[j]
+                new = mask | bit
+                nxt[new] = nxt[new] + term if new in nxt else term
+                odd = not odd
+        dp = {mask: val % mod for mask, val in nxt.items()}
+    return dp[(1 << m) - 1]
+
+
+def _det_adj(a: tuple, m: int, mod, one) -> tuple:
+    """(det a, adj a); a^-1 is adj a scaled by det^-1 whenever det is a unit."""
+    if m == 2:
+        a0, a1, a2, a3 = a
+        return (a0 * a3 - a1 * a2) % mod, (a3, -a1 % mod, -a2 % mod, a0)
+    adj = []
+    for i in range(m):
+        for j in range(m):
+            minor = tuple(
+                a[r * m + c] for r in range(m) if r != j for c in range(m) if c != i
+            )
+            cof = _det(minor, m - 1, mod, one)
+            adj.append(-cof % mod if (i + j) % 2 else cof)
+    return _det(a, m, mod, one), tuple(adj)
+
+
+def _depth(a: tuple, m: int, ent: _Entries) -> int:
+    """Largest k <= the precision cap with a congruent to I mod m^k."""
+    out = ent.ring.cap
+    for k, e in enumerate(a):
+        out = min(out, ent.depth(e - ent.one if k % (m + 1) == 0 else e))
+        if out == 0:
+            return 0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# matrices
+
+
 class RingMatrix:
     """Square matrix with entries in one coefficient ring."""
 
-    __slots__ = ("ring", "m", "rows")
+    __slots__ = ("ring", "m", "_ent", "_flat")
 
     def __init__(self, ring: Ring, rows):
-        self.ring = ring
-        self.rows = tuple(tuple(row) for row in rows)
-        self.m = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.m:
-                raise ValueError("matrix must be square")
-            for entry in row:
-                if entry.ring != ring:
-                    raise PrecisionMismatch("entries live in different rings")
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        self.ring, self.m, self._ent = ring, len(rows), _Entries(ring)
+        self._flat = tuple(self._ent.pack(e) for row in rows for e in row)
+
+    @classmethod
+    def _packed(cls, ring: Ring, m: int, flat: tuple) -> "RingMatrix":
+        """Wrap a flat tuple of reduced, ring-native entries without checks."""
+        g = object.__new__(cls)
+        g.ring, g.m, g._ent, g._flat = ring, m, _Entries(ring), flat
+        return g
+
+    def _like(self, flat: tuple) -> "RingMatrix":
+        g = object.__new__(RingMatrix)
+        g.ring, g.m, g._ent, g._flat = self.ring, self.m, self._ent, flat
+        return g
+
+    @property
+    def rows(self) -> tuple:
+        view, m = self._ent.view, self.m
+        return tuple(
+            tuple(view(e) for e in self._flat[i : i + m]) for i in range(0, m * m, m)
+        )
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, ring: Ring, m: int) -> "RingMatrix":
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(m)] for i in range(m)])
+        ent = _Entries(ring)
+        return cls._packed(ring, m, _identity(m, ent.zero, ent.one))
 
     @classmethod
     def zeros(cls, ring: Ring, m: int) -> "RingMatrix":
-        zero = ring.zero()
-        return cls(ring, [[zero] * m for _ in range(m)])
+        return cls._packed(ring, m, (_Entries(ring).zero,) * (m * m))
 
     @classmethod
     def from_int_rows(cls, ring: Ring, rows) -> "RingMatrix":
@@ -74,121 +223,40 @@ class RingMatrix:
 
     def __mul__(self, other):
         self._check(other)
-        m = self.m
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for t in range(1, m):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            rows.append(row)
-        return RingMatrix(self.ring, rows)
+        return self._like(_mul(self._flat, other._flat, self.m, self._ent.mod))
 
     def __add__(self, other):
         self._check(other)
-        return RingMatrix(
-            self.ring,
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.m)]
-                for i in range(self.m)
-            ],
-        )
+        mod = self._ent.mod
+        return self._like(tuple((x + y) % mod for x, y in zip(self._flat, other._flat)))
 
     def __sub__(self, other):
         self._check(other)
-        return RingMatrix(
-            self.ring,
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.m)]
-                for i in range(self.m)
-            ],
-        )
+        mod = self._ent.mod
+        return self._like(tuple((x - y) % mod for x, y in zip(self._flat, other._flat)))
 
     def __neg__(self):
-        return RingMatrix(self.ring, [[-e for e in row] for row in self.rows])
+        mod = self._ent.mod
+        return self._like(tuple(-x % mod for x in self._flat))
 
     def scale(self, c) -> "RingMatrix":
-        return RingMatrix(self.ring, [[c * e for e in row] for row in self.rows])
+        return self._like(_scale(self._flat, self._ent.pack(c), self._ent.mod))
 
     def trace(self):
-        acc = self.rows[0][0]
-        for i in range(1, self.m):
-            acc = acc + self.rows[i][i]
-        return acc
+        flat, step = self._flat, self.m + 1
+        return self._ent.view(sum(flat[step::step], flat[0]) % self._ent.mod)
 
     def det(self):
-        """Division-free determinant: DP over column subsets."""
-        m = self.m
-        dp = {0: self.ring.one()}
-        for k in range(m):
-            nxt = {}
-            for mask, val in dp.items():
-                idx = 0
-                for j in range(m):
-                    bit = 1 << j
-                    if mask & bit:
-                        continue
-                    term = val * self.rows[k][j]
-                    if idx % 2 == 1:
-                        term = -term
-                    new = mask | bit
-                    nxt[new] = nxt[new] + term if new in nxt else term
-                    idx += 1
-            dp = nxt
-        return dp[(1 << m) - 1]
-
-    def _minor(self, drop_i: int, drop_j: int) -> "RingMatrix":
-        rows = [
-            [e for j, e in enumerate(row) if j != drop_j]
-            for i, row in enumerate(self.rows)
-            if i != drop_i
-        ]
-        return RingMatrix(self.ring, rows)
+        ent = self._ent
+        return ent.view(_det(self._flat, self.m, ent.mod, ent.one))
 
     def inverse(self) -> "RingMatrix":
-        d = self.det()
+        ent = self._ent
+        det, adj = _det_adj(self._flat, self.m, ent.mod, ent.one)
+        d = ent.view(det)
         if not d.is_unit():
             raise NonUnitDeterminant(f"determinant {d!r} is not a unit")
-        if self.m <= 4:
-            dinv = d.inv()
-            rows = []
-            for i in range(self.m):
-                row = []
-                for j in range(self.m):
-                    c = self._minor(j, i).det() if self.m > 1 else self.ring.one()
-                    if (i + j) % 2 == 1:
-                        c = -c
-                    row.append(c * dinv)
-                rows.append(row)
-            return RingMatrix(self.ring, rows)
-        return self._gauss_jordan_inverse()
-
-    def _gauss_jordan_inverse(self) -> "RingMatrix":
-        # unit pivots always exist for invertible matrices over a local ring
-        m = self.m
-        a = [list(row) for row in self.rows]
-        b = [list(row) for row in RingMatrix.identity(self.ring, m).rows]
-        for col in range(m):
-            pivot = next(
-                (r for r in range(col, m) if a[r][col].is_unit()),
-                None,
-            )
-            if pivot is None:
-                raise NonUnitDeterminant(f"no unit pivot in column {col}")
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-            scale = a[col][col].inv()
-            a[col] = [scale * e for e in a[col]]
-            b[col] = [scale * e for e in b[col]]
-            for r in range(m):
-                if r == col or a[r][col].is_zero():
-                    continue
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-        return RingMatrix(self.ring, b)
+        return self._like(_scale(adj, ent.pack(d.inv()), ent.mod))
 
     # -- comparisons and serialization ----------------------------------
 
@@ -196,11 +264,11 @@ class RingMatrix:
         return (
             isinstance(other, RingMatrix)
             and self.ring == other.ring
-            and self.rows == other.rows
+            and self._flat == other._flat
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        return hash((self.ring, self._flat))
 
     def __repr__(self):
         body = "; ".join(
@@ -228,11 +296,15 @@ class RingMatrix:
             else:
                 raise SchemaError(f"unknown ring type {header!r}")
             m = int(obj["m"])
+            if m < 1:
+                raise SchemaError(f"matrix size must be >= 1, got {m}")
             entries = [ring.element_from_json(e) for e in obj["entries"]]
             if len(entries) != m * m:
                 raise SchemaError("entry count does not match size")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad matrix payload: {exc}") from exc
+        if any(e.ring != ring for e in entries):
+            raise SchemaError("matrix entry does not match the matrix ring header")
         return cls(ring, [entries[i * m : (i + 1) * m] for i in range(m)])
 
 
@@ -249,27 +321,13 @@ def commutator(g: RingMatrix, h: RingMatrix) -> RingMatrix:
 def int_power(g: RingMatrix, e: int) -> RingMatrix:
     if e < 0:
         return int_power(g.inverse(), -e)
-    acc = RingMatrix.identity(g.ring, g.m)
-    base = g
-    while e:
-        if e & 1:
-            acc = acc * base
-        base = base * base
-        e >>= 1
-    return acc
+    ent = g._ent
+    return g._like(_pow(g._flat, e, g.m, ent.mod, _identity(g.m, ent.zero, ent.one)))
 
 
 def congruence_depth(g: RingMatrix) -> int:
     """Largest k <= precision cap with g congruent to I mod m^k."""
-    one, zero = g.ring.one(), g.ring.zero()
-    depth = g.ring.cap
-    for i in range(g.m):
-        for j in range(g.m):
-            delta = g.rows[i][j] - (one if i == j else zero)
-            depth = min(depth, delta.depth())
-            if depth == 0:
-                return 0
-    return depth
+    return _depth(g._flat, g.m, g._ent)
 
 
 def zp_power(g: RingMatrix, alpha: PadicScalar) -> RingMatrix:
@@ -289,92 +347,63 @@ def zp_power(g: RingMatrix, alpha: PadicScalar) -> RingMatrix:
 # ---------------------------------------------------------------------------
 # truncated matrix exp / log
 #
-# Terms are accumulated on exact integer lifts (monomial -> coefficient
-# dictionaries) so that division by i! or i is an exact integer division;
-# coefficients are kept modulo p^(cap - degree + headroom) where headroom
-# absorbs the worst denominator valuation over the cutoff range.
+# The series runs on the kernel over the ring widened by `headroom` extra
+# p-adic digits (and, for series rings, as many extra degrees), enough for
+# the worst denominator valuation over the cutoff range.  Term i, x^i / c_i
+# with v_p(c_i) = e, is added as x^i * p^(headroom - e) / unit(c_i), so the
+# sum is p^headroom times the wanted one and never needs a division until
+# the end, where the headroom and the extra degrees are dropped.
 
 
 def _content(g: RingMatrix) -> int:
     return min(e.p_content() for row in g.rows for e in row)
 
 
-def _lift(g: RingMatrix):
-    return [[e.lift() for e in row] for row in g.rows]
-
-
-def _poly_mat_mul(a, b, m, max_deg, mods):
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc: dict = {}
-            for t in range(m):
-                for e1, c1 in a[i][t].items():
-                    for e2, c2 in b[t][j].items():
-                        exps = tuple(x + y for x, y in zip(e1, e2))
-                        deg = sum(exps)
-                        if deg >= max_deg:
-                            continue
-                        acc[exps] = (acc.get(exps, 0) + c1 * c2) % mods[deg]
-            row.append({e: c for e, c in acc.items() if c})
-        out.append(row)
-    return out
-
-
-def _series_sum(g: RingMatrix, kind: str) -> RingMatrix:
-    ring = g.ring
+def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
+    ring, m = x.ring, x.m
     p, cap = ring.p, ring.cap
-    if isinstance(ring, SeriesRing):
-        max_deg = ring.trunc
-        base_mods = [p ** (cap - d) for d in range(max_deg)]
-    else:
-        max_deg = 1
-        base_mods = [p**cap]
-
     if kind == "exp":
         cutoff = _exp_cutoff(p, cap)
         headroom = factorial_valuation(cutoff, p)
     else:
         cutoff = _log_cutoff(p, cap)
         headroom = max(int_valuation(i, p, cap) for i in range(1, cutoff + 1))
-    mods = [mod * p**headroom for mod in base_mods]
+    if isinstance(ring, SeriesRing):
+        wide = SeriesRing(p, ring.n_vars, ring.trunc + headroom)
+        base = tuple(SeriesElement(wide, e.coeffs) for e in x._flat)
+    else:
+        wide = ScalarRing(p, cap + headroom)
+        base = x._flat
+    ent = _Entries(wide)
+    mod = ent.mod
 
-    ident = _lift(RingMatrix.identity(ring, g.m))
-    x = _lift(g)
-    acc = [[dict(e) for e in row] for row in ident] if kind == "exp" else [
-        [{} for _ in range(g.m)] for _ in range(g.m)
-    ]
-    power = ident
+    power = _identity(m, ent.zero, ent.one)
+    # the i = 0 term: p^headroom * I for exp, nothing for log
+    start = p**headroom if kind == "exp" else 0
+    acc = _scale(power, ent.pack(wide.from_int(start)), mod)
     fact = 1
     for i in range(1, cutoff + 1):
-        power = _poly_mat_mul(power, x, g.m, max_deg, mods)
+        power = _mul(power, base, m, mod)
         if kind == "exp":
             fact *= i
             e = factorial_valuation(i, p)
-            unit = fact // p**e
-            sign = 1
+            unit, sign = fact // p**e, 1
         else:
             e = int_valuation(i, p, cap + headroom)
-            unit = i // p**e
-            sign = 1 if i % 2 == 1 else -1
-        unit_inv = pow(unit % base_mods[0], -1, base_mods[0])
-        shift = p**e
-        for r in range(g.m):
-            for c_ in range(g.m):
-                cell = acc[r][c_]
-                for exps, coeff in power[r][c_].items():
-                    deg = sum(exps)
-                    term = (coeff // shift) * unit_inv * sign
-                    cell[exps] = (cell.get(exps, 0) + term) % base_mods[deg]
+            unit, sign = i // p**e, 1 if i % 2 == 1 else -1
+        coeff = sign * p ** (headroom - e) * pow(unit, -1, p**cap)
+        term = _scale(power, ent.pack(wide.from_int(coeff)), mod)
+        acc = tuple((s + t) % mod for s, t in zip(acc, term))
 
+    shift = p**headroom
     if isinstance(ring, SeriesRing):
-        rows = [[SeriesElement(ring, cell) for cell in row] for row in acc]
+        flat = tuple(
+            SeriesElement(ring, {exps: c // shift for exps, c in e.coeffs.items()})
+            for e in acc
+        )
     else:
-        rows = [
-            [PadicScalar(p, cap, cell.get((), 0)) for cell in row] for row in acc
-        ]
-    return RingMatrix(ring, rows)
+        flat = tuple(v // shift for v in acc)
+    return RingMatrix._packed(ring, m, flat)
 
 
 def mat_exp(x: RingMatrix) -> RingMatrix:

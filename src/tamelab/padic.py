@@ -224,9 +224,6 @@ class PadicScalar:
     def __repr__(self):
         return f"PadicScalar(p={self.p}, N={self.prec}, {self.value})"
 
-    def lift(self) -> dict:
-        return {(): self.value}
-
     def to_json(self) -> dict:
         return {"p": self.p, "prec": self.prec, "value": str(self.value)}
 
@@ -528,9 +525,6 @@ class SeriesElement:
             )
             parts.append(f"{c}*{mono}" if mono else str(c))
         return f"SeriesElement({' + '.join(parts)})"
-
-    def lift(self) -> dict:
-        return dict(self.coeffs)
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,10 @@
 """Finite congruence quotients: enumeration, p-central series, uniformity.
 
-Groups are enumerated as sets of flattened integer tuples (matrices mod p^N)
-so closures stay cheap; `RingMatrix` views are available at the boundary.
+Groups are enumerated as sets of plain int tuples: matrices mod p^N in the
+flat row-major layout of `matgrp`, which owns the one packed matrix kernel.
+Group multiplication, inversion (by the adjugate), powering and depth all
+run on that kernel, and an element tuple is exactly the packed form of
+the matching `RingMatrix`.  This module has no matrix loops of its own.
 
 The p-central series is computed level by level: with Y generating P_n and X
 generating G, P_(n+1) is the normal closure of {y^p} union {[x, y]} over
@@ -23,8 +26,21 @@ from .errors import (
     PrecisionMismatch,
     WindowTooLarge,
 )
-from .matgrp import RingMatrix, commutator, congruence_depth, int_power, mat_log
-from .padic import PadicScalar, ScalarRing, int_valuation
+from .matgrp import (
+    RingMatrix,
+    _depth,
+    _det_adj,
+    _Entries,
+    _identity,
+    _mul,
+    _pow,
+    _scale,
+    commutator,
+    congruence_depth,
+    int_power,
+    mat_log,
+)
+from .padic import ScalarRing, int_valuation
 
 DEFAULT_CLOSURE_LIMIT = 10**6
 
@@ -33,52 +49,6 @@ def closure_limit() -> int:
     """Default element cap; TAMELAB_CLOSURE_LIMIT overrides."""
     env = os.environ.get("TAMELAB_CLOSURE_LIMIT")
     return int(env) if env else DEFAULT_CLOSURE_LIMIT
-
-
-# ---------------------------------------------------------------------------
-# flattened-tuple matrix arithmetic mod p^N
-
-
-def _tmul(a: tuple, b: tuple, m: int, mod: int) -> tuple:
-    if m == 2:
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return (
-            (a0 * b0 + a1 * b2) % mod,
-            (a0 * b1 + a1 * b3) % mod,
-            (a2 * b0 + a3 * b2) % mod,
-            (a2 * b1 + a3 * b3) % mod,
-        )
-    return tuple(
-        sum(a[i * m + t] * b[t * m + j] for t in range(m)) % mod
-        for i in range(m)
-        for j in range(m)
-    )
-
-
-def _tidentity(m: int) -> tuple:
-    return tuple(1 if i == j else 0 for i in range(m) for j in range(m))
-
-
-def _tpow(a: tuple, e: int, m: int, mod: int) -> tuple:
-    acc = _tidentity(m)
-    while e:
-        if e & 1:
-            acc = _tmul(acc, a, m, mod)
-        a = _tmul(a, a, m, mod)
-        e >>= 1
-    return acc
-
-
-def _tdepth(a: tuple, m: int, p: int, prec: int) -> int:
-    depth = prec
-    for i in range(m):
-        for j in range(m):
-            delta = a[i * m + j] - (1 if i == j else 0)
-            depth = min(depth, int_valuation(delta % p**prec, p, prec))
-            if depth == 0:
-                return 0
-    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +82,20 @@ class FiniteQuotientGroup:
 
     @property
     def identity(self) -> tuple:
-        return _tidentity(self.m)
-
-    # exponent bound p^E with E = prec + m covers every element order here
-    @property
-    def _exp_levels(self) -> int:
-        return self.prec + self.m
+        return _identity(self.m, 0, 1)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return _tmul(a, b, self.m, self.modulus)
+        return _mul(a, b, self.m, self.modulus)
 
     def inv(self, a: tuple) -> tuple:
-        return _tpow(a, self.p**self._exp_levels - 1, self.m, self.modulus)
+        mod = self.modulus
+        det, adj = _det_adj(a, self.m, mod, 1)
+        return _scale(adj, pow(det, -1, mod), mod)
 
     def power(self, a: tuple, e: int) -> tuple:
         if e < 0:
-            return self.inv(_tpow(a, -e, self.m, self.modulus))
-        return _tpow(a, e, self.m, self.modulus)
+            return self.inv(self.power(a, -e))
+        return _pow(a, e, self.m, self.modulus, self.identity)
 
     def comm(self, a: tuple, b: tuple) -> tuple:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
@@ -142,17 +109,16 @@ class FiniteQuotientGroup:
         return e
 
     def element_depth(self, a: tuple) -> int:
-        return _tdepth(a, self.m, self.p, self.prec)
+        return _depth(a, self.m, _Entries(self.ring))
 
     def to_matrix(self, a: tuple) -> RingMatrix:
-        return RingMatrix.from_int_rows(
-            self.ring, [a[i * self.m : (i + 1) * self.m] for i in range(self.m)]
-        )
+        mod = self.modulus
+        return RingMatrix._packed(self.ring, self.m, tuple(v % mod for v in a))
 
     def to_tuple(self, g: RingMatrix) -> tuple:
         if g.ring != self.ring:
             raise PrecisionMismatch("matrix ring differs from group ring")
-        return tuple(e.value for row in g.rows for e in row)
+        return g._flat
 
     def subgroup_closure(self, seed, limit: int | None = None) -> frozenset:
         """Elements generated by `seed` (finite, so the monoid is the group)."""
@@ -219,9 +185,9 @@ def closure(
             raise PrecisionMismatch("generators live in different rings")
         if not allow_depth_zero and congruence_depth(g) < 1:
             raise DepthError("generator not congruent to I mod p")
-        gens.append(tuple(e.value for row in g.rows for e in row))
+        gens.append(g._flat)
 
-    shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset([_tidentity(m)]))
+    shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset([_identity(m, 0, 1)]))
     elements = shell.subgroup_closure(gens, limit)
     order = len(elements)
     n = order
@@ -370,9 +336,7 @@ class DictionaryBracket:
 
 def _reduce_matrix(g: RingMatrix, prec: int) -> RingMatrix:
     ring = ScalarRing(g.ring.p, prec)
-    return RingMatrix(
-        ring, [[PadicScalar(ring.p, prec, e.value) for e in row] for row in g.rows]
-    )
+    return RingMatrix._packed(ring, g.m, tuple(v % ring.modulus for v in g._flat))
 
 
 def dictionary_bracket(
@@ -406,19 +370,15 @@ def dictionary_bracket(
     for n in range(1, steps + 1):
         gn = int_power(g, p**n)
         hn = int_power(h, p**n)
-        level = mat_log(commutator(gn, hn))
-        shifted_prec = prec - 2 * n
-        rows = []
-        for row in level.rows:
-            out = []
-            for e in row:
-                if e.value % p ** (2 * n) != 0:
-                    raise InsufficientPrecision(
-                        f"commutator log not divisible by p^{2 * n}"
-                    )
-                out.append(PadicScalar(p, shifted_prec, e.value // p ** (2 * n)))
-            rows.append(out)
-        results.append(RingMatrix(ScalarRing(p, shifted_prec), rows))
+        level = mat_log(commutator(gn, hn))._flat
+        shift = p ** (2 * n)
+        if any(v % shift for v in level):
+            raise InsufficientPrecision(f"commutator log not divisible by p^{2 * n}")
+        results.append(
+            RingMatrix._packed(
+                ScalarRing(p, prec - 2 * n), g.m, tuple(v // shift for v in level)
+            )
+        )
 
     for n in range(1, steps):
         overlap = min(prec - 2 * (n + 1), n + gain)

@@ -198,17 +198,50 @@ def test_bound_input_missing_key_is_schema_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def _edit_entry(matrix, **fields):
+    matrix["entries"][0].update(fields)
+
+
+# certificate edits whose result must be rejected as a usage/schema error
+_CERT_EDITS = {
+    "none": lambda cert: None,
+    "entry-p": lambda cert: _edit_entry(cert["y"], p=7),
+    "entry-prec": lambda cert: _edit_entry(cert["y"], prec=3),
+    "size-0": lambda cert: cert["y"].update(m=0, entries=[]),
+    "x-y-rings": lambda cert: cert.update(
+        x=standard_inertial_certificate(5, 5, 1, 1).to_json()["x"]
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, edit",
     [
-        ["gs", "--d", "2", "--degrees", "1"],
-        ["bound", "--disc", "0", "--r1", "1", "--r2", "0"],
-        ["verify-examples", "--p", "3", "--suite", "quaternion", "--a", "1"],
-        ["plan", "--a", "3", "--b", "1", "--k", "1", "--p", "3", "--prec", "4"],
+        (["gs", "--d", "2", "--degrees", "1"], "none"),
+        (["bound", "--disc", "0", "--r1", "1", "--r2", "0"], "none"),
+        (["verify-examples", "--p", "3", "--suite", "quaternion", "--a", "1"], "none"),
+        (["plan", "--a", "3", "--b", "1", "--k", "1", "--p", "3", "--prec", "4"], "none"),
+        (["certify", "--cert", "CERT"], "entry-p"),
+        (["certify", "--cert", "CERT"], "entry-prec"),
+        (["certify", "--cert", "CERT"], "size-0"),
+        (["certify", "--cert", "CERT"], "x-y-rings"),
+        (["plan", "--a", "1", "--b", "1", "--k", "1", "--p", "5", "--prec", "3",
+          "--cert", "CERT"], "none"),
+        (["plan", "--a", "1", "--b", "1", "--k", "1", "--p", "7", "--prec", "4",
+          "--cert", "CERT"], "none"),
     ],
-    ids=["gs-degree-1", "bound-disc-0", "quaternion-square-a", "plan-nonunit-a"],
+    ids=["gs-degree-1", "bound-disc-0", "quaternion-square-a", "plan-nonunit-a",
+         "certify-entry-p", "certify-entry-prec", "certify-size-0",
+         "certify-x-y-rings", "plan-cert-prec", "plan-cert-p"],
 )
-def test_invalid_input_exits_with_usage_code(capsys, argv):
+def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
+    if "CERT" in argv:
+        # a valid certificate over Z/5^4, then the edit under test
+        cert = standard_inertial_certificate(5, 4, 1, 1).to_json()
+        _CERT_EDITS[edit](cert)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        argv = [str(path) if arg == "CERT" else arg for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

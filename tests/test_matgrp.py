@@ -337,3 +337,187 @@ def test_scalar_matrix_json_roundtrip():
     ring = ScalarRing(7, 3)
     g = RingMatrix.from_int_rows(ring, [[1, 7], [14, 8]])
     assert RingMatrix.from_json(g.to_json()) == g
+
+
+# ---------------------------------------------------------------------------
+# the object-entry kernel the packed one replaced, kept as test oracles
+#
+# These are the earlier RingMatrix multiply, determinant, adjugate and
+# Gauss-Jordan inverses on nested lists of PadicScalar / SeriesElement
+# objects, and the earlier group inverse that powered an int tuple by
+# p^(N+m) - 1.
+
+
+def _oracle_mul(a, b):
+    m = len(a)
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            acc = a[i][0] * b[0][j]
+            for t in range(1, m):
+                acc = acc + a[i][t] * b[t][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _oracle_det(a, one):
+    m = len(a)
+    dp = {0: one}
+    for k in range(m):
+        nxt = {}
+        for mask, val in dp.items():
+            idx = 0
+            for j in range(m):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                term = val * a[k][j]
+                if idx % 2 == 1:
+                    term = -term
+                new = mask | bit
+                nxt[new] = nxt[new] + term if new in nxt else term
+                idx += 1
+        dp = nxt
+    return dp[(1 << m) - 1]
+
+
+def _oracle_adjugate_inverse(a, one):
+    m = len(a)
+    dinv = _oracle_det(a, one).inv()
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            minor = [
+                [e for c, e in enumerate(r) if c != i] for k, r in enumerate(a) if k != j
+            ]
+            c = _oracle_det(minor, one) if m > 1 else one
+            if (i + j) % 2 == 1:
+                c = -c
+            row.append(c * dinv)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _oracle_gauss_jordan_inverse(a, zero, one):
+    # unit pivots always exist for invertible matrices over a local ring
+    m = len(a)
+    a = [list(row) for row in a]
+    b = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    for col in range(m):
+        pivot = next(
+            (r for r in range(col, m) if a[r][col].is_unit()),
+            None,
+        )
+        if pivot is None:
+            raise NonUnitDeterminant(f"no unit pivot in column {col}")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        scale = a[col][col].inv()
+        a[col] = [scale * e for e in a[col]]
+        b[col] = [scale * e for e in b[col]]
+        for r in range(m):
+            if r == col or a[r][col].is_zero():
+                continue
+            factor = a[r][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+            b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
+    return tuple(tuple(row) for row in b)
+
+
+def _oracle_tmul(a, b, m, mod):
+    return tuple(
+        sum(a[i * m + t] * b[t * m + j] for t in range(m)) % mod
+        for i in range(m)
+        for j in range(m)
+    )
+
+
+def _oracle_tpow_inverse(a, m, p, prec):
+    # every element order in these p-groups divides p^(prec + m)
+    mod = p**prec
+    acc = tuple(1 if i == j else 0 for i in range(m) for j in range(m))
+    e = p ** (prec + m) - 1
+    while e:
+        if e & 1:
+            acc = _oracle_tmul(acc, a, m, mod)
+        a = _oracle_tmul(a, a, m, mod)
+        e >>= 1
+    return acc
+
+
+def _check_against_oracles(a, b, ring):
+    one, zero = ring.one(), ring.zero()
+    assert (a * b).rows == _oracle_mul(a.rows, b.rows)
+    assert a.det() == _oracle_det(a.rows, one)
+    if not a.det().is_unit():
+        with pytest.raises(NonUnitDeterminant):
+            a.inverse()
+        with pytest.raises(NonUnitDeterminant):
+            _oracle_gauss_jordan_inverse(a.rows, zero, one)
+        return
+    inverse = a.inverse().rows
+    assert inverse == _oracle_adjugate_inverse(a.rows, one)
+    assert inverse == _oracle_gauss_jordan_inverse(a.rows, zero, one)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_kernel_matches_object_oracles_on_scalar_matrices(p, m):
+    ring = ScalarRing(p, 3)
+    rng = random.Random(100 * p + m)
+    for trial in range(6):
+        # odd trials are congruent to I mod p, so always invertible
+        a, b = (
+            RingMatrix.from_int_rows(
+                ring,
+                [
+                    [
+                        (i == j) + p * rng.randrange(p**2)
+                        if trial % 2
+                        else rng.randrange(p**3)
+                        for j in range(m)
+                    ]
+                    for i in range(m)
+                ],
+            )
+            for _ in range(2)
+        )
+        _check_against_oracles(a, b, ring)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_packed_kernel_matches_object_oracles_on_series_matrices(m):
+    ring = SeriesRing(3, 2, 4)
+    rng = random.Random(m)
+
+    def entry(diagonal):
+        terms = {
+            (i, j): rng.randrange(27)
+            for i in range(3)
+            for j in range(3 - i)
+            if rng.random() < 0.5
+        }
+        terms[(0, 0)] = (1 if diagonal else 0) + 3 * rng.randrange(9)
+        return ring.from_terms(terms)
+
+    for _ in range(3):
+        a, b = (
+            RingMatrix(ring, [[entry(i == j) for j in range(m)] for i in range(m)])
+            for _ in range(2)
+        )
+        _check_against_oracles(a, b, ring)
+    singular = RingMatrix(ring, [[entry(False) for _ in range(m)] for _ in range(m)])
+    _check_against_oracles(singular, singular, ring)
+
+
+def test_group_inverse_matches_powering_oracle(sl2_mod27):
+    # every element of the first congruence subgroup of SL_2(Z/27)
+    G = sl2_mod27
+    assert G.order == 3**6
+    for a in G.elements:
+        inverse = G.inv(a)
+        assert inverse == _oracle_tpow_inverse(a, G.m, G.p, G.prec)
+        assert G.mul(a, inverse) == G.identity

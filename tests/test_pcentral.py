@@ -205,13 +205,18 @@ def test_bracket_of_commuting_elements_is_zero():
     assert result.matrix == RingMatrix.zeros(result.matrix.ring, 2)
 
 
-def test_bracket_matches_matrix_bracket_oracle():
-    ring = ScalarRing(5, 6)
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_bracket_matches_matrix_bracket_oracle(p):
+    prec = 6
+    ring = ScalarRing(p, prec)
+    # the documented level: the best min(N - 2n, n + gain) over the steps n
+    gain = 3 if p >= 5 else 2
+    level = max(min(prec - 2 * n, n + gain) for n in range(1, (prec - 2) // 2 + 1))
     rng = random.Random(21)
     for _ in range(20):
         g, h = rand_sl2_element(ring, rng), rand_sl2_element(ring, rng)
         result = dictionary_bracket(g, h)
-        assert result.certified_levels >= 4
+        assert result.certified_levels == level
         lg, lh = mat_log(g), mat_log(h)
         oracle = lg * lh - lh * lg
         assert _reduce_matrix(oracle, result.certified_levels) == result.matrix
