@@ -295,43 +295,49 @@ def slm_series_suite(
                             coords[base] = (coords[base] + digit) % p
         return coords
 
+    # the conjugators depend only on the pair, so they and their inverses
+    # are built once per pair
+    one = ring.one()
+    conjugators = {}
+    for i, j in pairs:
+        s = _embedded(ring, m, {(i, i): u, (j, j): u_inv})
+        s_swap = _embedded(ring, m, {(i, i): u_inv, (j, j): u})
+        n_mat = _embedded(
+            ring, m, {(i, i): one, (i, j): one, (j, i): -one, (j, j): -one}, 0
+        )
+        d_mat = _embedded(ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c})
+        conjugators[(i, j)] = (
+            s, s.inverse(), s_swap, s_swap.inverse(), n_mat, d_mat, d_mat.inverse()
+        )
+
     checked_dn = False
     for a0, beta, mu in monomials:
         mono_label = f"p^{a0}" + "".join(
             f"*T{i+1}^{e}" for i, e in enumerate(beta) if e
         )
         for i, j in pairs:
-            s = _embedded(ring, m, {(i, i): u, (j, j): u_inv})
+            s, s_inv, s_swap, s_swap_inv, n_mat, d_mat, d_inv = conjugators[(i, j)]
             upper = _embedded(ring, m, {(i, j): mu})
             report.add(
                 f"{mono_label}/({i},{j})/diag-conj-upper",
-                s * upper * s.inverse() == int_power(upper, exponent),
+                s * upper * s_inv == int_power(upper, exponent),
             )
-            s_swap = _embedded(ring, m, {(i, i): u_inv, (j, j): u})
             lower = _embedded(ring, m, {(j, i): mu})
             report.add(
                 f"{mono_label}/({i},{j})/diag-conj-lower",
-                s_swap * lower * s_swap.inverse() == int_power(lower, exponent),
-            )
-            one = ring.one()
-            n_mat = _embedded(
-                ring, m, {(i, i): one, (i, j): one, (j, i): -one, (j, j): -one}, 0
-            )
-            d_mat = _embedded(
-                ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c}
+                s_swap * lower * s_swap_inv == int_power(lower, exponent),
             )
             if not checked_dn:
                 report.add("N-nilpotent", n_mat * n_mat == RingMatrix.zeros(ring, m))
                 report.add(
                     "DND^-1=(p^k-1)^2*N",
-                    d_mat * n_mat * d_mat.inverse()
-                    == n_mat.scale(ring.from_int(exponent)),
+                    d_mat * n_mat * d_inv == n_mat.scale(ring.from_int(exponent)),
                 )
                 checked_dn = True
             w = RingMatrix.identity(ring, m) + n_mat.scale(mu)
             report.add(
                 f"{mono_label}/({i},{j})/DN-conj",
-                d_mat * w * d_mat.inverse() == int_power(w, exponent),
+                d_mat * w * d_inv == int_power(w, exponent),
             )
             if i < j:
                 harvested.append(gr_coords(upper))

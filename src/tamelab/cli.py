@@ -45,6 +45,12 @@ def _require_odd_prime(p: int):
         raise SchemaError(f"p must be an odd prime, got {p}")
 
 
+def _require_positive(**values):
+    for name, value in values.items():
+        if value < 1:
+            raise SchemaError(f"--{name} must be >= 1, got {value}")
+
+
 def _emit(args, command: str, items: list[CheckItem], data: dict, seed=None) -> int:
     payload = {
         "command": command,
@@ -79,6 +85,7 @@ def _emit(args, command: str, items: list[CheckItem], data: dict, seed=None) -> 
 
 def cmd_verify_examples(args) -> int:
     _require_odd_prime(args.p)
+    _require_positive(k=args.k)
     if args.prec < 3:
         raise SchemaError("precision must be >= 3")
     suites: list[SuiteReport] = []
@@ -100,6 +107,7 @@ def cmd_verify_examples(args) -> int:
 
 def cmd_pcentral(args) -> int:
     _require_odd_prime(args.p)
+    _require_positive(k=args.k, window=args.window)
     if args.window > args.prec - 1:
         raise WindowTooLarge(
             f"dims through level {args.window} need precision > {args.window}"
@@ -111,7 +119,13 @@ def cmd_pcentral(args) -> int:
     chain = pcentral.pcentral_series(group)
     # the powering-map check needs one more trusted level than the dims table
     check_window = min(args.window, args.prec - 2)
-    uni = pcentral.uniformity_check(group, check_window, chain)
+    if check_window >= 1:
+        uni = pcentral.uniformity_check(group, check_window, chain)
+        frattini_abelian, bijective = uni.frattini_abelian, uni.power_map_bijective
+    else:
+        # mod p^2 no power-map level is trusted; the Frattini check still is
+        powers = pcentral._p_powers(group, group.elements)
+        frattini_abelian, bijective = pcentral._frattini_abelian(group, powers), []
     exponent = 0
     order = group.order
     while order > 1:
@@ -126,10 +140,10 @@ def cmd_pcentral(args) -> int:
         "power_map_levels_checked": check_window,
     }
     items = [
-        check("pcentral/frattini-abelian", uni.frattini_abelian),
+        check("pcentral/frattini-abelian", frattini_abelian),
         *(
             check(f"pcentral/power-map-level-{n + 1}", ok)
-            for n, ok in enumerate(uni.power_map_bijective)
+            for n, ok in enumerate(bijective)
         ),
     ]
     return _emit(args, "pcentral", items, data)
@@ -160,6 +174,7 @@ def cmd_certify(args) -> int:
 
 def cmd_plan(args) -> int:
     _require_odd_prime(args.p)
+    _require_positive(k=args.k)
     if args.cert:
         with open(args.cert) as fh:
             cert = certify.GroupInertialCertificate.from_json(json.load(fh))

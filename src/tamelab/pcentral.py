@@ -6,6 +6,12 @@ Group multiplication, inversion (by the adjugate), powering and depth all
 run on that kernel, and an element tuple is exactly the packed form of
 the matching `RingMatrix`.  This module has no matrix loops of its own.
 
+Every subgroup is enumerated by Dimino's algorithm: each generator that
+is not yet a member extends the subgroup H built so far by whole right
+cosets H r, so each element is made by one multiply and no membership
+test.  The uniformity check counts the cosets of P_(n+2) that the p-th
+powers of P_n hit by labelling each such coset once.
+
 The p-central series is computed level by level: with Y generating P_n and X
 generating G, P_(n+1) is the normal closure of {y^p} union {[x, y]} over
 y in Y, x in X.  (In the quotient by that closure the images of Y are
@@ -20,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DepthError,
+    DomainError,
     InsufficientPrecision,
     LimitExceeded,
     NotPGroup,
@@ -121,23 +128,41 @@ class FiniteQuotientGroup:
         return g._flat
 
     def subgroup_closure(self, seed, limit: int | None = None) -> frozenset:
-        """Elements generated by `seed` (finite, so the monoid is the group)."""
+        """Elements generated by `seed`, by Dimino's coset extension.
+
+        A seed element s outside the subgroup H built so far is kept, and
+        <H, s> is filled in by whole right cosets H r: each costs |H|
+        multiplies and no membership tests.  New representatives come from
+        r g over the representatives r and the kept generators g; the union
+        is closed under right multiplication by them, so (being finite) it
+        is the group.  Seed elements already in H are skipped.
+        """
         limit = closure_limit() if limit is None else limit
-        seed = [s for s in seed if s != self.identity]
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in seed:
-                    c = self.mul(a, s)
-                    if c not in seen:
-                        if len(seen) >= limit:
-                            raise LimitExceeded(f"subgroup closure past {limit}")
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return frozenset(seen)
+        elements = [self.identity]
+        members = set(elements)
+        kept = []
+        for s in seed:
+            if s in members:
+                continue
+            kept.append(s)
+            sub = elements[:]
+            reps = []
+
+            def add_coset(r):
+                if len(elements) + len(sub) > limit:
+                    raise LimitExceeded(f"subgroup closure past {limit}")
+                coset = [self.mul(h, r) for h in sub]
+                elements.extend(coset)
+                members.update(coset)
+                reps.append(r)
+
+            add_coset(s)
+            for r in reps:  # reps grows while it is walked
+                for g in kept:
+                    t = self.mul(r, g)
+                    if t not in members:
+                        add_coset(t)
+        return frozenset(members)
 
     def normal_closure(self, seed, limit: int | None = None):
         """Normal closure of `seed` under the group generators.
@@ -147,17 +172,21 @@ class FiniteQuotientGroup:
         """
         seed = [s for s in dict.fromkeys(seed) if s != self.identity]
         gen_invs = [self.inv(g) for g in self.generators]
+        fresh = seed
         while True:
             sub = self.subgroup_closure(seed, limit)
+            # conjugates of earlier rounds' seeds lie in the earlier closure
+            # or were added as seeds, so only the fresh ones are conjugated
             new = []
-            for s in seed:
+            for s in fresh:
                 for g, ginv in zip(self.generators, gen_invs):
                     t = self.mul(self.mul(g, s), ginv)
                     if t not in sub:
                         new.append(t)
             if not new:
                 return sub, seed
-            seed.extend(dict.fromkeys(new))
+            fresh = list(dict.fromkeys(new))
+            seed = seed + fresh
 
 
 def closure(
@@ -165,7 +194,7 @@ def closure(
     limit: int | None = None,
     allow_depth_zero: bool = False,
 ) -> FiniteQuotientGroup:
-    """Breadth-first enumeration of the group the generators produce mod p^N.
+    """Enumeration of the group the generators produce mod p^N.
 
     Generators must be congruent to I mod p unless `allow_depth_zero` opts
     out (needed for p-groups, like semidirect products with a nontrivial
@@ -273,8 +302,18 @@ class UniformityReport:
         }
 
 
-def _coset_rep(G: FiniteQuotientGroup, a: tuple, subgroup: list) -> tuple:
-    return min(G.mul(a, h) for h in subgroup)
+def _frattini_abelian(G: FiniteQuotientGroup, powers) -> bool:
+    """Whether G/G^p is abelian (G is powerful), given G's p-th powers.
+
+    G^p, the subgroup the powers generate, is normal, so this holds exactly
+    when the generator commutators lie in it.
+    """
+    gp = G.subgroup_closure(powers)
+    return all(G.comm(x, y) in gp for x in G.generators for y in G.generators)
+
+
+def _p_powers(G: FiniteQuotientGroup, elements) -> set:
+    return {G.power(a, G.p) for a in elements}
 
 
 def uniformity_check(
@@ -282,33 +321,41 @@ def uniformity_check(
     window: int,
     chain: PCentralChain | None = None,
 ) -> UniformityReport:
-    """Check the powering maps gr_n -> gr_(n+1) for n <= window.
+    """Check the powering maps gr_n -> gr_(n+1) for 1 <= n <= window.
 
     A quotient mod p^N only reflects the pro-p group faithfully for
     n < N - 1, hence the window precondition.
     """
+    if window < 1:
+        raise DomainError(f"window must be >= 1, got {window}")
     if window >= G.prec - 1:
         raise WindowTooLarge(f"window {window} needs precision > {window + 1}")
     chain = pcentral_series(G) if chain is None else chain
 
-    power_set = {G.power(a, G.p) for a in G.elements}
-    gp = G.subgroup_closure(power_set)
-    frattini_abelian = all(
-        G.comm(x, y) in gp for x in G.generators for y in G.generators
-    )
+    # P_1 = G: one pass of the power map gives the Frattini seed and the
+    # level-1 images
+    images = _p_powers(G, G.elements)
+    frattini_abelian = _frattini_abelian(G, images)
 
     bijective = []
     for n in range(1, window + 1):
-        pn = chain.level(n)
-        size_n = len(pn) // len(chain.level(n + 1))
+        if n > 1:
+            images = _p_powers(G, chain.level(n))
+        size_n = len(chain.level(n)) // len(chain.level(n + 1))
         size_n1 = len(chain.level(n + 1)) // len(chain.level(n + 2))
-        lower = sorted(chain.level(n + 2))
+        lower = chain.level(n + 2)
         # powering is well-defined on graded layers for any p-central series
-        # (Hall-Petrescu), so counting distinct images over all of P_n decides
-        # bijectivity: |images| = |gr_n| forces injectivity, = |gr_(n+1)|
-        # forces surjectivity
-        images = {_coset_rep(G, G.power(a, G.p), lower) for a in pn}
-        bijective.append(len(images) == size_n == size_n1)
+        # (Hall-Petrescu), so counting the cosets b P_(n+2) that the images b
+        # hit decides bijectivity: a count of |gr_n| forces injectivity, one
+        # of |gr_(n+1)| surjectivity.  Each coset hit is labelled once, so a
+        # level costs at most |P_(n+1)| multiplies.
+        labelled = set()
+        cosets = 0
+        for b in images:
+            if b not in labelled:
+                cosets += 1
+                labelled.update(G.mul(b, h) for h in lower)
+        bijective.append(cosets == size_n == size_n1)
 
     uniform = frattini_abelian and all(bijective)
     return UniformityReport(window, frattini_abelian, bijective, chain.dims, uniform)

@@ -1,8 +1,12 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tamelab import cli
 from tamelab.certify import standard_inertial_certificate
@@ -229,10 +233,18 @@ _CERT_EDITS = {
           "--cert", "CERT"], "none"),
         (["plan", "--a", "1", "--b", "1", "--k", "1", "--p", "7", "--prec", "4",
           "--cert", "CERT"], "none"),
+        (["pcentral", "--m", "2", "--p", "3", "--prec", "3", "--window", "-1"], "none"),
+        (["pcentral", "--m", "2", "--p", "3", "--prec", "3", "--window", "0"], "none"),
+        (["pcentral", "--m", "2", "--k", "0", "--p", "3", "--prec", "3",
+          "--window", "1"], "none"),
+        (["plan", "--a", "1", "--b", "1", "--k", "0", "--p", "5", "--prec", "4"], "none"),
+        (["verify-examples", "--p", "3", "--suite", "slm", "--k", "0"], "none"),
     ],
     ids=["gs-degree-1", "bound-disc-0", "quaternion-square-a", "plan-nonunit-a",
          "certify-entry-p", "certify-entry-prec", "certify-size-0",
-         "certify-x-y-rings", "plan-cert-prec", "plan-cert-p"],
+         "certify-x-y-rings", "plan-cert-prec", "plan-cert-p",
+         "pcentral-window-negative", "pcentral-window-0", "pcentral-k-0",
+         "plan-k-0", "slm-k-0"],
 )
 def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
     if "CERT" in argv:
@@ -246,3 +258,48 @@ def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _flags(**values):
+    return [arg for name, value in values.items() for arg in (f"--{name}", str(value))]
+
+
+@st.composite
+def _small_argv(draw):
+    """(argv, whether a k < 1 or window < 1 in it must make it a usage error)."""
+    small = st.integers(-1, 4)
+    command = draw(st.sampled_from(["pcentral", "plan", "gs", "bound", "verify-examples"]))
+    p = draw(st.one_of(st.sampled_from([3, 5]), st.integers(-1, 9)))
+    prec, k = draw(st.integers(-1, 4)), draw(st.integers(-1, 2))
+    if command == "pcentral":
+        window = draw(st.integers(-1, 3))
+        argv = _flags(m=draw(st.integers(-1, 3)), k=k, p=p, prec=prec, window=window)
+        return ["pcentral", *argv, "--limit", "2000"], k < 1 or window < 1
+    if command == "plan":
+        argv = _flags(a=draw(small), b=draw(small), k=k, p=p, prec=prec)
+        return ["plan", *argv], k < 1
+    if command == "gs":
+        degrees = draw(st.lists(small, min_size=1, max_size=3))
+        argv = _flags(d=draw(small), grid=draw(st.integers(-1, 20)))
+        return ["gs", *argv, "--degrees", *map(str, degrees)], False
+    if command == "bound":
+        argv = _flags(disc=draw(st.integers(-5, 30)), r1=draw(small), r2=draw(small))
+        for norm in draw(st.lists(st.integers(-1, 10), max_size=2)):
+            argv += ["--norm", str(norm)]
+        return ["bound", *argv], False
+    suite = draw(st.sampled_from(["sl2", "slm", "quaternion"]))
+    argv = _flags(p=p, prec=prec, suite=suite, m=draw(st.integers(-1, 3)), k=k,
+                  nvars=draw(st.integers(-1, 2)), trunc=draw(small))
+    return ["verify-examples", *argv], k < 1
+
+
+@given(_small_argv())
+def test_small_integer_argv_keeps_the_exit_code_contract(case):
+    argv, usage_error = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if usage_error:
+        assert code == 3

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tamelab.errors import (
     DepthError,
+    DomainError,
     InsufficientPrecision,
     LimitExceeded,
     NotPGroup,
@@ -14,8 +17,10 @@ from tamelab.errors import (
 from tamelab.matgrp import RingMatrix, int_power, mat_exp, mat_log, sl_standard_generators
 from tamelab.padic import ScalarRing
 from tamelab.pcentral import (
+    UniformityReport,
     _reduce_matrix,
     closure,
+    closure_limit,
     dictionary_bracket,
     pcentral_series,
     uniformity_check,
@@ -184,6 +189,178 @@ def test_semidirect_action_group_not_uniform():
 def test_window_too_large(sl2_mod81):
     with pytest.raises(WindowTooLarge):
         uniformity_check(sl2_mod81, 3)
+
+
+# ---------------------------------------------------------------------------
+# Dimino enumeration and coset labelling against the old paths
+
+
+def _oracle_subgroup_closure(G, seed, limit=None):
+    """The breadth-first closure: every element times every seed element."""
+    limit = closure_limit() if limit is None else limit
+    seed = [s for s in seed if s != G.identity]
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in seed:
+                c = G.mul(a, s)
+                if c not in seen:
+                    if len(seen) >= limit:
+                        raise LimitExceeded(f"subgroup closure past {limit}")
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _oracle_normal_closure(G, seed):
+    """Rounds of breadth-first closures, conjugating every seed each round."""
+    seed = [s for s in dict.fromkeys(seed) if s != G.identity]
+    gen_invs = [G.inv(g) for g in G.generators]
+    while True:
+        sub = _oracle_subgroup_closure(G, seed)
+        new = []
+        for s in seed:
+            for g, ginv in zip(G.generators, gen_invs):
+                t = G.mul(G.mul(g, s), ginv)
+                if t not in sub:
+                    new.append(t)
+        if not new:
+            return sub, seed
+        seed.extend(dict.fromkeys(new))
+
+
+def _oracle_coset_rep(G, a, subgroup):
+    return min(G.mul(a, h) for h in subgroup)
+
+
+def _oracle_uniformity(G, window, chain):
+    """Frattini test on the breadth-first closure, images by min coset reps."""
+    gp = _oracle_subgroup_closure(G, {G.power(a, G.p) for a in G.elements})
+    frattini_abelian = all(
+        G.comm(x, y) in gp for x in G.generators for y in G.generators
+    )
+    bijective = []
+    for n in range(1, window + 1):
+        pn = chain.level(n)
+        size_n = len(pn) // len(chain.level(n + 1))
+        size_n1 = len(chain.level(n + 1)) // len(chain.level(n + 2))
+        lower = sorted(chain.level(n + 2))
+        images = {_oracle_coset_rep(G, G.power(a, G.p), lower) for a in pn}
+        bijective.append(len(images) == size_n == size_n1)
+    uniform = frattini_abelian and all(bijective)
+    return UniformityReport(window, frattini_abelian, bijective, chain.dims, uniform)
+
+
+def _semidirect_gens():
+    ring = ScalarRing(3, 3)
+    t = RingMatrix.from_int_rows(ring, [[0, -1, 0], [1, -1, 0], [0, 0, 1]])
+    a1 = RingMatrix.from_int_rows(ring, [[1, 0, 3], [0, 1, 0], [0, 0, 1]])
+    return [t, a1]
+
+
+def _elementary_abelian_gens():
+    ring = ScalarRing(3, 3)
+    return [
+        RingMatrix.from_int_rows(ring, [[1, 9], [0, 1]]),
+        RingMatrix.from_int_rows(ring, [[1, 0], [9, 1]]),
+    ]
+
+
+# name -> (generator maker, allow_depth_zero)
+_ORACLE_GROUPS = {
+    "sl2-3^2": (lambda: sl_standard_generators(2, 3, 2), False),
+    "sl2-3^3": (lambda: sl_standard_generators(2, 3, 3), False),
+    "sl2-3^4": (lambda: sl_standard_generators(2, 3, 4), False),
+    "sl2-5^3": (lambda: sl_standard_generators(2, 5, 3), False),
+    "sl3-3^2": (lambda: sl_standard_generators(3, 3, 2), False),
+    "semidirect": (_semidirect_gens, True),
+    "elementary-abelian": (_elementary_abelian_gens, False),
+}
+
+
+def _oracle_group(name):
+    make, allow_depth_zero = _ORACLE_GROUPS[name]
+    return closure(make(), allow_depth_zero=allow_depth_zero)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
+def test_closure_matches_breadth_first_oracle(name):
+    G = _oracle_group(name)
+    assert G.elements == _oracle_subgroup_closure(G, G.generators)
+    # a reversed, repeated seed with the identity in it gives the same set
+    seed = list(reversed(G.generators)) * 2 + [G.identity]
+    assert G.subgroup_closure(seed) == G.elements
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
+def test_pcentral_levels_match_oracle_normal_closures(name):
+    G = _oracle_group(name)
+    chain = pcentral_series(G)
+    for gens, nxt, nxt_gens in zip(
+        chain.level_gens, chain.levels[1:], chain.level_gens[1:]
+    ):
+        seed = [G.power(y, G.p) for y in gens]
+        seed += [G.comm(x, y) for x in G.generators for y in gens]
+        oracle = _oracle_normal_closure(G, seed)
+        assert G.normal_closure(seed) == oracle == (nxt, nxt_gens)
+
+
+def test_normal_closure_of_single_elements_matches_oracle(sl2_mod81):
+    G = sl2_mod81
+    rng = random.Random(5)
+    elements = sorted(G.elements)
+    for _ in range(6):
+        seed = [elements[rng.randrange(len(elements))]]
+        assert G.normal_closure(seed) == _oracle_normal_closure(G, seed)
+    semi = _oracle_group("semidirect")
+    for a in sorted(semi.elements)[:12]:
+        assert semi.normal_closure([a]) == _oracle_normal_closure(semi, [a])
+
+
+@pytest.fixture(scope="module")
+def sl2_mod81_sorted(sl2_mod81):
+    return sl2_mod81, sorted(sl2_mod81.elements)
+
+
+@given(st.lists(st.integers(0, 3**9 - 1), max_size=4))
+def test_subgroup_closure_of_drawn_seeds_matches_oracle(sl2_mod81_sorted, picks):
+    G, elements = sl2_mod81_sorted
+    seed = [elements[i] for i in picks]
+    assert G.subgroup_closure(seed) == _oracle_subgroup_closure(G, seed)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
+def test_uniformity_matches_coset_rep_oracle(name):
+    G = _oracle_group(name)
+    chain = pcentral_series(G)
+    # every admissible window: 1 <= window < N - 1
+    for window in range(1, G.prec - 1):
+        report = uniformity_check(G, window, chain)
+        assert report == _oracle_uniformity(G, window, chain)
+
+
+@pytest.mark.parametrize("name", ["sl2-3^4", "sl3-3^2", "semidirect"])
+def test_limit_boundary_matches_oracle(name):
+    make, allow_depth_zero = _ORACLE_GROUPS[name]
+    gens = make()
+    G = closure(gens, allow_depth_zero=allow_depth_zero)
+    assert closure(gens, limit=G.order, allow_depth_zero=allow_depth_zero) == G
+    with pytest.raises(LimitExceeded):
+        closure(gens, limit=G.order - 1, allow_depth_zero=allow_depth_zero)
+    assert _oracle_subgroup_closure(G, G.generators, G.order) == G.elements
+    with pytest.raises(LimitExceeded):
+        _oracle_subgroup_closure(G, G.generators, G.order - 1)
+    with pytest.raises(LimitExceeded):
+        G.subgroup_closure(G.generators, G.order - 1)
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_uniformity_rejects_empty_window(sl2_mod81, window):
+    with pytest.raises(DomainError):
+        uniformity_check(sl2_mod81, window)
 
 
 # ---------------------------------------------------------------------------
