@@ -11,12 +11,17 @@ explicit matrix identity the constructions rest on: the SL_2 diagonal /
 unipotent relations, the quaternion-lattice identities inside SL_4, and
 the weight-k conjugation relations over truncated power-series rings,
 together with the span of their images in the graded layer.
+
+Both certificate searches, the exhaustive one in enumerated groups and the
+bounded cyclic-direction one in the quaternion lattice, run one scan on
+flat tuples: y's power table, then the caller's candidates x in order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     CertificateInvalid,
@@ -28,14 +33,16 @@ from .errors import (
     TameRelationFailed,
     ZeroVector,
 )
-from .matgrp import RingMatrix, commutator, int_power, mat_exp, mat_log, zp_power
+from .matgrp import RingMatrix, _mul, commutator, int_power, mat_exp, mat_log, zp_power
 from .padic import (
     PadicScalar,
     ScalarRing,
     SeriesRing,
     alpha_ratio,
+    first_nonresidue,
     hensel_sqrt,
     int_valuation,
+    is_nonresidue,
 )
 from .liealg import SpanTracker
 from .pcentral import (
@@ -423,18 +430,6 @@ def stable_generation_audit(
 # quaternion lattice inside SL_4
 
 
-def is_nonresidue(a: int, p: int) -> bool:
-    return pow(a % p, (p - 1) // 2, p) == p - 1
-
-
-def first_nonresidue(p: int) -> int:
-    """The least a >= 2 that is a quadratic nonresidue mod p."""
-    a = 2
-    while not is_nonresidue(a, p):
-        a += 1
-    return a
-
-
 def quaternion_matrices(ring: ScalarRing, a: int) -> dict:
     p = ring.p
     u = [[0, p], [1, 0]]
@@ -556,43 +551,59 @@ def _quaternion_coordinates(bracket: RingMatrix, basis, p: int):
     return [c_.value for c_ in coords]
 
 
-def _cyclic_direction_certificate_search(directions, exponent_bound: int):
-    """Search [g^e, y] = y^(a p^k) over cyclic powers of the given directions."""
-    ring = directions[0].ring
-    p = ring.p
-    ident = RingMatrix.identity(ring, directions[0].m)
-    for y in directions:
-        powers = {}
-        acc = ident
-        e = 1
-        while True:
-            acc = acc * y
-            if acc == ident:
-                break
-            powers[acc] = e
-            e += 1
-            if e > exponent_bound * p:
-                break
-        y_inv = y.inverse()
-        for g in directions:
-            g_inv = g.inverse()
-            base, base_inv = ident, ident
-            for _ in range(1, exponent_bound):
-                base = base * g
-                base_inv = g_inv * base_inv
-                com = base * y * base_inv * y_inv
-                if com == ident:
-                    continue
-                if com in powers:
-                    hit = powers[com]
-                    k = int_valuation(hit, p, ring.prec)
-                    if 1 <= k and hit // p**k % p:
-                        return {"y": y, "x": base, "exponent": hit}
+# ---------------------------------------------------------------------------
+# certificate scans: quaternion directions and enumerated groups
+
+
+def _scan_certificate(y, y_inv, identity, mul, candidates, p, k_max, cap=None):
+    """First (x, hit, k) with [x, y] = y^hit and k = v_p(hit) in [1, k_max].
+
+    Elements are flat tuples multiplied by `mul`; `candidates` yields pairs
+    (x, x^-1) in the caller's order.  y's power table runs through
+    y^1, y^2, ... until the identity, or for at most `cap` entries.
+    """
+    powers = {}
+    acc, e = y, 1
+    while acc != identity:
+        powers[acc] = e
+        if e == cap:
+            break
+        acc, e = mul(acc, y), e + 1
+    for x, x_inv in candidates:
+        hit = powers.get(mul(mul(x, y), mul(x_inv, y_inv)))
+        if hit is None:
+            continue
+        # read at most one level past k_max: deeper means out of range
+        k = int_valuation(hit, p, k_max + 1)
+        if 1 <= k <= k_max:
+            return x, hit, k
     return None
 
 
-# ---------------------------------------------------------------------------
-# exhaustive certificate search in enumerated groups
+def _cyclic_direction_certificate_search(directions, exponent_bound: int):
+    """Search [g^e, y] = y^(a p^k) over cyclic powers of the given directions."""
+    ring, m = directions[0].ring, directions[0].m
+    ident = RingMatrix.identity(ring, m)._flat
+    mul = partial(_mul, m=m, mod=ring.modulus)
+    pairs = [(d._flat, d.inverse()._flat) for d in directions]
+
+    def candidates():
+        # g^e and g^-e for 1 <= e < exponent_bound, built one factor at a time
+        for g, g_inv in pairs:
+            base = base_inv = ident
+            for _ in range(1, exponent_bound):
+                base, base_inv = mul(base, g), mul(g_inv, base_inv)
+                yield base, base_inv
+
+    cap = exponent_bound * ring.p
+    for y, (y_t, y_inv) in zip(directions, pairs):
+        found = _scan_certificate(
+            y_t, y_inv, ident, mul, candidates(), ring.p, ring.prec, cap
+        )
+        if found is not None:
+            x, hit, _ = found
+            return {"y": y, "x": RingMatrix._packed(ring, m, x), "exponent": hit}
+    return None
 
 
 def brute_search_certificate(
@@ -610,32 +621,20 @@ def brute_search_certificate(
         raise ZeroVector("y must differ from the identity")
     if y_t not in G.elements:
         raise DomainError("y is not an element of the enumerated group")
-    powers = {}
-    acc = y_t
-    e = 1
-    while acc != G.identity:
-        powers[acc] = e
-        acc = G.mul(acc, y_t)
-        e += 1
-    y_inv = G.inv(y_t)
-    for x_t in sorted(G.elements):
-        com = G.mul(G.mul(x_t, y_t), G.mul(G.inv(x_t), y_inv))
-        if com == G.identity or com not in powers:
-            continue
-        hit = powers[com]
-        k = int_valuation(hit, G.p, G.prec)
-        if k < 1 or k > k_max:
-            continue
-        unit = hit // G.p**k
-        if unit % G.p == 0:
-            continue
-        cert = GroupInertialCertificate(
-            G.to_matrix(y_t),
-            G.to_matrix(x_t),
-            PadicScalar(G.p, G.prec, unit),
-            k,
-        )
-        if not verify_certificate(cert):
-            raise GuardFailed("scanned certificate fails its identity")
-        return cert
-    return None
+    candidates = ((x, G.inv(x)) for x in sorted(G.elements))
+    # a valuation is read only up to the group's precision
+    found = _scan_certificate(
+        y_t, G.inv(y_t), G.identity, G.mul, candidates, G.p, min(k_max, G.prec)
+    )
+    if found is None:
+        return None
+    x_t, hit, k = found
+    cert = GroupInertialCertificate(
+        G.to_matrix(y_t),
+        G.to_matrix(x_t),
+        PadicScalar(G.p, G.prec, hit // G.p**k),
+        k,
+    )
+    if not verify_certificate(cert):
+        raise GuardFailed("scanned certificate fails its identity")
+    return cert

@@ -126,13 +126,8 @@ def cmd_pcentral(args) -> int:
         # mod p^2 no power-map level is trusted; the Frattini check still is
         powers = pcentral._p_powers(group, group.elements)
         frattini_abelian, bijective = pcentral._frattini_abelian(group, powers), []
-    exponent = 0
-    order = group.order
-    while order > 1:
-        order //= args.p
-        exponent += 1
     data = {
-        "order": f"{args.p}^{exponent}",
+        "order": f"{args.p}^{sum(chain.dims)}",
         "dims": chain.dims[: args.window],
         # only claim the verdict when every requested level was checkable
         "uniform": uni.uniform if check_window == args.window else None,

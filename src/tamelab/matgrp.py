@@ -15,7 +15,9 @@ row-major tuple of ring-native entries (ints in [0, p^N) over a
 below run on such tuples with + - * only, finishing each entry with
 `% mod`: p^N for scalars, a no-op for series.  `RingMatrix` and the
 enumerated groups of `pcentral` share them; `PadicScalar` is the view at
-the boundary (`rows`, `det`, `trace`, JSON).
+the boundary (`rows`, `det`, `trace`, JSON).  The exp/log series is not
+written here: `mat_exp`/`mat_log` sum the coefficients that `padic`
+specifies for its scalar `pexp`/`plog`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from .padic import (
     ScalarRing,
     SeriesElement,
     SeriesRing,
-    _exp_cutoff,
-    _log_cutoff,
-    factorial_valuation,
+    _series_coefficients,
     int_valuation,
 )
 
@@ -106,14 +106,13 @@ def _scale(a: tuple, c, mod) -> tuple:
     return tuple(c * e % mod for e in a)
 
 
-def _pow(a: tuple, e: int, m: int, mod, acc: tuple) -> tuple:
-    """acc * a^e for e >= 0 by square-and-multiply; acc is usually the identity."""
-    while e:
-        if e & 1:
+def _pow(a: tuple, e: int, m: int, mod) -> tuple:
+    """a^e for e >= 1 by square-and-multiply from the leading bit of e."""
+    acc = a
+    for bit in bin(e)[3:]:
+        acc = _mul(acc, acc, m, mod)
+        if bit == "1":
             acc = _mul(acc, a, m, mod)
-        e >>= 1
-        if e:
-            a = _mul(a, a, m, mod)
     return acc
 
 
@@ -321,8 +320,9 @@ def commutator(g: RingMatrix, h: RingMatrix) -> RingMatrix:
 def int_power(g: RingMatrix, e: int) -> RingMatrix:
     if e < 0:
         return int_power(g.inverse(), -e)
-    ent = g._ent
-    return g._like(_pow(g._flat, e, g.m, ent.mod, _identity(g.m, ent.zero, ent.one)))
+    if e == 0:
+        return RingMatrix.identity(g.ring, g.m)
+    return g._like(_pow(g._flat, e, g.m, g._ent.mod))
 
 
 def congruence_depth(g: RingMatrix) -> int:
@@ -347,12 +347,11 @@ def zp_power(g: RingMatrix, alpha: PadicScalar) -> RingMatrix:
 # ---------------------------------------------------------------------------
 # truncated matrix exp / log
 #
-# The series runs on the kernel over the ring widened by `headroom` extra
-# p-adic digits (and, for series rings, as many extra degrees), enough for
-# the worst denominator valuation over the cutoff range.  Term i, x^i / c_i
-# with v_p(c_i) = e, is added as x^i * p^(headroom - e) / unit(c_i), so the
-# sum is p^headroom times the wanted one and never needs a division until
-# the end, where the headroom and the extra degrees are dropped.
+# The series is specified once, by `padic._series_coefficients`: the
+# headroom h and the integers c_i with p^h f(x) = sum c_i x^i.  The sum
+# runs on the kernel over the ring widened by h extra p-adic digits (and,
+# for series rings, as many extra degrees), and the headroom and the
+# extra degrees are dropped at the end.
 
 
 def _content(g: RingMatrix) -> int:
@@ -361,41 +360,24 @@ def _content(g: RingMatrix) -> int:
 
 def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
     ring, m = x.ring, x.m
-    p, cap = ring.p, ring.cap
-    if kind == "exp":
-        cutoff = _exp_cutoff(p, cap)
-        headroom = factorial_valuation(cutoff, p)
-    else:
-        cutoff = _log_cutoff(p, cap)
-        headroom = max(int_valuation(i, p, cap) for i in range(1, cutoff + 1))
+    headroom, coeffs = _series_coefficients(kind, ring.p, ring.cap)
     if isinstance(ring, SeriesRing):
-        wide = SeriesRing(p, ring.n_vars, ring.trunc + headroom)
+        wide = SeriesRing(ring.p, ring.n_vars, ring.trunc + headroom)
         base = tuple(SeriesElement(wide, e.coeffs) for e in x._flat)
     else:
-        wide = ScalarRing(p, cap + headroom)
+        wide = ScalarRing(ring.p, ring.cap + headroom)
         base = x._flat
     ent = _Entries(wide)
     mod = ent.mod
+    coeffs = [ent.pack(wide.from_int(c)) for c in coeffs]
 
     power = _identity(m, ent.zero, ent.one)
-    # the i = 0 term: p^headroom * I for exp, nothing for log
-    start = p**headroom if kind == "exp" else 0
-    acc = _scale(power, ent.pack(wide.from_int(start)), mod)
-    fact = 1
-    for i in range(1, cutoff + 1):
+    acc = _scale(power, coeffs[0], mod)
+    for c in coeffs[1:]:
         power = _mul(power, base, m, mod)
-        if kind == "exp":
-            fact *= i
-            e = factorial_valuation(i, p)
-            unit, sign = fact // p**e, 1
-        else:
-            e = int_valuation(i, p, cap + headroom)
-            unit, sign = i // p**e, 1 if i % 2 == 1 else -1
-        coeff = sign * p ** (headroom - e) * pow(unit, -1, p**cap)
-        term = _scale(power, ent.pack(wide.from_int(coeff)), mod)
-        acc = tuple((s + t) % mod for s, t in zip(acc, term))
+        acc = tuple((s + c * t) % mod for s, t in zip(acc, power))
 
-    shift = p**headroom
+    shift = ring.p**headroom
     if isinstance(ring, SeriesRing):
         flat = tuple(
             SeriesElement(ring, {exps: c // shift for exps, c in e.coeffs.items()})

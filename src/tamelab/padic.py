@@ -6,14 +6,19 @@ loss is never silent.  Series elements carry graded precision: the
 coefficient of a total-degree-j monomial is a residue mod p^(M-j), which is
 exactly the information present in the quotient by m^M, m = (p, T_1..T_n).
 
-The log/exp pair and the Hensel square root here feed the congruence-group
-constructions in `matgrp` and `certify`.
+The truncated exp/log series is specified once, here: its cutoff, headroom
+and term coefficients come from `_series_coefficients`, which `plog`/`pexp`
+evaluate on scalars and `matgrp.mat_exp`/`mat_log` on matrices.  The
+series, the Hensel square root and the quadratic-nonresidue helpers feed
+the congruence-group constructions in `matgrp` and `certify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .errors import (
     DomainError,
@@ -51,17 +56,16 @@ def int_valuation(n: int, p: int, cap: int) -> int:
     return v
 
 
-def digit_sum(n: int, p: int) -> int:
-    s = 0
-    while n:
-        n, r = divmod(n, p)
-        s += r
-    return s
+def is_nonresidue(a: int, p: int) -> bool:
+    return pow(a % p, (p - 1) // 2, p) == p - 1
 
 
-def factorial_valuation(n: int, p: int) -> int:
-    """v_p(n!) via the digit-sum identity (n - s_p(n)) / (p - 1)."""
-    return (n - digit_sum(n, p)) // (p - 1)
+def first_nonresidue(p: int) -> int:
+    """The least a >= 2 that is a quadratic nonresidue mod p."""
+    a = 2
+    while not is_nonresidue(a, p):
+        a += 1
+    return a
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -69,7 +73,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     a %= p
     if a == 0:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
+    if is_nonresidue(a, p):
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -77,10 +81,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
+    c = pow(first_nonresidue(p), q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
@@ -280,45 +281,52 @@ def _exp_cutoff(p: int, prec: int) -> int:
     return i
 
 
+@lru_cache(maxsize=None)
+def _series_coefficients(kind: str, p: int, prec: int) -> tuple[int, tuple]:
+    """Headroom h and c_0..c_B with p^h f(x) = sum c_i x^i mod p^(prec+h).
+
+    f is exp or log, cut off where every later term of x in pZ_p vanishes
+    mod p^prec.  Term i, x^i / d_i with d_i = i! (exp) or (-1)^(i+1) i
+    (log) and v_p(d_i) = e_i, becomes c_i = p^(h - e_i) / unit(d_i) with
+    h the largest e_i, so a sum of such terms needs no division until
+    the final one by p^h.  Scalars (`plog`, `pexp`) and matrices
+    (`matgrp.mat_exp`, `matgrp.mat_log`) both read these coefficients.
+    """
+    if kind == "exp":
+        denoms = list(accumulate(range(1, _exp_cutoff(p, prec) + 1), mul))
+    else:
+        denoms = range(1, _log_cutoff(p, prec) + 1)
+    vals = [int_valuation(d, p, d) for d in denoms]
+    h = max(vals)
+    work = p ** (prec + h)
+    coeffs = [p**h if kind == "exp" else 0]
+    for i, (d, e) in enumerate(zip(denoms, vals), 1):
+        sign = -1 if kind == "log" and i % 2 == 0 else 1
+        coeffs.append(sign * p ** (h - e) * pow(d // p**e, -1, p**prec) % work)
+    return h, tuple(coeffs)
+
+
+def _series_at(kind: str, x: int, p: int, prec: int) -> PadicScalar:
+    h, coeffs = _series_coefficients(kind, p, prec)
+    work = p ** (prec + h)
+    total = 0
+    for c in reversed(coeffs):
+        total = (total * x + c) % work
+    return PadicScalar(p, prec, total // p**h)
+
+
 def plog(u: PadicScalar) -> PadicScalar:
     """p-adic logarithm of a 1-unit, truncated exactly at the carried precision."""
     if u.value % u.p != 1:
         raise DomainError("plog needs u congruent to 1 mod p")
-    p, prec = u.p, u.prec
-    modulus = p**prec
-    x = u.value - 1  # divisible by p as an integer
-    cutoff = _log_cutoff(p, prec)
-    headroom = max(int_valuation(i, p, prec) for i in range(1, cutoff + 1))
-    work = p ** (prec + headroom)
-    total = 0
-    power = 1
-    for i in range(1, cutoff + 1):
-        power = power * x % work
-        e = int_valuation(i, p, prec + headroom)
-        term = (power // p**e) * pow(i // p**e, -1, modulus) % modulus
-        total = (total - term if i % 2 == 0 else total + term) % modulus
-    return PadicScalar(p, prec, total)
+    return _series_at("log", u.value - 1, u.p, u.prec)
 
 
 def pexp(x: PadicScalar) -> PadicScalar:
     """p-adic exponential of an element of pZ_p, truncated exactly."""
     if x.value % x.p != 0:
         raise DomainError("pexp needs x congruent to 0 mod p")
-    p, prec = x.p, x.prec
-    modulus = p**prec
-    cutoff = _exp_cutoff(p, prec)
-    headroom = factorial_valuation(cutoff, p)
-    work = p ** (prec + headroom)
-    total = 1
-    power = 1
-    fact = 1
-    for i in range(1, cutoff + 1):
-        power = power * x.value % work
-        fact *= i
-        e = factorial_valuation(i, p)
-        unit = (fact // p**e) % modulus
-        total = (total + (power // p**e) * pow(unit, -1, modulus)) % modulus
-    return PadicScalar(p, prec, total)
+    return _series_at("exp", x.value, x.p, x.prec)
 
 
 def alpha_ratio(a: PadicScalar, b: PadicScalar, k: int) -> PadicScalar:

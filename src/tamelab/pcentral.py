@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DepthError,
@@ -87,7 +88,7 @@ class FiniteQuotientGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def identity(self) -> tuple:
         return _identity(self.m, 0, 1)
 
@@ -102,18 +103,10 @@ class FiniteQuotientGroup:
     def power(self, a: tuple, e: int) -> tuple:
         if e < 0:
             return self.inv(self.power(a, -e))
-        return _pow(a, e, self.m, self.modulus, self.identity)
+        return _pow(a, e, self.m, self.modulus) if e else self.identity
 
     def comm(self, a: tuple, b: tuple) -> tuple:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
-
-    def element_order(self, a: tuple) -> int:
-        e = 1
-        acc = a
-        while acc != self.identity:
-            acc = self.mul(acc, a)
-            e += 1
-        return e
 
     def element_depth(self, a: tuple) -> int:
         return _depth(a, self.m, _Entries(self.ring))
@@ -189,6 +182,14 @@ class FiniteQuotientGroup:
             seed = seed + fresh
 
 
+def _p_log(n: int, p: int, what: str) -> int:
+    """d with p^d = n; NotPGroup (naming n as `what`) when n is no power of p."""
+    d = int_valuation(n, p, n.bit_length())
+    if p**d != n:
+        raise NotPGroup(f"{what} {n} is not a power of {p}")
+    return d
+
+
 def closure(
     generators: list[RingMatrix],
     limit: int | None = None,
@@ -218,12 +219,7 @@ def closure(
 
     shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset([_identity(m, 0, 1)]))
     elements = shell.subgroup_closure(gens, limit)
-    order = len(elements)
-    n = order
-    while n % ring.p == 0:
-        n //= ring.p
-    if n != 1:
-        raise NotPGroup(f"order {order} is not a power of {ring.p}")
+    _p_log(len(elements), ring.p, "order")
     return FiniteQuotientGroup(ring, m, tuple(gens), elements)
 
 
@@ -270,13 +266,9 @@ def pcentral_series(G: FiniteQuotientGroup, limit: int | None = None) -> PCentra
             raise NotPGroup("p-central series failed to descend")
         levels.append(nxt)
         level_gens.append(gens)
-    dims = []
-    for a, b in zip(levels, levels[1:]):
-        quotient = len(a) // len(b)
-        d = int_valuation(quotient, G.p, quotient.bit_length())
-        if G.p**d != quotient:
-            raise NotPGroup(f"layer size {quotient} is not a power of {G.p}")
-        dims.append(d)
+    dims = [
+        _p_log(len(a) // len(b), G.p, "layer size") for a, b in zip(levels, levels[1:])
+    ]
     return PCentralChain(G, levels, level_gens, dims)
 
 

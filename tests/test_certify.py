@@ -7,20 +7,29 @@ import pytest
 
 from tamelab.certify import (
     GroupInertialCertificate,
+    _cyclic_direction_certificate_search,
     brute_search_certificate,
     build_local_plan,
+    first_nonresidue,
     is_nonresidue,
     quaternion_uniform_suite,
     sl2_relation_suite,
     sl2_witnesses,
     slm_series_suite,
     stable_generation_audit,
+    quaternion_matrices,
     standard_inertial_certificate,
     verify_certificate,
 )
 from tamelab.errors import CertificateInvalid, NotNonresidue, RingMismatch, ZeroVector
-from tamelab.matgrp import RingMatrix, commutator, int_power, sl_standard_generators
-from tamelab.padic import PadicScalar, ScalarRing, hensel_sqrt
+from tamelab.matgrp import (
+    RingMatrix,
+    commutator,
+    int_power,
+    mat_exp,
+    sl_standard_generators,
+)
+from tamelab.padic import PadicScalar, ScalarRing, hensel_sqrt, int_valuation
 from tamelab.pcentral import closure, pcentral_series
 
 
@@ -376,3 +385,154 @@ def test_brute_search_agrees_with_double_loop_on_nonabelian_group():
         if (found is not None) != bool(oracle):
             mism += 1
     assert mism == 0
+
+
+# ---------------------------------------------------------------------------
+# the one certificate scan against the two searches it replaced, kept as
+# oracles
+
+
+def _oracle_cyclic_direction_certificate_search(directions, exponent_bound):
+    ring = directions[0].ring
+    p = ring.p
+    ident = RingMatrix.identity(ring, directions[0].m)
+    for y in directions:
+        powers = {}
+        acc = ident
+        e = 1
+        while True:
+            acc = acc * y
+            if acc == ident:
+                break
+            powers[acc] = e
+            e += 1
+            if e > exponent_bound * p:
+                break
+        y_inv = y.inverse()
+        for g in directions:
+            g_inv = g.inverse()
+            base, base_inv = ident, ident
+            for _ in range(1, exponent_bound):
+                base = base * g
+                base_inv = g_inv * base_inv
+                com = base * y * base_inv * y_inv
+                if com == ident:
+                    continue
+                if com in powers:
+                    hit = powers[com]
+                    k = int_valuation(hit, p, ring.prec)
+                    if 1 <= k and hit // p**k % p:
+                        return {"y": y, "x": base, "exponent": hit}
+    return None
+
+
+def _oracle_brute_search_certificate(G, y_t, k_max):
+    powers = {}
+    acc = y_t
+    e = 1
+    while acc != G.identity:
+        powers[acc] = e
+        acc = G.mul(acc, y_t)
+        e += 1
+    y_inv = G.inv(y_t)
+    for x_t in sorted(G.elements):
+        com = G.mul(G.mul(x_t, y_t), G.mul(G.inv(x_t), y_inv))
+        if com == G.identity or com not in powers:
+            continue
+        hit = powers[com]
+        k = int_valuation(hit, G.p, G.prec)
+        if k < 1 or k > k_max:
+            continue
+        unit = hit // G.p**k
+        if unit % G.p == 0:
+            continue
+        return x_t, unit, k
+    return None
+
+
+def _quaternion_directions(p, prec):
+    ring = ScalarRing(p, prec)
+    mats = quaternion_matrices(ring, first_nonresidue(p))
+    big_a, big_b = mats["A"], mats["B"]
+    scale = ring.from_int(p)
+    return tuple(mat_exp(m.scale(scale)) for m in (big_a, big_b, big_a * big_b))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_quaternion_scan_matches_oracle(p):
+    directions = _quaternion_directions(p, 4)
+    for bound in (p**2, p**3):
+        found = _cyclic_direction_certificate_search(directions, bound)
+        assert found == _oracle_cyclic_direction_certificate_search(directions, bound)
+        assert found is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cyclic_scan_matches_oracle_where_certificates_exist(p):
+    # SL_2 directions do have certificates: diagonal units act on unipotents
+    ring = ScalarRing(p, 4)
+    u = 1 + p
+    directions = (
+        RingMatrix.from_int_rows(ring, [[1, p], [0, 1]]),
+        RingMatrix.from_int_rows(ring, [[u, 0], [0, pow(u, -1, p**4)]]),
+        RingMatrix.from_int_rows(ring, [[1, 0], [p, 1]]),
+    )
+    for bound in (p, p**2, p**3):
+        found = _cyclic_direction_certificate_search(directions, bound)
+        assert found == _oracle_cyclic_direction_certificate_search(directions, bound)
+    assert found is not None
+    for order in (directions[::-1], directions[1:]):
+        found = _cyclic_direction_certificate_search(order, p**2)
+        assert found == _oracle_cyclic_direction_certificate_search(order, p**2)
+
+
+def _criterion_7_groups():
+    ring2, ring3, ring4 = ScalarRing(3, 2), ScalarRing(3, 3), ScalarRing(3, 4)
+    seeds = [
+        RingMatrix.from_int_rows(ring2, [[1, 3], [0, 1]]),
+        RingMatrix.from_int_rows(ring3, [[1, 3], [0, 1]]),
+        RingMatrix.from_int_rows(ring3, [[1, 0], [3, 1]]),
+        RingMatrix.from_int_rows(ring3, [[4, 3], [6, 7]]),
+        RingMatrix.from_int_rows(ring3, [[4, 0], [0, 7]]),
+        RingMatrix.from_int_rows(ring4, [[1, 3], [0, 1]]),
+        RingMatrix.from_int_rows(ring4, [[1 + 3, 3], [-3, 1 - 3]]),
+        RingMatrix.from_int_rows(ring4, [[4, 0], [0, pow(4, -1, 81)]]),
+        RingMatrix.from_int_rows(ring4, [[4, 3], [3, pow(4, -1, 81)]]),
+    ]
+    return [closure([g]) for g in seeds]
+
+
+def _nonabelian_order_81():
+    ring = ScalarRing(3, 3)
+    s = RingMatrix.from_int_rows(ring, [[4, 0], [0, pow(4, -1, 27)]])
+    x = RingMatrix.from_int_rows(ring, [[1, 3], [0, 1]])
+    return closure([s, x])
+
+
+def _assert_same_certificates(G, k_max):
+    found_any = False
+    for y in sorted(G.elements):
+        if y == G.identity:
+            continue
+        cert = brute_search_certificate(G, y, k_max=k_max)
+        oracle = _oracle_brute_search_certificate(G, y, k_max)
+        if oracle is None:
+            assert cert is None, y
+            continue
+        found_any = True
+        x_t, unit, k = oracle
+        assert cert.y == G.to_matrix(y)
+        assert cert.x == G.to_matrix(x_t)
+        assert (cert.a, cert.k) == (PadicScalar(G.p, G.prec, unit), k)
+    return found_any
+
+
+def test_brute_search_returns_oracle_certificate_on_criterion_7_groups():
+    for G in _criterion_7_groups():
+        _assert_same_certificates(G, 3)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 5])
+def test_brute_search_returns_oracle_certificate_on_nonabelian_group(k_max):
+    # k_max past the precision reads valuations only up to the precision
+    assert _assert_same_certificates(_nonabelian_order_81(), k_max)

@@ -1,0 +1,36 @@
+"""`--json` output of fixed commands, byte for byte against `tests/golden/`.
+
+Each golden file is the stdout of `tamelab <argv>` for the argv listed
+below.  Regenerate one only for an intended change of output, with
+`PYTHONPATH=src python -m tamelab.cli <argv> > tests/golden/<name>`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from tamelab import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+GOLDEN = {
+    "verify-examples-all-p3.json": "--json verify-examples --suite all --p 3",
+    "verify-examples-all-p5.json": "--json verify-examples --suite all --p 5",
+    "verify-examples-all-p7.json": "--json verify-examples --suite all --p 7",
+    "plan-a2-b5-k1-p5-prec4.json": "--json plan --a 2 --b 5 --k 1 --p 5 --prec 4",
+    "pcentral-m2-p3-prec4-window2.json": (
+        "--json pcentral --m 2 --p 3 --prec 4 --window 2"
+    ),
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_output_matches_golden(capsys, name):
+    code = cli.main(GOLDEN[name].split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()

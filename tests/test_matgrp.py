@@ -16,7 +16,18 @@ from tamelab.matgrp import (
     sl_standard_generators,
     zp_power,
 )
-from tamelab.padic import PadicScalar, ScalarRing, SeriesRing, pexp
+from tamelab import matgrp
+from tamelab.matgrp import _Entries, _identity, _mul, _scale
+from tamelab.padic import (
+    PadicScalar,
+    ScalarRing,
+    SeriesElement,
+    SeriesRing,
+    _exp_cutoff,
+    _log_cutoff,
+    int_valuation,
+    pexp,
+)
 
 
 def ident(ring, m=2):
@@ -521,3 +532,137 @@ def test_group_inverse_matches_powering_oracle(sl2_mod27):
         inverse = G.inv(a)
         assert inverse == _oracle_tpow_inverse(a, G.m, G.p, G.prec)
         assert G.mul(a, inverse) == G.identity
+
+
+# ---------------------------------------------------------------------------
+# powering: the accumulator starts at the leading bit
+
+
+def test_powering_counts_and_results(sl2_mod27, monkeypatch):
+    G = sl2_mod27
+    a = sorted(G.elements)[5]
+    g = G.to_matrix(a)
+    expected = {0: G.identity}
+    for e in range(1, 10):
+        expected[e] = _oracle_tmul(expected[e - 1], a, G.m, G.modulus)
+    calls = []
+
+    def counting_mul(*args):
+        calls.append(1)
+        return _mul(*args)
+
+    monkeypatch.setattr(matgrp, "_mul", counting_mul)
+    for e, want in expected.items():
+        assert G.power(a, e) == want
+        assert int_power(g, e) == G.to_matrix(want)
+        assert G.power(a, -e) == G.inv(want)
+        assert int_power(g, -e) == G.to_matrix(G.inv(want))
+    calls.clear()
+    G.power(a, 3)
+    assert len(calls) == 2
+    calls.clear()
+    int_power(g, 5)
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# exp/log against the per-kind series loop they replaced, kept as an oracle
+
+
+def _oracle_factorial_valuation(n, p):
+    v, q = 0, p
+    while q <= n:
+        v += n // q
+        q *= p
+    return v
+
+
+def _oracle_series_sum(x, kind):
+    ring, m = x.ring, x.m
+    p, cap = ring.p, ring.cap
+    if kind == "exp":
+        cutoff = _exp_cutoff(p, cap)
+        headroom = _oracle_factorial_valuation(cutoff, p)
+    else:
+        cutoff = _log_cutoff(p, cap)
+        headroom = max(int_valuation(i, p, cap) for i in range(1, cutoff + 1))
+    if isinstance(ring, SeriesRing):
+        wide = SeriesRing(p, ring.n_vars, ring.trunc + headroom)
+        base = tuple(SeriesElement(wide, e.coeffs) for e in x._flat)
+    else:
+        wide = ScalarRing(p, cap + headroom)
+        base = x._flat
+    ent = _Entries(wide)
+    mod = ent.mod
+
+    power = _identity(m, ent.zero, ent.one)
+    start = p**headroom if kind == "exp" else 0
+    acc = _scale(power, ent.pack(wide.from_int(start)), mod)
+    fact = 1
+    for i in range(1, cutoff + 1):
+        power = _mul(power, base, m, mod)
+        if kind == "exp":
+            fact *= i
+            e = _oracle_factorial_valuation(i, p)
+            unit, sign = fact // p**e, 1
+        else:
+            e = int_valuation(i, p, cap + headroom)
+            unit, sign = i // p**e, 1 if i % 2 == 1 else -1
+        coeff = sign * p ** (headroom - e) * pow(unit, -1, p**cap)
+        term = _scale(power, ent.pack(wide.from_int(coeff)), mod)
+        acc = tuple((s + t) % mod for s, t in zip(acc, term))
+
+    shift = p**headroom
+    if isinstance(ring, SeriesRing):
+        flat = tuple(
+            SeriesElement(ring, {exps: c // shift for exps, c in e.coeffs.items()})
+            for e in acc
+        )
+    else:
+        flat = tuple(v // shift for v in acc)
+    return RingMatrix._packed(ring, m, flat)
+
+
+def _check_exp_log(x):
+    g = ident(x.ring, x.m) + x
+    assert mat_exp(x) == _oracle_series_sum(x, "exp")
+    assert mat_log(g) == _oracle_series_sum(x, "log")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mat_exp_log_match_series_oracle_on_scalar_matrices(p, m):
+    rng = random.Random(10 * p + m)
+    for prec in (2, 4, 6):
+        ring = ScalarRing(p, prec)
+        for _ in range(4):
+            rows = [
+                [p * rng.randrange(p ** (prec - 1)) for _ in range(m)] for _ in range(m)
+            ]
+            _check_exp_log(RingMatrix.from_int_rows(ring, rows))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("ring", [SeriesRing(3, 2, 4), SeriesRing(5, 1, 3)])
+def test_mat_exp_log_match_series_oracle_on_series_matrices(ring, m):
+    rng = random.Random(m * ring.p)
+    p, trunc = ring.p, ring.trunc
+
+    def entry():
+        terms = {
+            exps: p * rng.randrange(p ** (trunc - 1))
+            for exps in [(0,) * ring.n_vars, *_monomials(ring.n_vars, trunc - 1)]
+            if rng.random() < 0.6
+        }
+        return ring.from_terms(terms)
+
+    for _ in range(3):
+        rows = [[entry() for _ in range(m)] for _ in range(m)]
+        _check_exp_log(RingMatrix(ring, rows))
+
+
+def _monomials(n_vars, max_degree):
+    out = [()]
+    for _ in range(n_vars):
+        out = [e + (d,) for e in out for d in range(max_degree + 1)]
+    return [e for e in out if 0 < sum(e) <= max_degree]

@@ -1,6 +1,7 @@
 """Scalar and series arithmetic: exactness, special functions, serialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,14 @@ from tamelab.padic import (
     PadicScalar,
     SeriesElement,
     SeriesRing,
+    _exp_cutoff,
+    _log_cutoff,
+    _sqrt_mod_prime,
     alpha_ratio,
+    first_nonresidue,
     hensel_sqrt,
+    int_valuation,
+    is_nonresidue,
     pexp,
     plog,
 )
@@ -184,6 +191,89 @@ def test_plog_domain():
         plog(mk(5, 3, 2))
     with pytest.raises(DomainError):
         pexp(mk(5, 3, 1))
+
+
+# ---------------------------------------------------------------------------
+# the series against the per-function loops it replaced, kept as oracles
+
+
+def _oracle_factorial_valuation(n, p):
+    v, q = 0, p
+    while q <= n:
+        v += n // q
+        q *= p
+    return v
+
+
+def _oracle_plog(u):
+    p, prec = u.p, u.prec
+    modulus = p**prec
+    x = u.value - 1
+    cutoff = _log_cutoff(p, prec)
+    headroom = max(int_valuation(i, p, prec) for i in range(1, cutoff + 1))
+    work = p ** (prec + headroom)
+    total = 0
+    power = 1
+    for i in range(1, cutoff + 1):
+        power = power * x % work
+        e = int_valuation(i, p, prec + headroom)
+        term = (power // p**e) * pow(i // p**e, -1, modulus) % modulus
+        total = (total - term if i % 2 == 0 else total + term) % modulus
+    return PadicScalar(p, prec, total)
+
+
+def _oracle_pexp(x):
+    p, prec = x.p, x.prec
+    modulus = p**prec
+    cutoff = _exp_cutoff(p, prec)
+    headroom = _oracle_factorial_valuation(cutoff, p)
+    work = p ** (prec + headroom)
+    total = 1
+    power = 1
+    fact = 1
+    for i in range(1, cutoff + 1):
+        power = power * x.value % work
+        fact *= i
+        e = _oracle_factorial_valuation(i, p)
+        unit = (fact // p**e) % modulus
+        total = (total + (power // p**e) * pow(unit, -1, modulus)) % modulus
+    return PadicScalar(p, prec, total)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("prec", [1, 2, 3, 4])
+def test_plog_pexp_match_series_loop_oracles(p, prec):
+    # every 1-unit and every multiple of p mod p^prec
+    for v in range(0, p**prec, p):
+        u, x = mk(p, prec, v + 1), mk(p, prec, v)
+        assert plog(u) == _oracle_plog(u), (p, prec, v + 1)
+        assert pexp(x) == _oracle_pexp(x), (p, prec, v)
+
+
+def test_series_oracles_at_higher_precision():
+    # the cutoffs and headrooms grow with the precision
+    rng = random.Random(11)
+    for p in PRIMES:
+        for prec in (6, 9, 13):
+            for _ in range(20):
+                v = p * rng.randrange(p ** (prec - 1))
+                assert plog(mk(p, prec, v + 1)) == _oracle_plog(mk(p, prec, v + 1))
+                assert pexp(mk(p, prec, v)) == _oracle_pexp(mk(p, prec, v))
+
+
+_ODD_PRIMES = [p for p in range(3, 100) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", _ODD_PRIMES)
+def test_square_roots_and_nonresidues_match_brute_force(p):
+    squares = {a * a % p for a in range(p)}
+    assert first_nonresidue(p) == min(a for a in range(2, p) if a not in squares)
+    for a in range(p):
+        assert is_nonresidue(a, p) == (a not in squares)
+        r = _sqrt_mod_prime(a, p)
+        assert (r is None) == (a not in squares)
+        if r is not None:
+            assert r * r % p == a
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from tamelab.matgrp import RingMatrix, int_power, mat_exp, mat_log, sl_standard_
 from tamelab.padic import ScalarRing
 from tamelab.pcentral import (
     UniformityReport,
+    _p_log,
     _reduce_matrix,
     closure,
     closure_limit,
@@ -87,6 +88,15 @@ def test_closure_not_p_group():
     g = RingMatrix.from_int_rows(ring, [[2, 0], [0, 5]])  # order 6
     with pytest.raises(NotPGroup):
         closure([g], allow_depth_zero=True)
+
+
+def test_p_log_reads_exponents_and_rejects_other_orders():
+    for p in (3, 5):
+        for d in range(5):
+            assert _p_log(p**d, p, "order") == d
+    for n in (2, 6, 54, 3**5 * 2, 5**3 + 1):
+        with pytest.raises(NotPGroup, match=f"order {n} is not a power of 3"):
+            _p_log(n, 3, "order")
 
 
 # ---------------------------------------------------------------------------
