@@ -12,6 +12,11 @@ unipotent relations, the quaternion-lattice identities inside SL_4, and
 the weight-k conjugation relations over truncated power-series rings,
 together with the span of their images in the graded layer.
 
+Each fixed matrix family is built once, by `matgrp._from_entries`: one SL_2
+pair (x, s) serves the standard certificate and the witness family, one
+(c, s) both symmetric conjugators, and each quaternion suite builds its
+lattice and exponentials once and reduces them to the suite's precision.
+
 Both certificate searches, the exhaustive one in enumerated groups and the
 bounded cyclic-direction one in the quaternion lattice, run one scan on
 flat tuples: y's power table, then the caller's candidates x in order.
@@ -33,7 +38,16 @@ from .errors import (
     TameRelationFailed,
     ZeroVector,
 )
-from .matgrp import RingMatrix, _mul, commutator, int_power, mat_exp, mat_log, zp_power
+from .matgrp import (
+    RingMatrix,
+    _from_entries,
+    _mul,
+    commutator,
+    int_power,
+    mat_exp,
+    mat_log,
+    zp_power,
+)
 from .padic import (
     PadicScalar,
     ScalarRing,
@@ -165,20 +179,32 @@ def standard_inertial_certificate(
     beta the square root of 1 + a p^k that is 1 mod p; conjugation scales
     the unipotent entry by beta^2.
     """
-    ring = ScalarRing(p, precision)
     if isinstance(a, int):
         a = PadicScalar(p, precision, a)
-    beta = hensel_sqrt(PadicScalar(p, precision, 1 + a.value * p**k))
-    y = RingMatrix.from_int_rows(ring, [[1, p], [0, 1]])
-    x = RingMatrix(
-        ring,
-        [[beta, ring.zero()], [ring.zero(), beta.inv()]],
-    )
+    y, x, _ = _sl2_pair(ScalarRing(p, precision), 1 + a.value * p**k)
     return GroupInertialCertificate(y, x, a, k)
 
 
 # ---------------------------------------------------------------------------
 # the SL_2 witness family
+
+
+def _sl2_pair(ring: ScalarRing, qnorm: int):
+    """x = [[1, p], [0, 1]], s = diag(alpha, 1/alpha), alpha = sqrt(qnorm) = 1 mod p."""
+    alpha = hensel_sqrt(ring.from_int(qnorm))
+    x = _from_entries(ring, 2, {(0, 1): ring.p})
+    s = _from_entries(ring, 2, {(0, 0): alpha, (1, 1): alpha.inv()})
+    return x, s, alpha
+
+
+def _conjugator(u, u_inv):
+    """(c, s) = ((u + u^-1)/2, (u^-1 - u)/2), the symmetric conjugator's entries.
+
+    [[c, s], [s, c]] conjugates the nilpotent [[1, 1], [-1, -1]] to u^2 times it.
+    The caller passes u^-1, which over a series ring is costly to recompute.
+    """
+    half = u.ring.from_int(2).inv()
+    return (u + u_inv) * half, (u_inv - u) * half
 
 
 def sl2_witnesses(ring: ScalarRing, qnorm: int) -> dict:
@@ -191,18 +217,16 @@ def sl2_witnesses(ring: ScalarRing, qnorm: int) -> dict:
     p = ring.p
     if qnorm % p != 1:
         raise ValueError("qnorm must be 1 mod p")
-    alpha = hensel_sqrt(ring.from_int(qnorm))
-    alpha_inv = alpha.inv()
-    half = ring.from_int(2).inv()
-    c = (alpha + alpha_inv) * half
-    s_off = (alpha_inv - alpha) * half
-    zero = ring.zero()
+    x, s, alpha = _sl2_pair(ring, qnorm)
+    c, s_off = _conjugator(alpha, alpha.inv())
+    z = {(0, 0): 1 + p, (0, 1): p, (1, 0): -p, (1, 1): 1 - p}
+    t = {(0, 0): c, (0, 1): s_off, (1, 0): s_off, (1, 1): c}
     return {
-        "x": RingMatrix.from_int_rows(ring, [[1, p], [0, 1]]),
-        "y": RingMatrix.from_int_rows(ring, [[1, 0], [p, 1]]),
-        "z": RingMatrix.from_int_rows(ring, [[1 + p, p], [-p, 1 - p]]),
-        "s": RingMatrix(ring, [[alpha, zero], [zero, alpha_inv]]),
-        "t": RingMatrix(ring, [[c, s_off], [s_off, c]]),
+        "x": x,
+        "y": _from_entries(ring, 2, {(1, 0): p}),
+        "z": _from_entries(ring, 2, z),
+        "s": s,
+        "t": _from_entries(ring, 2, t),
         "alpha": alpha,
     }
 
@@ -236,14 +260,6 @@ def _weight_monomials(ring: SeriesRing, k: int):
         yield a0, beta, ring.from_terms({beta: ring.p**a0})
 
 
-def _embedded(ring, m: int, entries: dict, diagonal: int = 1) -> RingMatrix:
-    """diagonal * I with the given entries overwritten."""
-    rows = [[ring.from_int(diagonal * (i == j)) for j in range(m)] for i in range(m)]
-    for (i, j), val in entries.items():
-        rows[i][j] = val
-    return RingMatrix(ring, rows)
-
-
 def slm_series_suite(
     m: int, k: int, n_vars: int, truncation: int, p: int
 ) -> SuiteReport:
@@ -256,6 +272,8 @@ def slm_series_suite(
     unipotent directions must span the full graded layer, verified by an
     independent rank computation over F_p.
     """
+    if m < 2:
+        raise DomainError(f"m must be >= 2, got {m}")
     if truncation <= k:
         raise ValueError("truncation must exceed the weight k")
     ring = SeriesRing(p, n_vars, truncation)
@@ -265,9 +283,7 @@ def slm_series_suite(
     )
     u = ring.from_int(1 - p**k)
     u_inv = u.inv()
-    half = ring.from_int(2).inv()
-    c = (u + u_inv) * half
-    s_off = (u_inv - u) * half
+    c, s_off = _conjugator(u, u_inv)
     exponent = (p**k - 1) ** 2
 
     monomials = list(_weight_monomials(ring, k))
@@ -304,15 +320,16 @@ def slm_series_suite(
 
     # the conjugators depend only on the pair, so they and their inverses
     # are built once per pair
-    one = ring.one()
     conjugators = {}
     for i, j in pairs:
-        s = _embedded(ring, m, {(i, i): u, (j, j): u_inv})
-        s_swap = _embedded(ring, m, {(i, i): u_inv, (j, j): u})
-        n_mat = _embedded(
-            ring, m, {(i, i): one, (i, j): one, (j, i): -one, (j, j): -one}, 0
+        s = _from_entries(ring, m, {(i, i): u, (j, j): u_inv})
+        s_swap = _from_entries(ring, m, {(i, i): u_inv, (j, j): u})
+        n_mat = _from_entries(
+            ring, m, {(i, i): 1, (i, j): 1, (j, i): -1, (j, j): -1}, 0
         )
-        d_mat = _embedded(ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c})
+        d_mat = _from_entries(
+            ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c}
+        )
         conjugators[(i, j)] = (
             s, s.inverse(), s_swap, s_swap.inverse(), n_mat, d_mat, d_mat.inverse()
         )
@@ -324,12 +341,12 @@ def slm_series_suite(
         )
         for i, j in pairs:
             s, s_inv, s_swap, s_swap_inv, n_mat, d_mat, d_inv = conjugators[(i, j)]
-            upper = _embedded(ring, m, {(i, j): mu})
+            upper = _from_entries(ring, m, {(i, j): mu})
             report.add(
                 f"{mono_label}/({i},{j})/diag-conj-upper",
                 s * upper * s_inv == int_power(upper, exponent),
             )
-            lower = _embedded(ring, m, {(j, i): mu})
+            lower = _from_entries(ring, m, {(j, i): mu})
             report.add(
                 f"{mono_label}/({i},{j})/diag-conj-lower",
                 s_swap * lower * s_swap_inv == int_power(lower, exponent),
@@ -431,30 +448,18 @@ def stable_generation_audit(
 
 
 def quaternion_matrices(ring: ScalarRing, a: int) -> dict:
+    """A, B with A^2 = pI, B^2 = aI, AB = -BA, in 2x2 blocks.
+
+    A = [[u, 0], [0, -u]] with u = [[0, p], [1, 0]], and B = [[0, aI], [I, 0]].
+    """
     p = ring.p
-    u = [[0, p], [1, 0]]
-    zeros = [[0, 0], [0, 0]]
-
-    def block(tl, tr, bl, br):
-        rows = []
-        for r in range(2):
-            rows.append(list(tl[r]) + list(tr[r]))
-        for r in range(2):
-            rows.append(list(bl[r]) + list(br[r]))
-        return RingMatrix.from_int_rows(ring, rows)
-
-    neg_u = [[-e for e in row] for row in u]
-    a_id = [[a, 0], [0, a]]
-    ident = [[1, 0], [0, 1]]
     return {
-        "A": block(u, zeros, zeros, neg_u),
-        "B": block(zeros, a_id, ident, zeros),
+        "A": _from_entries(ring, 4, {(0, 1): p, (1, 0): 1, (2, 3): -p, (3, 2): -1}, 0),
+        "B": _from_entries(ring, 4, {(0, 2): a, (1, 3): a, (2, 0): 1, (3, 1): 1}, 0),
     }
 
 
-def quaternion_uniform_suite(
-    a: int, p: int, precision: int, search_exponent_bound: int | None = None
-) -> SuiteReport:
+def quaternion_uniform_suite(a: int, p: int, precision: int) -> SuiteReport:
     """Identities of the quaternion lattice and a bounded certificate search.
 
     Builds A, B with A^2 = pI, B^2 = aI, AB = -BA, exponentiates the scaled
@@ -462,27 +467,31 @@ def quaternion_uniform_suite(
     meaningful inertial certificate (none should exist: the associated Lie
     algebra is toral), and records the structure constants the commutator
     limit produces on (log x, log y, log z).
+    Everything is built once at the bracket's working precision; truncated
+    exp is exact, so its reduction to `precision` is the value computed there.
     """
     if not is_nonresidue(a, p):
         raise NotNonresidue(f"{a} is a square mod {p}")
-    ring = ScalarRing(p, precision)
     report = SuiteReport("quaternion", data={"a": a, "p": p, "precision": precision})
-    mats = quaternion_matrices(ring, a)
-    big_a, big_b = mats["A"], mats["B"]
-    ident = RingMatrix.identity(ring, 4)
-    report.add("A^2=pI", big_a * big_a == ident.scale(ring.from_int(p)))
-    report.add("B^2=aI", big_b * big_b == ident.scale(ring.from_int(a)))
-    report.add("AB=-BA", big_a * big_b == -(big_b * big_a))
+    # bracket recording needs headroom: the commutator limit divides by p^2
+    # and the interesting coordinates carry one extra factor of p
+    wring = ScalarRing(p, max(precision, 6))
+    mats = quaternion_matrices(wring, a)
+    wa, wb = mats["A"], mats["B"]
+    basis = tuple(g.scale(wring.from_int(p)) for g in (wa, wb, wa * wb))
+    wx, wy, wz = (mat_exp(g) for g in basis)
 
-    a0 = big_a.scale(ring.from_int(p))
-    b0 = big_b.scale(ring.from_int(p))
-    c0 = (big_a * big_b).scale(ring.from_int(p))
-    x, y, z = mat_exp(a0), mat_exp(b0), mat_exp(c0)
+    big_a, big_b, a0, b0, c0, x, y, z = (
+        _reduce_matrix(g, precision) for g in (wa, wb, *basis, wx, wy, wz)
+    )
+    report.add("A^2=pI", big_a * big_a == _from_entries(x.ring, 4, {}, p))
+    report.add("B^2=aI", big_b * big_b == _from_entries(x.ring, 4, {}, a))
+    report.add("AB=-BA", big_a * big_b == -(big_b * big_a))
     report.add(
         "log-roundtrip", mat_log(x) == a0 and mat_log(y) == b0 and mat_log(z) == c0
     )
 
-    bound = search_exponent_bound or p ** min(3, precision - 1)
+    bound = p ** min(3, precision - 1)
     found = _cyclic_direction_certificate_search((x, y, z), bound)
     report.add(
         "no-inertial-certificate",
@@ -490,18 +499,8 @@ def quaternion_uniform_suite(
         f"cyclic-direction search, exponent bound {bound}",
     )
 
-    # bracket recording needs headroom: the commutator limit divides by p^2
-    # and the interesting coordinates carry one extra factor of p
-    work = max(precision, 6)
-    wring = ScalarRing(p, work)
-    wa = quaternion_matrices(wring, a)
-    wa0 = wa["A"].scale(wring.from_int(p))
-    wb0 = wa["B"].scale(wring.from_int(p))
-    wc0 = (wa["A"] * wa["B"]).scale(wring.from_int(p))
-    wx, wy, wz = mat_exp(wa0), mat_exp(wb0), mat_exp(wc0)
     constants = {}
     pairs = {"xy": (wx, wy), "xz": (wx, wz), "yz": (wy, wz)}
-    basis = (wa0, wb0, wc0)
     ok_brackets = True
     for label, (g, h) in pairs.items():
         bra = dictionary_bracket(g, h)
@@ -621,7 +620,7 @@ def brute_search_certificate(
         raise ZeroVector("y must differ from the identity")
     if y_t not in G.elements:
         raise DomainError("y is not an element of the enumerated group")
-    candidates = ((x, G.inv(x)) for x in sorted(G.elements))
+    candidates = ((x, G.inv(x)) for x in G.sorted_elements)
     # a valuation is read only up to the group's precision
     found = _scan_certificate(
         y_t, G.inv(y_t), G.identity, G.mul, candidates, G.p, min(k_max, G.prec)

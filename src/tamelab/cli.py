@@ -45,10 +45,10 @@ def _require_odd_prime(p: int):
         raise SchemaError(f"p must be an odd prime, got {p}")
 
 
-def _require_positive(**values):
+def _require_at_least(low: int, **values):
     for name, value in values.items():
-        if value < 1:
-            raise SchemaError(f"--{name} must be >= 1, got {value}")
+        if value < low:
+            raise SchemaError(f"--{name} must be >= {low}, got {value}")
 
 
 def _emit(args, command: str, items: list[CheckItem], data: dict, seed=None) -> int:
@@ -85,7 +85,7 @@ def _emit(args, command: str, items: list[CheckItem], data: dict, seed=None) -> 
 
 def cmd_verify_examples(args) -> int:
     _require_odd_prime(args.p)
-    _require_positive(k=args.k)
+    _require_at_least(1, k=args.k)
     if args.prec < 3:
         raise SchemaError("precision must be >= 3")
     suites: list[SuiteReport] = []
@@ -107,7 +107,9 @@ def cmd_verify_examples(args) -> int:
 
 def cmd_pcentral(args) -> int:
     _require_odd_prime(args.p)
-    _require_positive(k=args.k, window=args.window)
+    _require_at_least(1, k=args.k, window=args.window)
+    if args.limit is not None:
+        _require_at_least(1, limit=args.limit)
     if args.window > args.prec - 1:
         raise WindowTooLarge(
             f"dims through level {args.window} need precision > {args.window}"
@@ -145,6 +147,7 @@ def cmd_pcentral(args) -> int:
 
 
 def cmd_lie(args) -> int:
+    _require_at_least(0, trials=args.trials, samples=args.samples)
     algebra = liealg.load_algebra(args.input)
     report = liealg.classify(
         algebra, trials=args.trials, seed=args.seed, extra_samples=args.samples
@@ -169,7 +172,7 @@ def cmd_certify(args) -> int:
 
 def cmd_plan(args) -> int:
     _require_odd_prime(args.p)
-    _require_positive(k=args.k)
+    _require_at_least(1, k=args.k)
     if args.cert:
         with open(args.cert) as fh:
             cert = certify.GroupInertialCertificate.from_json(json.load(fh))

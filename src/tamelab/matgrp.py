@@ -3,7 +3,10 @@
 Covers the group-side kernel machinery: commutators under the convention
 [g, h] = g h g^-1 h^-1, Z_p-exponent powering, exact truncated matrix
 exp/log, congruence depth, and the standard depth-one generating set of
-the first congruence subgroup of SL_m.
+the first congruence subgroup of SL_m.  Every fixed matrix of the
+suites (the generators below, the SL_2 witnesses, the quaternion lattice,
+the series-ring conjugators) comes from one builder, `_from_entries`: a
+multiple of I with a dict of entries overwritten.
 
 The commutator convention is load-bearing: it is the one under which the
 diagonal/unipotent relations of the SL_2 construction hold with exponent q-1 on the nose, and
@@ -404,7 +407,17 @@ def mat_log(g: RingMatrix) -> RingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# standard generators of the first congruence subgroup of SL_m
+# fixed matrices: the one builder, and the standard generators of the
+# first congruence subgroup of SL_m
+
+
+def _from_entries(ring: Ring, m: int, entries: dict, diagonal: int = 1) -> RingMatrix:
+    """diagonal * I with entries[(i, j)] (ints or ring elements) overwritten."""
+    ent = _Entries(ring)
+    flat = list(_identity(m, ent.zero, ent.pack(ring.from_int(diagonal))))
+    for (i, j), e in entries.items():
+        flat[i * m + j] = ent.pack(ring.from_int(e) if isinstance(e, int) else e)
+    return RingMatrix._packed(ring, m, tuple(flat))
 
 
 def sl_standard_generators(m: int, p: int, prec: int = 4) -> list[RingMatrix]:
@@ -418,19 +431,9 @@ def sl_standard_generators(m: int, p: int, prec: int = 4) -> list[RingMatrix]:
     if m < 2:
         raise ValueError("m must be >= 2")
     ring = ScalarRing(p, prec)
-    gens = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            e = [[0] * m for _ in range(m)]
-            e[i][j] = p
-            gens.append(mat_exp(RingMatrix.from_int_rows(ring, e)))
-    for i in range(m - 1):
-        e = [[0] * m for _ in range(m)]
-        e[i][i] = p
-        e[i + 1][i + 1] = -p
-        e[i][i + 1] = p
-        e[i + 1][i] = -p
-        gens.append(mat_exp(RingMatrix.from_int_rows(ring, e)))
-    return gens
+    logs = [{(i, j): p} for i in range(m) for j in range(m) if i != j]
+    logs += [
+        {(i, i): p, (i + 1, i + 1): -p, (i, i + 1): p, (i + 1, i): -p}
+        for i in range(m - 1)
+    ]
+    return [mat_exp(_from_entries(ring, m, log, 0)) for log in logs]

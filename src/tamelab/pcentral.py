@@ -92,6 +92,11 @@ class FiniteQuotientGroup:
     def identity(self) -> tuple:
         return _identity(self.m, 0, 1)
 
+    @cached_property
+    def sorted_elements(self) -> tuple:
+        """The elements in tuple order, sorted once per group."""
+        return tuple(sorted(self.elements))
+
     def mul(self, a: tuple, b: tuple) -> tuple:
         return _mul(a, b, self.m, self.modulus)
 
@@ -284,15 +289,6 @@ class UniformityReport:
     dims: list[int]
     uniform: bool
 
-    def to_json(self) -> dict:
-        return {
-            "window": self.window,
-            "frattini_abelian": self.frattini_abelian,
-            "power_map_bijective": self.power_map_bijective,
-            "dims": self.dims,
-            "uniform": self.uniform,
-        }
-
 
 def _frattini_abelian(G: FiniteQuotientGroup, powers) -> bool:
     """Whether G/G^p is abelian (G is powerful), given G's p-th powers.
@@ -364,13 +360,6 @@ class DictionaryBracket:
     matrix: RingMatrix
     certified_levels: int
     steps: int
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": self.matrix.to_json(),
-            "certified_levels": self.certified_levels,
-            "steps": self.steps,
-        }
 
 
 def _reduce_matrix(g: RingMatrix, prec: int) -> RingMatrix:

@@ -48,10 +48,3 @@ class SuiteReport:
 
     def failures(self) -> list[CheckItem]:
         return [item for item in self.items if item.status == FAIL]
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.name,
-            "items": [item.to_json() for item in self.items],
-            "data": self.data,
-        }

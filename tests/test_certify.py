@@ -29,6 +29,7 @@ from tamelab.matgrp import (
     mat_exp,
     sl_standard_generators,
 )
+from tamelab import certify, pcentral
 from tamelab.padic import PadicScalar, ScalarRing, hensel_sqrt, int_valuation
 from tamelab.pcentral import closure, pcentral_series
 
@@ -536,3 +537,103 @@ def test_brute_search_returns_oracle_certificate_on_criterion_7_groups():
 def test_brute_search_returns_oracle_certificate_on_nonabelian_group(k_max):
     # k_max past the precision reads valuations only up to the precision
     assert _assert_same_certificates(_nonabelian_order_81(), k_max)
+
+
+def test_brute_search_sorts_the_group_elements_once(monkeypatch):
+    # a fresh group, so no earlier search has sorted it yet
+    G = closure(sl_standard_generators(2, 3, 3))
+    sorts = []
+
+    def counting_sorted(items, *args, **kwargs):
+        if items is G.elements:
+            sorts.append(1)
+        return sorted(items, *args, **kwargs)
+
+    for module in (certify, pcentral):
+        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
+    for y in G.generators[:2]:
+        brute_search_certificate(G, y, k_max=2)
+    assert len(sorts) <= 1
+
+
+# ---------------------------------------------------------------------------
+# fixed matrix families against the builders they replaced, kept as oracles
+
+
+def _oracle_standard_inertial_certificate(p, precision, a, k):
+    ring = ScalarRing(p, precision)
+    if isinstance(a, int):
+        a = PadicScalar(p, precision, a)
+    beta = hensel_sqrt(PadicScalar(p, precision, 1 + a.value * p**k))
+    y = RingMatrix.from_int_rows(ring, [[1, p], [0, 1]])
+    x = RingMatrix(
+        ring,
+        [[beta, ring.zero()], [ring.zero(), beta.inv()]],
+    )
+    return GroupInertialCertificate(y, x, a, k)
+
+
+def _oracle_quaternion_matrices(ring, a):
+    p = ring.p
+    u = [[0, p], [1, 0]]
+    zeros = [[0, 0], [0, 0]]
+
+    def block(tl, tr, bl, br):
+        rows = []
+        for r in range(2):
+            rows.append(list(tl[r]) + list(tr[r]))
+        for r in range(2):
+            rows.append(list(bl[r]) + list(br[r]))
+        return RingMatrix.from_int_rows(ring, rows)
+
+    neg_u = [[-e for e in row] for row in u]
+    a_id = [[a, 0], [0, a]]
+    ident = [[1, 0], [0, 1]]
+    return {
+        "A": block(u, zeros, zeros, neg_u),
+        "B": block(zeros, a_id, ident, zeros),
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("prec", [3, 4, 6])
+def test_standard_certificate_matches_oracle_and_sl2_witnesses(p, prec):
+    ring = ScalarRing(p, prec)
+    for a in range(1, p * p):
+        if a % p == 0:
+            continue
+        for k in (1, 2):
+            cert = standard_inertial_certificate(p, prec, a, k)
+            assert cert == _oracle_standard_inertial_certificate(p, prec, a, k)
+            padic_a = PadicScalar(p, prec, a)
+            assert standard_inertial_certificate(p, prec, padic_a, k) == cert
+            # (y, x) is the witness pair (x, s) at qnorm = 1 + a p^k
+            w = sl2_witnesses(ring, 1 + a * p**k)
+            assert (w["x"], w["s"]) == (cert.y, cert.x)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("prec", [3, 4, 6])
+def test_quaternion_matrices_match_block_oracle(p, prec):
+    ring = ScalarRing(p, prec)
+    for a in range(-p, p * p):
+        assert quaternion_matrices(ring, a) == _oracle_quaternion_matrices(ring, a)
+
+
+@pytest.mark.parametrize("prec", [3, 4, 6, 7])
+def test_quaternion_suite_builds_its_lattice_once(monkeypatch, prec):
+    builds, exps = [], []
+
+    def counting_matrices(ring, a):
+        builds.append(ring.prec)
+        return quaternion_matrices(ring, a)
+
+    def counting_exp(x):
+        exps.append(x.ring.prec)
+        return mat_exp(x)
+
+    monkeypatch.setattr(certify, "quaternion_matrices", counting_matrices)
+    monkeypatch.setattr(certify, "mat_exp", counting_exp)
+    assert quaternion_uniform_suite(2, 3, prec).all_pass
+    assert builds == [max(prec, 6)]
+    assert exps == [max(prec, 6)] * 3

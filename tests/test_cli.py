@@ -239,12 +239,25 @@ _CERT_EDITS = {
           "--window", "1"], "none"),
         (["plan", "--a", "1", "--b", "1", "--k", "0", "--p", "5", "--prec", "4"], "none"),
         (["verify-examples", "--p", "3", "--suite", "slm", "--k", "0"], "none"),
+        (["verify-examples", "--p", "3", "--suite", "slm", "--m", "1"], "none"),
+        (["verify-examples", "--p", "3", "--suite", "slm", "--m", "0"], "none"),
+        (["verify-examples", "--p", "3", "--suite", "slm", "--m", "-2"], "none"),
+        (["lie", "--input", str(_FIXTURE_DIR / "sl2.json"), "--seed", "0",
+          "--trials", "-3"], "none"),
+        (["lie", "--input", str(_FIXTURE_DIR / "sl2.json"), "--seed", "0",
+          "--samples", "-1"], "none"),
+        (["pcentral", "--m", "2", "--p", "3", "--prec", "3", "--window", "1",
+          "--limit", "0"], "none"),
+        (["pcentral", "--m", "2", "--p", "3", "--prec", "3", "--window", "1",
+          "--limit", "-5"], "none"),
     ],
     ids=["gs-degree-1", "bound-disc-0", "quaternion-square-a", "plan-nonunit-a",
          "certify-entry-p", "certify-entry-prec", "certify-size-0",
          "certify-x-y-rings", "plan-cert-prec", "plan-cert-p",
          "pcentral-window-negative", "pcentral-window-0", "pcentral-k-0",
-         "plan-k-0", "slm-k-0"],
+         "plan-k-0", "slm-k-0", "slm-m-1", "slm-m-0", "slm-m-negative",
+         "lie-trials-negative", "lie-samples-negative", "pcentral-limit-0",
+         "pcentral-limit-negative"],
 )
 def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
     if "CERT" in argv:

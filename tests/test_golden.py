@@ -21,6 +21,13 @@ GOLDEN = {
     "pcentral-m2-p3-prec4-window2.json": (
         "--json pcentral --m 2 --p 3 --prec 4 --window 2"
     ),
+    # at --prec 6 and above the quaternion suite works at --prec itself
+    "verify-examples-all-p5-prec7.json": (
+        "--json verify-examples --suite all --p 5 --prec 7"
+    ),
+    "verify-examples-quaternion-p3-prec6.json": (
+        "--json verify-examples --suite quaternion --p 3 --prec 6"
+    ),
 }
 
 

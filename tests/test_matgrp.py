@@ -666,3 +666,46 @@ def _monomials(n_vars, max_degree):
     for _ in range(n_vars):
         out = [e + (d,) for e in out for d in range(max_degree + 1)]
     return [e for e in out if 0 < sum(e) <= max_degree]
+
+
+# ---------------------------------------------------------------------------
+# standard generators against the two loops they replaced, kept as an oracle
+
+
+def _oracle_sl_standard_generators(m, p, prec=4):
+    ring = ScalarRing(p, prec)
+    gens = []
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            e = [[0] * m for _ in range(m)]
+            e[i][j] = p
+            gens.append(mat_exp(RingMatrix.from_int_rows(ring, e)))
+    for i in range(m - 1):
+        e = [[0] * m for _ in range(m)]
+        e[i][i] = p
+        e[i + 1][i + 1] = -p
+        e[i][i + 1] = p
+        e[i + 1][i] = -p
+        gens.append(mat_exp(RingMatrix.from_int_rows(ring, e)))
+    return gens
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("prec", [2, 4])
+def test_sl_generators_match_loop_oracle(m, p, prec):
+    assert sl_standard_generators(m, p, prec) == _oracle_sl_standard_generators(
+        m, p, prec
+    )
+
+
+@pytest.mark.parametrize("ring", [ScalarRing(5, 3), SeriesRing(3, 2, 3)])
+def test_entry_builder_overwrites_a_multiple_of_the_identity(ring):
+    seven = ring.from_int(7)
+    rows = [[ring.from_int(3 * (i == j)) for j in range(3)] for i in range(3)]
+    rows[0][2], rows[2][1] = ring.from_int(-4), seven
+    built = matgrp._from_entries(ring, 3, {(0, 2): -4, (2, 1): seven}, 3)
+    assert built == RingMatrix(ring, rows)
+    assert matgrp._from_entries(ring, 3, {}) == ident(ring, 3)
