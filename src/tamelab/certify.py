@@ -24,7 +24,7 @@ flat tuples: y's power table, then the caller's candidates x in order.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -52,6 +52,7 @@ from .padic import (
     PadicScalar,
     ScalarRing,
     SeriesRing,
+    _Layout,
     alpha_ratio,
     first_nonresidue,
     hensel_sqrt,
@@ -251,12 +252,14 @@ def sl2_relation_suite(p: int, precision: int, qnorm: int) -> SuiteReport:
 
 
 def _weight_monomials(ring: SeriesRing, k: int):
-    """Elements p^(a0) T^beta of total weight k, as (a0, beta, element)."""
-    for beta in itertools.product(range(k + 1), repeat=ring.n_vars):
-        t_deg = sum(beta)
-        if t_deg > k:
-            continue
-        a0 = k - t_deg
+    """Elements p^(a0) T^beta of total weight k, as (a0, beta, element).
+
+    The betas are the ring's monomials of degree <= k (k < M), a prefix of
+    its graded-lex layout, taken in lexicographic order.
+    """
+    layout = _Layout(ring)
+    for beta in sorted(layout.monos[: bisect_right(layout.degs, k)]):
+        a0 = k - sum(beta)
         yield a0, beta, ring.from_terms({beta: ring.p**a0})
 
 
@@ -318,21 +321,18 @@ def slm_series_suite(
                             coords[base] = (coords[base] + digit) % p
         return coords
 
-    # the conjugators depend only on the pair, so they and their inverses
-    # are built once per pair
-    conjugators = {}
+    # diag[(j, i)] is the inverse of diag[(i, j)] and D is symmetric in
+    # (i, j), so one inversion per unordered pair builds every conjugator
+    diag, dual = {}, {}
     for i, j in pairs:
-        s = _from_entries(ring, m, {(i, i): u, (j, j): u_inv})
-        s_swap = _from_entries(ring, m, {(i, i): u_inv, (j, j): u})
-        n_mat = _from_entries(
-            ring, m, {(i, i): 1, (i, j): 1, (j, i): -1, (j, j): -1}, 0
-        )
-        d_mat = _from_entries(
-            ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c}
-        )
-        conjugators[(i, j)] = (
-            s, s.inverse(), s_swap, s_swap.inverse(), n_mat, d_mat, d_mat.inverse()
-        )
+        diag[(i, j)] = _from_entries(ring, m, {(i, i): u, (j, j): u_inv})
+        if i > j:
+            if diag[(i, j)] * diag[(j, i)] != RingMatrix.identity(ring, m):
+                raise GuardFailed("diagonal conjugators are not mutually inverse")
+            d_mat = _from_entries(
+                ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c}
+            )
+            dual[(i, j)] = dual[(j, i)] = (d_mat, d_mat.inverse())
 
     checked_dn = False
     for a0, beta, mu in monomials:
@@ -340,7 +340,10 @@ def slm_series_suite(
             f"*T{i+1}^{e}" for i, e in enumerate(beta) if e
         )
         for i, j in pairs:
-            s, s_inv, s_swap, s_swap_inv, n_mat, d_mat, d_inv = conjugators[(i, j)]
+            s, s_inv, (d_mat, d_inv) = diag[(i, j)], diag[(j, i)], dual[(i, j)]
+            n_mat = _from_entries(
+                ring, m, {(i, i): 1, (i, j): 1, (j, i): -1, (j, j): -1}, 0
+            )
             upper = _from_entries(ring, m, {(i, j): mu})
             report.add(
                 f"{mono_label}/({i},{j})/diag-conj-upper",
@@ -349,7 +352,7 @@ def slm_series_suite(
             lower = _from_entries(ring, m, {(j, i): mu})
             report.add(
                 f"{mono_label}/({i},{j})/diag-conj-lower",
-                s_swap * lower * s_swap_inv == int_power(lower, exponent),
+                s_inv * lower * s == int_power(lower, exponent),
             )
             if not checked_dn:
                 report.add("N-nilpotent", n_mat * n_mat == RingMatrix.zeros(ring, m))

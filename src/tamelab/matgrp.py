@@ -16,9 +16,11 @@ This module owns the one packed matrix kernel.  A matrix is a flat
 row-major tuple of ring-native entries (ints in [0, p^N) over a
 `ScalarRing`, `SeriesElement`s over a `SeriesRing`), and the private loops
 below run on such tuples with + - * only, finishing each entry with
-`% mod`: p^N for scalars, a no-op for series.  `RingMatrix` and the
-enumerated groups of `pcentral` share them; `PadicScalar` is the view at
-the boundary (`rows`, `det`, `trace`, JSON).  The exp/log series is not
+`% mod`: p^N for scalars, a no-op for series, which reduce themselves.
+An entry of a product of series matrices is one accumulation over its
+row and column (`padic._series_dot`), reduced once.  `RingMatrix` and
+the enumerated groups of `pcentral` share them; `PadicScalar` is the view
+at the boundary (`rows`, `det`, `trace`, JSON).  The exp/log series is not
 written here: `mat_exp`/`mat_log` sum the coefficients that `padic`
 specifies for its scalar `pexp`/`plog`.
 """
@@ -37,9 +39,9 @@ from .errors import (
 from .padic import (
     PadicScalar,
     ScalarRing,
-    SeriesElement,
     SeriesRing,
     _series_coefficients,
+    _series_dot,
     int_valuation,
 )
 
@@ -87,6 +89,10 @@ def _identity(m: int, zero, one) -> tuple:
 
 
 def _mul(a: tuple, b: tuple, m: int, mod) -> tuple:
+    if not isinstance(mod, int):
+        # series entries: each entry of the product is one accumulation
+        rows = [a[i : i + m] for i in range(0, m * m, m)]
+        return tuple(_series_dot(r, b[j::m]) for r in rows for j in range(m))
     if m == 2:
         a0, a1, a2, a3 = a
         b0, b1, b2, b3 = b
@@ -366,7 +372,7 @@ def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
     headroom, coeffs = _series_coefficients(kind, ring.p, ring.cap)
     if isinstance(ring, SeriesRing):
         wide = SeriesRing(ring.p, ring.n_vars, ring.trunc + headroom)
-        base = tuple(SeriesElement(wide, e.coeffs) for e in x._flat)
+        base = tuple(e._retag(wide) for e in x._flat)
     else:
         wide = ScalarRing(ring.p, ring.cap + headroom)
         base = x._flat
@@ -382,10 +388,7 @@ def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
 
     shift = ring.p**headroom
     if isinstance(ring, SeriesRing):
-        flat = tuple(
-            SeriesElement(ring, {exps: c // shift for exps, c in e.coeffs.items()})
-            for e in acc
-        )
+        flat = tuple(e._retag(ring, shift) for e in acc)
     else:
         flat = tuple(v // shift for v in acc)
     return RingMatrix._packed(ring, m, flat)

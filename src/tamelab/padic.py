@@ -6,6 +6,14 @@ loss is never silent.  Series elements carry graded precision: the
 coefficient of a total-degree-j monomial is a residue mod p^(M-j), which is
 exactly the information present in the quotient by m^M, m = (p, T_1..T_n).
 
+A series element is packed: a dict from monomial index to reduced residue,
+where the index is the monomial's place in graded-lex order (degree, then
+exponent tuple) among the monomials of degree < M.  Each ring caches this
+layout once (`_Layout`), with the moduli and, built row by row on first
+use, the product table.  Graded-lex order is prefix-stable: the monomials
+of (p, n, M) are the first ones of (p, n, M + h), so moving an element to
+a wider or narrower truncation keeps its indices.
+
 The truncated exp/log series is specified once, here: its cutoff, headroom
 and term coefficients come from `_series_coefficients`, which `plog`/`pexp`
 evaluate on scalars and `matgrp.mat_exp`/`mat_log` on matrices.  The
@@ -15,10 +23,12 @@ the congruence-group constructions in `matgrp` and `certify`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, combinations_with_replacement
+from operator import add, mul
+from types import MappingProxyType
 
 from .errors import (
     DomainError,
@@ -354,11 +364,6 @@ def alpha_ratio(a: PadicScalar, b: PadicScalar, k: int) -> PadicScalar:
 # truncated multivariate power series
 
 
-def monomial_key(exps: tuple) -> tuple:
-    """Graded-lex sort key used for canonical serialization."""
-    return (sum(exps), exps)
-
-
 @dataclass(frozen=True)
 class SeriesRing:
     """Descriptor for Z_p[[T_1..T_n]] / m^M with m = (p, T_1..T_n)."""
@@ -392,7 +397,7 @@ class SeriesRing:
         return SeriesElement(self, {(0,) * self.n_vars: n})
 
     def from_terms(self, terms: dict) -> "SeriesElement":
-        return SeriesElement(self, dict(terms))
+        return SeriesElement(self, terms)
 
     def variable(self, index: int) -> "SeriesElement":
         exps = [0] * self.n_vars
@@ -411,89 +416,123 @@ class SeriesRing:
         }
 
 
+@lru_cache(maxsize=None)
+class _Layout(dict):
+    """The monomials of degree < M of one series ring, in graded-lex order.
+
+    One per ring (the class is cached): monomial i is `monos[i]`, of degree
+    `degs[i]` and coefficient modulus `mods[i]`.  As a dict it maps i to its
+    product row, built on first use: row[j] is the index of monos[i] * monos[j]
+    for each j < len(row), the j of degree < M - degs[i].
+    """
+
+    def __init__(self, ring: SeriesRing):
+        # the variable multisets of one degree come in descending lex order
+        # of their exponent tuples
+        n, self.ring = ring.n_vars, ring
+        self.monos = [
+            tuple(map(combo.count, range(n)))
+            for d in range(ring.trunc)
+            for combo in reversed([*combinations_with_replacement(range(n), d)])
+        ]
+        self.index = {exps: i for i, exps in enumerate(self.monos)}
+        self.degs = [sum(exps) for exps in self.monos]
+        self.mods = [ring.coeff_modulus(d) for d in self.degs]
+
+    def __missing__(self, i: int) -> list:
+        exps, index = self.monos[i], self.index
+        cut = bisect_left(self.degs, self.ring.trunc - self.degs[i])
+        self[i] = row = [index[tuple(map(add, exps, e))] for e in self.monos[:cut]]
+        return row
+
+
 class SeriesElement:
-    """Element of A/m^M stored as monomial -> residue mod p^(M - degree)."""
+    """Element of A/m^M stored as monomial index -> residue mod p^(M - degree).
 
-    __slots__ = ("ring", "coeffs")
+    The index is the monomial's place in the ring's `_Layout`; `coeffs` is
+    the read-only view keyed by exponent tuples.
+    """
 
-    def __init__(self, ring: SeriesRing, coeffs: dict):
-        self.ring = ring
-        reduced = {}
+    __slots__ = ("ring", "_layout", "_terms")
+
+    def __init__(self, ring: SeriesRing, coeffs):
+        layout, raw = _Layout(ring), {}
         for exps, c in coeffs.items():
-            exps = tuple(exps)
-            if len(exps) != ring.n_vars:
-                raise DomainError(f"exponent vector {exps} has wrong arity")
-            deg = sum(exps)
-            if deg >= ring.trunc:
-                continue
-            c %= ring.coeff_modulus(deg)
-            if c:
-                reduced[exps] = c
-        self.coeffs = reduced
+            i = layout.index.get(tuple(exps))
+            if i is not None:
+                raw[i] = c
+            elif len(exps) != ring.n_vars or not all(
+                isinstance(e, int) and e >= 0 for e in exps
+            ):
+                raise DomainError(f"{exps} is not a monomial of {ring}")
+            # any other exponent vector has degree >= M: zero in A/m^M
+        mods, self.ring, self._layout = layout.mods, ring, layout
+        self._terms = {i: c % mods[i] for i, c in raw.items() if c % mods[i]}
+
+    def _retag(self, ring: SeriesRing, shift: int = 1) -> "SeriesElement":
+        """This element divided by `shift` in a wider or narrower truncation."""
+        layout = _Layout(ring)
+        size = len(layout.monos)  # later indices have degree >= ring.trunc
+        terms = self._terms.items()
+        return _element(ring, layout, {i: c // shift for i, c in terms if i < size})
 
     def _check(self, other: "SeriesElement"):
         if not isinstance(other, SeriesElement):
             raise TypeError(f"expected SeriesElement, got {type(other).__name__}")
-        if self.ring != other.ring:
+        if other._layout is not self._layout and other.ring != self.ring:
             raise PrecisionMismatch(f"{self.ring} vs {other.ring}")
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        monos = self._layout.monos
+        return MappingProxyType({monos[i]: c for i, c in self._terms.items()})
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            out[exps] = out.get(exps, 0) + c
-        return SeriesElement(self.ring, out)
+        raw = dict(self._terms)
+        for i, c in other._terms.items():
+            raw[i] = raw.get(i, 0) + c
+        return _element(self.ring, self._layout, raw)
 
     def __neg__(self):
-        return SeriesElement(self.ring, {e: -c for e, c in self.coeffs.items()})
+        terms = {i: -c for i, c in self._terms.items()}
+        return _element(self.ring, self._layout, terms)
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            out[exps] = out.get(exps, 0) - c
-        return SeriesElement(self.ring, out)
+        return self + -other
 
     def __mul__(self, other):
         self._check(other)
-        trunc = self.ring.trunc
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if sum(exps) >= trunc:
-                    continue
-                out[exps] = out.get(exps, 0) + c1 * c2
-        return SeriesElement(self.ring, out)
+        return _series_dot((self,), (other,))
+
+    def _valuations(self) -> list:
+        """(degree, p-adic valuation) of each term."""
+        p, trunc, degs = self.ring.p, self.ring.trunc, self._layout.degs
+        return [
+            (degs[i], int_valuation(c, p, trunc - degs[i]))
+            for i, c in self._terms.items()
+        ]
 
     def m_adic_depth(self) -> int:
         """Largest k with the element in m^k, capped at the truncation order."""
-        depth = self.ring.trunc
-        for exps, c in self.coeffs.items():
-            deg = sum(exps)
-            depth = min(depth, deg + int_valuation(c, self.ring.p, self.ring.trunc - deg))
-        return depth
+        return min((d + v for d, v in self._valuations()), default=self.ring.trunc)
 
     def depth(self) -> int:
         return self.m_adic_depth()
 
     def p_content(self) -> int:
         """Minimal coefficient valuation; infinite (capped) for the zero element."""
-        if not self.coeffs:
-            return self.ring.trunc
-        return min(
-            int_valuation(c, self.ring.p, self.ring.trunc - sum(e))
-            for e, c in self.coeffs.items()
-        )
+        return min((v for _, v in self._valuations()), default=self.ring.trunc)
 
     def constant_coefficient(self) -> int:
-        return self.coeffs.get((0,) * self.ring.n_vars, 0)
+        return self._terms.get(0, 0)
 
     def is_unit(self) -> bool:
         return self.constant_coefficient() % self.ring.p != 0
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def inv(self) -> "SeriesElement":
         """Newton iteration; each step doubles the correct m-adic depth."""
@@ -511,20 +550,22 @@ class SeriesElement:
         return x
 
     def sorted_terms(self) -> list:
-        return sorted(self.coeffs.items(), key=lambda item: monomial_key(item[0]))
+        """(exponent tuple, residue) pairs in graded-lex order."""
+        monos = self._layout.monos
+        return [(monos[i], c) for i, c in sorted(self._terms.items())]
 
     def __eq__(self, other):
         return (
             isinstance(other, SeriesElement)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
+            and (other._layout is self._layout or other.ring == self.ring)
+            and self._terms == other._terms
         )
 
     def __hash__(self):
         return hash((self.ring, tuple(self.sorted_terms())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._terms:
             return "SeriesElement(0)"
         parts = []
         for exps, c in self.sorted_terms():
@@ -545,11 +586,35 @@ class SeriesElement:
     @classmethod
     def from_json(cls, ring: SeriesRing, obj) -> "SeriesElement":
         try:
-            if int(obj["p"]) != ring.p or int(obj["n_vars"]) != ring.n_vars or int(
-                obj["trunc"]
-            ) != ring.trunc:
+            header = (int(obj["p"]), int(obj["n_vars"]), int(obj["trunc"]))
+            if header != (ring.p, ring.n_vars, ring.trunc):
                 raise SchemaError(f"series payload {obj!r} does not match {ring}")
-            coeffs = {tuple(int(x) for x in e): int(c) for e, c in obj["coeffs"]}
-        except (KeyError, TypeError, ValueError) as exc:
+            terms = [(tuple(int(x) for x in e), int(c)) for e, c in obj["coeffs"]]
+            if len(dict(terms)) != len(terms):
+                raise SchemaError(f"series payload {obj!r} repeats a monomial")
+            return cls(ring, dict(terms))
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise SchemaError(f"bad series payload {obj!r}: {exc}") from exc
-        return cls(ring, coeffs)
+
+
+def _element(ring: SeriesRing, layout: _Layout, raw: dict) -> SeriesElement:
+    """The element with terms raw (index -> integer), reduced; unchecked."""
+    mods, x = layout.mods, object.__new__(SeriesElement)
+    x.ring, x._layout = ring, layout
+    x._terms = {i: c % mods[i] for i, c in raw.items() if c % mods[i]}
+    return x
+
+
+def _series_dot(xs, ys) -> SeriesElement:
+    """sum(x * y for x, y in zip(xs, ys)) over one ring, unchecked, reduced once."""
+    layout, acc = xs[0]._layout, {}
+    for x, y in zip(xs, ys):
+        right = y._terms.items()
+        for i, c1 in x._terms.items():
+            row = layout[i]
+            size = len(row)
+            for j, c2 in right:
+                if j < size:
+                    k = row[j]
+                    acc[k] = acc.get(k, 0) + c1 * c2
+    return _element(xs[0].ring, layout, acc)

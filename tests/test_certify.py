@@ -637,3 +637,18 @@ def test_quaternion_suite_builds_its_lattice_once(monkeypatch, prec):
     assert quaternion_uniform_suite(2, 3, prec).all_pass
     assert builds == [max(prec, 6)]
     assert exps == [max(prec, 6)] * 3
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_slm_series_suite_inverts_one_conjugator_per_unordered_pair(monkeypatch, m):
+    inverted = []
+    inverse = RingMatrix.inverse
+
+    def counting_inverse(g):
+        inverted.append(g)
+        return inverse(g)
+
+    monkeypatch.setattr(RingMatrix, "inverse", counting_inverse)
+    report = slm_series_suite(m, 1, 1, 3, 3)
+    assert report.all_pass
+    assert len(inverted) == m * (m - 1) // 2

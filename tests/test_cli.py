@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from tamelab import cli
 from tamelab.certify import standard_inertial_certificate
 from tamelab.liealg import _FIXTURE_DIR
+from tamelab.matgrp import RingMatrix
+from tamelab.padic import SeriesRing
 
 
 def run(capsys, *argv):
@@ -206,6 +208,13 @@ def _edit_entry(matrix, **fields):
     matrix["entries"][0].update(fields)
 
 
+def _series_cert(cert, coeffs):
+    """x = y = I over Z_5[[T1, T2]]/m^3, then y's first entry's terms replaced."""
+    ident = RingMatrix.identity(SeriesRing(5, 2, 3), 2).to_json
+    cert.update(x=ident(), y=ident())
+    cert["y"]["entries"][0]["coeffs"] = coeffs
+
+
 # certificate edits whose result must be rejected as a usage/schema error
 _CERT_EDITS = {
     "none": lambda cert: None,
@@ -214,6 +223,12 @@ _CERT_EDITS = {
     "size-0": lambda cert: cert["y"].update(m=0, entries=[]),
     "x-y-rings": lambda cert: cert.update(
         x=standard_inertial_certificate(5, 5, 1, 1).to_json()["x"]
+    ),
+    "series-negative-exponent": lambda cert: _series_cert(
+        cert, [[[0, 0], "1"], [[-1, 2], "1"]]
+    ),
+    "series-repeated-monomial": lambda cert: _series_cert(
+        cert, [[[0, 0], "1"], [[1, 0], "1"], [[1, 0], "2"]]
     ),
 }
 
@@ -250,6 +265,8 @@ _CERT_EDITS = {
           "--limit", "0"], "none"),
         (["pcentral", "--m", "2", "--p", "3", "--prec", "3", "--window", "1",
           "--limit", "-5"], "none"),
+        (["certify", "--cert", "CERT"], "series-negative-exponent"),
+        (["certify", "--cert", "CERT"], "series-repeated-monomial"),
     ],
     ids=["gs-degree-1", "bound-disc-0", "quaternion-square-a", "plan-nonunit-a",
          "certify-entry-p", "certify-entry-prec", "certify-size-0",
@@ -257,7 +274,8 @@ _CERT_EDITS = {
          "pcentral-window-negative", "pcentral-window-0", "pcentral-k-0",
          "plan-k-0", "slm-k-0", "slm-m-1", "slm-m-0", "slm-m-negative",
          "lie-trials-negative", "lie-samples-negative", "pcentral-limit-0",
-         "pcentral-limit-negative"],
+         "pcentral-limit-negative", "certify-series-negative-exponent",
+         "certify-series-repeated-monomial"],
 )
 def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
     if "CERT" in argv:

@@ -28,6 +28,13 @@ GOLDEN = {
     "verify-examples-quaternion-p3-prec6.json": (
         "--json verify-examples --suite quaternion --p 3 --prec 6"
     ),
+    # the two largest series-ring suites of the identity-cli benchmark
+    "verify-examples-slm-p3-m4-k2-nvars2-trunc4.json": (
+        "--json verify-examples --p 3 --suite slm --m 4 --k 2 --nvars 2 --trunc 4"
+    ),
+    "verify-examples-slm-p5-m3-k3-nvars2-trunc5.json": (
+        "--json verify-examples --p 5 --suite slm --m 3 --k 3 --nvars 2 --trunc 5"
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """Scalar and series arithmetic: exactness, special functions, serialization."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,11 +8,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tamelab.errors import DomainError, NonResidue, NonUnit, PrecisionMismatch
+from tamelab.certify import _weight_monomials
+from tamelab.errors import (
+    DomainError,
+    NonResidue,
+    NonUnit,
+    PrecisionMismatch,
+    SchemaError,
+)
 from tamelab.padic import (
     PadicScalar,
     SeriesElement,
     SeriesRing,
+    _Layout,
     _exp_cutoff,
     _log_cutoff,
     _sqrt_mod_prime,
@@ -406,3 +415,231 @@ def test_series_json_graded_lex_order():
     exps = [tuple(e) for e, _ in payload["coeffs"]]
     assert exps == sorted(exps, key=lambda e: (sum(e), e))
     assert SeriesElement.from_json(ring, payload) == x
+
+
+# ---------------------------------------------------------------------------
+# packed series elements against the dict-of-exponent-tuples arithmetic they
+# replaced, kept here as an oracle on (ring, {exps: coeff}) pairs
+
+
+def _oracle_reduce(ring, coeffs):
+    out = {}
+    for exps, c in coeffs.items():
+        deg = sum(exps)
+        if deg >= ring.trunc:
+            continue
+        c %= ring.p ** (ring.trunc - deg)
+        if c:
+            out[tuple(exps)] = c
+    return out
+
+
+def _oracle_add(ring, a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, 0) + c
+    return _oracle_reduce(ring, out)
+
+
+def _oracle_neg(ring, a):
+    return _oracle_reduce(ring, {e: -c for e, c in a.items()})
+
+
+def _oracle_sub(ring, a, b):
+    return _oracle_add(ring, a, _oracle_neg(ring, b))
+
+
+def _oracle_mul(ring, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if sum(exps) < ring.trunc:
+                out[exps] = out.get(exps, 0) + c1 * c2
+    return _oracle_reduce(ring, out)
+
+
+def _oracle_inv(ring, a):
+    zero = (0,) * ring.n_vars
+    x = {zero: pow(a[zero], -1, ring.p**ring.trunc)}
+    depth = 1
+    while depth < ring.trunc:
+        x = _oracle_mul(ring, x, _oracle_sub(ring, {zero: 2}, _oracle_mul(ring, a, x)))
+        depth *= 2
+    assert _oracle_mul(ring, a, x) == {zero: 1}
+    return x
+
+
+def _oracle_m_adic_depth(ring, a):
+    depth = ring.trunc
+    for exps, c in a.items():
+        deg = sum(exps)
+        depth = min(depth, deg + int_valuation(c, ring.p, ring.trunc - deg))
+    return depth
+
+
+def _oracle_p_content(ring, a):
+    if not a:
+        return ring.trunc
+    return min(int_valuation(c, ring.p, ring.trunc - sum(e)) for e, c in a.items())
+
+
+def _oracle_to_json(ring, a):
+    terms = sorted(a.items(), key=lambda item: (sum(item[0]), item[0]))
+    return {
+        "p": ring.p,
+        "n_vars": ring.n_vars,
+        "trunc": ring.trunc,
+        "coeffs": [[list(e), str(c)] for e, c in terms],
+    }
+
+
+def _all_monomials(n_vars, max_degree):
+    return [
+        e
+        for e in itertools.product(range(max_degree + 1), repeat=n_vars)
+        if sum(e) <= max_degree
+    ]
+
+
+@st.composite
+def _series_pair(draw):
+    """A ring and two raw coefficient dicts, each sparse or dense."""
+    ring = SeriesRing(
+        draw(st.sampled_from(PRIMES)), draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    )
+    bound = ring.p ** (ring.trunc + 1)
+    coeff = st.integers(-bound, bound)
+
+    def raw():
+        if draw(st.booleans()):  # dense: every monomial of degree < M
+            monos = _all_monomials(ring.n_vars, ring.trunc - 1)
+            return {e: draw(coeff) for e in monos}
+        exps = st.tuples(*[st.integers(0, ring.trunc)] * ring.n_vars)
+        return draw(st.dictionaries(exps, coeff, max_size=6))
+
+    return ring, raw(), raw()
+
+
+@given(_series_pair())
+def test_packed_series_arithmetic_matches_dict_oracle(case):
+    ring, raw_a, raw_b = case
+    a, b = _oracle_reduce(ring, raw_a), _oracle_reduce(ring, raw_b)
+    x, y = SeriesElement(ring, raw_a), SeriesElement(ring, raw_b)
+    assert x.coeffs == a and y.coeffs == b
+    assert (x + y).coeffs == _oracle_add(ring, a, b)
+    assert (x - y).coeffs == _oracle_sub(ring, a, b)
+    assert (-x).coeffs == _oracle_neg(ring, a)
+    assert (x * y).coeffs == _oracle_mul(ring, a, b)
+    assert x.m_adic_depth() == _oracle_m_adic_depth(ring, a)
+    assert x.p_content() == _oracle_p_content(ring, a)
+    assert x.to_json() == _oracle_to_json(ring, a)
+    assert SeriesElement.from_json(ring, x.to_json()) == x
+    zero = (0,) * ring.n_vars
+    unit = dict(a)
+    unit[zero] = unit.get(zero, 0) * ring.p + 1
+    inv = SeriesElement(ring, unit).inv()
+    assert inv.coeffs == _oracle_inv(ring, _oracle_reduce(ring, unit))
+
+
+@pytest.mark.parametrize("n_vars", [0, 1, 2, 4])
+@pytest.mark.parametrize("trunc", [1, 3, 5])
+def test_layout_is_graded_lex_and_prefix_stable(n_vars, trunc):
+    layout = _Layout(SeriesRing(3, n_vars, trunc))
+    expected = sorted(
+        _all_monomials(n_vars, trunc - 1), key=lambda e: (sum(e), e)
+    )
+    assert layout.monos == expected
+    assert all(layout.index[e] == i for i, e in enumerate(expected))
+    assert layout.mods == [3 ** (trunc - sum(e)) for e in expected]
+    for h in (1, 3):
+        wider = _Layout(SeriesRing(5, n_vars, trunc + h))
+        assert wider.monos[: len(layout.monos)] == layout.monos
+
+
+def test_retag_widens_and_narrows_like_the_coefficient_dicts():
+    rng = random.Random(5)
+    ring, wide = SeriesRing(3, 2, 4), SeriesRing(3, 2, 7)
+    for _ in range(20):
+        raw = {e: rng.randrange(-(3**8), 3**8) for e in _all_monomials(2, 6)}
+        x = SeriesElement(ring, raw)
+        assert x._retag(wide).coeffs == x.coeffs
+        assert x._retag(wide)._retag(ring) == x
+        w = SeriesElement(wide, raw)
+        assert w._retag(ring, 27).coeffs == _oracle_reduce(
+            ring, {e: c // 27 for e, c in w.coeffs.items()}
+        )
+
+
+def test_equal_rings_share_eq_and_hash():
+    first, second = SeriesRing(5, 2, 3), SeriesRing(5, 2, 3)
+    assert first is not second
+    x = SeriesElement(first, {(1, 0): 7, (0, 0): 2})
+    y = SeriesElement(second, {(0, 0): 2, (1, 0): 7})
+    assert x == y and hash(x) == hash(y)
+    # a layout that is not the cached one falls back to comparing the rings
+    y._layout = _Layout.__wrapped__(second)
+    assert x == y and hash(x) == hash(y)
+    assert x + y == x * SeriesElement(first, {(0, 0): 2})
+
+
+@pytest.mark.parametrize(
+    "other", [SeriesRing(5, 2, 4), SeriesRing(7, 2, 3), SeriesRing(5, 1, 3)]
+)
+def test_series_ring_mismatch_raises(other):
+    x = SeriesRing(5, 2, 3).one()
+    y = other.one()
+    assert x != y
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+        with pytest.raises(PrecisionMismatch):
+            op()
+
+
+def test_product_in_a_wide_ring_builds_only_the_rows_it_uses():
+    ring = SeriesRing(3, 60, 3)
+    layout = _Layout(ring)
+    assert len(layout.monos) == 1891
+    x = ring.from_int(2) + ring.variable(0) + ring.variable(59)
+    y = ring.from_int(1) + ring.variable(1) * ring.variable(58) + ring.variable(59)
+    got = x * y
+    assert got.coeffs == _oracle_mul(ring, x.coeffs, y.coeffs)
+    # the layout maps the index of each left factor used so far to its row
+    assert len(layout) <= 4
+    assert sum(map(len, layout.values())) < 3 * len(layout.monos)
+
+
+def test_weight_monomials_come_from_the_layout_in_lex_order():
+    assert len(list(_weight_monomials(SeriesRing(3, 30, 2), 1))) == 31
+    ring = SeriesRing(5, 3, 4)
+    for k in (1, 2, 3):
+        got = [(a0, beta) for a0, beta, _ in _weight_monomials(ring, k)]
+        assert got == [(k - sum(b), b) for b in _all_monomials(3, k)]
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{(-1, 2): 1}, {(1,): 1}, {(1, 0, 0): 1}, {(0, -3): 1, (0, 0): 1}]
+)
+def test_series_constructor_rejects_non_monomials(coeffs):
+    with pytest.raises(DomainError):
+        SeriesElement(SeriesRing(3, 2, 4), coeffs)
+
+
+def test_series_constructor_truncates_high_degrees():
+    ring = SeriesRing(3, 2, 4)
+    assert SeriesElement(ring, {(4, 0): 1, (2, 3): 5}).is_zero()
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[[[-1, 2], "1"]], [[[1, 0], "1"], [[1, 0], "2"]], [[[1], "1"]], [[[0, 0]]]],
+)
+def test_series_from_json_rejects_malformed_terms(coeffs):
+    payload = {"p": 3, "n_vars": 2, "trunc": 4, "coeffs": coeffs}
+    with pytest.raises(SchemaError):
+        SeriesElement.from_json(SeriesRing(3, 2, 4), payload)
+
+
+def test_series_coeffs_view_is_read_only():
+    x = SeriesRing(3, 1, 3).variable(0)
+    with pytest.raises(TypeError):
+        x.coeffs[(0,)] = 1
