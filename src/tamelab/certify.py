@@ -19,7 +19,13 @@ lattice and exponentials once and reduces them to the suite's precision.
 
 Both certificate searches, the exhaustive one in enumerated groups and the
 bounded cyclic-direction one in the quaternion lattice, run one scan on
-flat tuples: y's power table, then the caller's candidates x in order.
+flat tuples.  Since [x, y] = y^h is x y x^-1 = y^(h+1), the scan looks up
+each candidate's conjugate x y x^-1, two multiplies, in y's power table
+shifted by one and restricted to the admissible exponents.  The exhaustive
+search first walks the conjugacy class of y as an orbit under the group's
+generators: a class that misses the table is an exhaustive "no", at
+|class(y)| |generators| conjugations instead of a scan of G; otherwise the
+scan over G in sorted order picks the witness.
 """
 
 from __future__ import annotations
@@ -557,28 +563,33 @@ def _quaternion_coordinates(bracket: RingMatrix, basis, p: int):
 # certificate scans: quaternion directions and enumerated groups
 
 
-def _scan_certificate(y, y_inv, identity, mul, candidates, p, k_max, cap=None):
-    """First (x, hit, k) with [x, y] = y^hit and k = v_p(hit) in [1, k_max].
+def _conjugate_table(y, identity, mul, p, k_max, cap=None):
+    """{y^j: j - 1} over the exponents j - 1 a certificate may carry.
+
+    x y x^-1 = y^j is [x, y] = y^(j-1), so the table keeps y^j for
+    2 <= j < ord(y) with 1 <= v_p(j - 1) <= k_max, and j - 1 <= `cap`.
+    """
+    table = {}
+    acc, hit = mul(y, y), 1
+    while acc != identity:
+        if hit % p == 0 and hit % p ** (k_max + 1):
+            table[acc] = hit
+        if hit == cap:
+            break
+        acc, hit = mul(acc, y), hit + 1
+    return table
+
+
+def _scan_certificate(y, table, mul, candidates):
+    """First (x, hit) with x y x^-1 in `table`, that is [x, y] = y^hit.
 
     Elements are flat tuples multiplied by `mul`; `candidates` yields pairs
-    (x, x^-1) in the caller's order.  y's power table runs through
-    y^1, y^2, ... until the identity, or for at most `cap` entries.
+    (x, x^-1) in the caller's order; `table` is y's `_conjugate_table`.
     """
-    powers = {}
-    acc, e = y, 1
-    while acc != identity:
-        powers[acc] = e
-        if e == cap:
-            break
-        acc, e = mul(acc, y), e + 1
     for x, x_inv in candidates:
-        hit = powers.get(mul(mul(x, y), mul(x_inv, y_inv)))
-        if hit is None:
-            continue
-        # read at most one level past k_max: deeper means out of range
-        k = int_valuation(hit, p, k_max + 1)
-        if 1 <= k <= k_max:
-            return x, hit, k
+        hit = table.get(mul(mul(x, y), x_inv))
+        if hit is not None:
+            return x, hit
     return None
 
 
@@ -587,23 +598,22 @@ def _cyclic_direction_certificate_search(directions, exponent_bound: int):
     ring, m = directions[0].ring, directions[0].m
     ident = RingMatrix.identity(ring, m)._flat
     mul = partial(_mul, m=m, mod=ring.modulus)
-    pairs = [(d._flat, d.inverse()._flat) for d in directions]
+    # g^e and g^-e for 1 <= e < exponent_bound, built one factor at a time
+    # and shared by every y
+    candidates = []
+    for d in directions:
+        g, g_inv = d._flat, d.inverse()._flat
+        base = base_inv = ident
+        for _ in range(1, exponent_bound):
+            base, base_inv = mul(base, g), mul(g_inv, base_inv)
+            candidates.append((base, base_inv))
 
-    def candidates():
-        # g^e and g^-e for 1 <= e < exponent_bound, built one factor at a time
-        for g, g_inv in pairs:
-            base = base_inv = ident
-            for _ in range(1, exponent_bound):
-                base, base_inv = mul(base, g), mul(g_inv, base_inv)
-                yield base, base_inv
-
-    cap = exponent_bound * ring.p
-    for y, (y_t, y_inv) in zip(directions, pairs):
-        found = _scan_certificate(
-            y_t, y_inv, ident, mul, candidates(), ring.p, ring.prec, cap
-        )
+    for y in directions:
+        cap = exponent_bound * ring.p
+        table = _conjugate_table(y._flat, ident, mul, ring.p, ring.prec, cap)
+        found = _scan_certificate(y._flat, table, mul, candidates)
         if found is not None:
-            x, hit, _ = found
+            x, hit = found
             return {"y": y, "x": RingMatrix._packed(ring, m, x), "exponent": hit}
     return None
 
@@ -611,26 +621,33 @@ def _cyclic_direction_certificate_search(directions, exponent_bound: int):
 def brute_search_certificate(
     G: FiniteQuotientGroup, y, k_max: int
 ) -> GroupInertialCertificate | None:
-    """Exhaustive scan over x in G for [x, y] = y^(a p^k), y^(a p^k) != 1.
+    """Exhaustive search over x in G for [x, y] = y^(a p^k), y^(a p^k) != 1.
 
-    Sound and complete at the given modulus: every x is tried against the
-    full nontrivial power table of y.  Torsion-degenerate certificates
-    (exponent annihilating y) are excluded; at finite modulus they exist
-    for every element and carry no information.
+    Sound and complete at the given modulus.  [x, y] = y^h is x y x^-1 =
+    y^(h+1), so a certificate exists exactly when the conjugacy class of y
+    meets y's `_conjugate_table`.  That class is the orbit of y under
+    conjugation by the generators, complete because they generate G (the
+    `FiniteQuotientGroup` invariant): the orbit is closed under each
+    generator, hence under the group they generate, which is all of G.  When
+    the orbit closes without meeting the table the answer is an exhaustive
+    "no", without a scan of G.  Otherwise x runs over G in sorted order and
+    the first x with x y x^-1 in the table is the witness.  Torsion-degenerate
+    certificates (exponent annihilating y) are excluded; at finite modulus
+    they exist for every element and carry no information.
     """
     y_t = y if isinstance(y, tuple) else G.to_tuple(y)
     if y_t == G.identity:
         raise ZeroVector("y must differ from the identity")
     if y_t not in G.elements:
         raise DomainError("y is not an element of the enumerated group")
-    candidates = ((x, G.inv(x)) for x in G.sorted_elements)
     # a valuation is read only up to the group's precision
-    found = _scan_certificate(
-        y_t, G.inv(y_t), G.identity, G.mul, candidates, G.p, min(k_max, G.prec)
-    )
-    if found is None:
+    k_max = min(k_max, G.prec)
+    table = _conjugate_table(y_t, G.identity, G.mul, G.p, k_max)
+    if not table or not any(z in table for z in G.conjugacy_class(y_t)):
         return None
-    x_t, hit, k = found
+    candidates = ((x, G.inv(x)) for x in G.sorted_elements)
+    x_t, hit = _scan_certificate(y_t, table, G.mul, candidates)
+    k = int_valuation(hit, G.p, k_max)
     cert = GroupInertialCertificate(
         G.to_matrix(y_t),
         G.to_matrix(x_t),

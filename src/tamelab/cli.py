@@ -107,7 +107,7 @@ def cmd_verify_examples(args) -> int:
 
 def cmd_pcentral(args) -> int:
     _require_odd_prime(args.p)
-    _require_at_least(1, k=args.k, window=args.window)
+    _require_at_least(1, k=args.k, window=args.window, prec=args.prec)
     if args.limit is not None:
         _require_at_least(1, limit=args.limit)
     if args.window > args.prec - 1:

@@ -74,7 +74,7 @@ class InvalidSignature(DomainError):
 
 
 class SchemaError(TamelabError):
-    """Malformed JSON input."""
+    """Malformed input: a JSON payload, a flag value or an environment setting."""
 
 
 class GuardFailed(TamelabError):

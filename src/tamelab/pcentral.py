@@ -32,6 +32,7 @@ from .errors import (
     LimitExceeded,
     NotPGroup,
     PrecisionMismatch,
+    SchemaError,
     WindowTooLarge,
 )
 from .matgrp import (
@@ -54,9 +55,19 @@ DEFAULT_CLOSURE_LIMIT = 10**6
 
 
 def closure_limit() -> int:
-    """Default element cap; TAMELAB_CLOSURE_LIMIT overrides."""
+    """Default element cap; TAMELAB_CLOSURE_LIMIT, a positive integer, overrides."""
     env = os.environ.get("TAMELAB_CLOSURE_LIMIT")
-    return int(env) if env else DEFAULT_CLOSURE_LIMIT
+    if not env:
+        return DEFAULT_CLOSURE_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise SchemaError(
+            f"TAMELAB_CLOSURE_LIMIT must be a positive integer, got {env!r}"
+        )
+    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +76,13 @@ def closure_limit() -> int:
 
 @dataclass(frozen=True)
 class FiniteQuotientGroup:
-    """A finite p-group of matrices mod p^N with its full element set."""
+    """A finite p-group of matrices mod p^N with its full element set.
+
+    Invariant: `generators` generate `elements`.  `closure`, the only
+    constructor, enumerates `elements` as the subgroup the generators
+    produce, so an orbit under conjugation by the generators is a full
+    conjugacy class, and a normal closure under them is normal in G.
+    """
 
     ring: ScalarRing
     m: int
@@ -97,6 +114,10 @@ class FiniteQuotientGroup:
         """The elements in tuple order, sorted once per group."""
         return tuple(sorted(self.elements))
 
+    @cached_property
+    def generator_inverses(self) -> tuple:
+        return tuple(self.inv(g) for g in self.generators)
+
     def mul(self, a: tuple, b: tuple) -> tuple:
         return _mul(a, b, self.m, self.modulus)
 
@@ -112,6 +133,24 @@ class FiniteQuotientGroup:
 
     def comm(self, a: tuple, b: tuple) -> tuple:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+
+    def conjugacy_class(self, a: tuple):
+        """Yield the conjugates of a, a first, each once.
+
+        A breadth-first orbit under g z g^-1 over the generators g: each
+        conjugate costs two multiplies per generator.  The orbit is closed
+        under the generators, hence (G being finite and generated by them)
+        under all of G, so it is the whole class.
+        """
+        seen = {a}
+        orbit = [a]
+        for z in orbit:  # orbit grows while it is walked
+            yield z
+            for g, g_inv in zip(self.generators, self.generator_inverses):
+                c = self.mul(self.mul(g, z), g_inv)
+                if c not in seen:
+                    seen.add(c)
+                    orbit.append(c)
 
     def element_depth(self, a: tuple) -> int:
         return _depth(a, self.m, _Entries(self.ring))
@@ -169,7 +208,6 @@ class FiniteQuotientGroup:
         closure as a plain subgroup.
         """
         seed = [s for s in dict.fromkeys(seed) if s != self.identity]
-        gen_invs = [self.inv(g) for g in self.generators]
         fresh = seed
         while True:
             sub = self.subgroup_closure(seed, limit)
@@ -177,7 +215,7 @@ class FiniteQuotientGroup:
             # or were added as seeds, so only the fresh ones are conjugated
             new = []
             for s in fresh:
-                for g, ginv in zip(self.generators, gen_invs):
+                for g, ginv in zip(self.generators, self.generator_inverses):
                     t = self.mul(self.mul(g, s), ginv)
                     if t not in sub:
                         new.append(t)

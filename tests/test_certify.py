@@ -528,15 +528,101 @@ def _assert_same_certificates(G, k_max):
     return found_any
 
 
+def _assert_same_certificate(G, y, k_max):
+    """brute_search_certificate gives the oracle's (x, a, k), or None with it."""
+    cert = brute_search_certificate(G, y, k_max=k_max)
+    oracle = _oracle_brute_search_certificate(G, y, k_max)
+    if oracle is None:
+        assert cert is None, y
+        return False
+    x_t, unit, k = oracle
+    assert cert.y == G.to_matrix(y)
+    assert cert.x == G.to_matrix(x_t)
+    assert (cert.a, cert.k) == (PadicScalar(G.p, G.prec, unit), k)
+    return True
+
+
+def _assert_same_certificates(G, k_max):
+    found = [
+        _assert_same_certificate(G, y, k_max)
+        for y in sorted(G.elements)
+        if y != G.identity
+    ]
+    return any(found)
+
+
 def test_brute_search_returns_oracle_certificate_on_criterion_7_groups():
     for G in _criterion_7_groups():
-        _assert_same_certificates(G, 3)
+        for k_max in (1, 2, 3, 5):
+            _assert_same_certificates(G, k_max)
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 3, 5])
 def test_brute_search_returns_oracle_certificate_on_nonabelian_group(k_max):
     # k_max past the precision reads valuations only up to the precision
     assert _assert_same_certificates(_nonabelian_order_81(), k_max)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 5])
+def test_brute_search_returns_oracle_certificate_on_seeded_sl2_mod27(
+    sl2_mod27, k_max
+):
+    G = sl2_mod27
+    ys = random.Random(27).sample(sorted(G.elements - {G.identity}), 40)
+    found = [_assert_same_certificate(G, y, k_max) for y in ys]
+    assert any(found) and not all(found)
+
+
+def _conjugate(G, g, core):
+    return G.mul(G.mul(g, core), G.inv(g))
+
+
+def _split_diagonal(beta, mod):
+    return (beta, 0, 0, pow(beta, -1, mod))
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 5])
+def test_brute_search_returns_oracle_certificate_on_sl2_mod81(sl2_mod81, k_max):
+    # a unipotent (a certificate exists) and two split diagonals (none does),
+    # each conjugated into general position
+    G = sl2_mod81
+    g = G.sorted_elements[5000]
+    cores = [(1, 6, 0, 1), _split_diagonal(4, 81), _split_diagonal(7, 81)]
+    found = [_assert_same_certificate(G, _conjugate(G, g, c), k_max) for c in cores]
+    assert found == [True, False, False]
+
+
+def test_conjugacy_class_is_the_orbit_under_all_of_g(sl2_mod27):
+    G = sl2_mod27
+    for y in random.Random(3).sample(sorted(G.elements), 5):
+        orbit = list(G.conjugacy_class(y))
+        assert orbit[0] == y and len(orbit) == len(set(orbit))
+        assert set(orbit) == {_conjugate(G, x, y) for x in G.elements}
+
+
+def test_brute_search_no_costs_the_orbit_not_the_group(sl2_mod81, monkeypatch):
+    G = sl2_mod81
+    y = _conjugate(G, G.sorted_elements[7000], _split_diagonal(10, 81))
+    size = len({_conjugate(G, x, y) for x in G.elements})
+    order = next(e for e in range(1, G.order + 1) if G.power(y, e) == G.identity)
+    muls, invs = [], []
+    mul, inv = pcentral.FiniteQuotientGroup.mul, pcentral.FiniteQuotientGroup.inv
+
+    def counting_mul(self, a, b):
+        muls.append(1)
+        return mul(self, a, b)
+
+    def counting_inv(self, a):
+        invs.append(1)
+        return inv(self, a)
+
+    monkeypatch.setattr(pcentral.FiniteQuotientGroup, "mul", counting_mul)
+    monkeypatch.setattr(pcentral.FiniteQuotientGroup, "inv", counting_inv)
+    assert brute_search_certificate(G, y, k_max=3) is None
+    # the power table, then two multiplies per conjugate and generator; at
+    # most the generators are inverted
+    assert len(muls) <= order + 2 * size * len(G.generators)
+    assert len(invs) <= len(G.generators)
 
 
 def test_brute_search_sorts_the_group_elements_once(monkeypatch):

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tamelab
 from tamelab import cli
 from tamelab.certify import standard_inertial_certificate
 from tamelab.liealg import _FIXTURE_DIR
@@ -195,6 +200,31 @@ def test_closure_limit_env_override(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "2.5"])
+def test_closure_limit_env_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("TAMELAB_CLOSURE_LIMIT", value)
+    code, out, err = run(
+        capsys, "pcentral", "--m", "2", "--p", "3", "--prec", "4", "--window", "2"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "TAMELAB_CLOSURE_LIMIT" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(tamelab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamelab", "--json", "gs", "--d", "2", "--degrees", "9"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "gs"
+
+
 def test_bound_input_missing_key_is_schema_error(capsys, tmp_path):
     path = tmp_path / "bound.json"
     path.write_text(json.dumps({"r1": 1, "r2": 0}))
@@ -265,6 +295,8 @@ _CERT_EDITS = {
           "--limit", "0"], "none"),
         (["pcentral", "--m", "2", "--p", "3", "--prec", "3", "--window", "1",
           "--limit", "-5"], "none"),
+        (["pcentral", "--m", "2", "--p", "3", "--prec", "0", "--window", "1"], "none"),
+        (["pcentral", "--m", "2", "--p", "3", "--prec", "-2", "--window", "1"], "none"),
         (["certify", "--cert", "CERT"], "series-negative-exponent"),
         (["certify", "--cert", "CERT"], "series-repeated-monomial"),
     ],
@@ -274,7 +306,8 @@ _CERT_EDITS = {
          "pcentral-window-negative", "pcentral-window-0", "pcentral-k-0",
          "plan-k-0", "slm-k-0", "slm-m-1", "slm-m-0", "slm-m-negative",
          "lie-trials-negative", "lie-samples-negative", "pcentral-limit-0",
-         "pcentral-limit-negative", "certify-series-negative-exponent",
+         "pcentral-limit-negative", "pcentral-prec-0", "pcentral-prec-negative",
+         "certify-series-negative-exponent",
          "certify-series-repeated-monomial"],
 )
 def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
@@ -297,7 +330,7 @@ def _flags(**values):
 
 @st.composite
 def _small_argv(draw):
-    """(argv, whether a k < 1 or window < 1 in it must make it a usage error)."""
+    """(argv, whether a k, window or pcentral prec < 1 must make it a usage error)."""
     small = st.integers(-1, 4)
     command = draw(st.sampled_from(["pcentral", "plan", "gs", "bound", "verify-examples"]))
     p = draw(st.one_of(st.sampled_from([3, 5]), st.integers(-1, 9)))
@@ -305,7 +338,7 @@ def _small_argv(draw):
     if command == "pcentral":
         window = draw(st.integers(-1, 3))
         argv = _flags(m=draw(st.integers(-1, 3)), k=k, p=p, prec=prec, window=window)
-        return ["pcentral", *argv, "--limit", "2000"], k < 1 or window < 1
+        return ["pcentral", *argv, "--limit", "2000"], k < 1 or window < 1 or prec < 1
     if command == "plan":
         argv = _flags(a=draw(small), b=draw(small), k=k, p=p, prec=prec)
         return ["plan", *argv], k < 1
