@@ -526,37 +526,25 @@ def quaternion_uniform_suite(a: int, p: int, precision: int) -> SuiteReport:
 
 
 def _quaternion_coordinates(bracket: RingMatrix, basis, p: int):
-    """Solve bracket = c1 A0 + c2 B0 + c3 C0 via disjoint probe entries."""
+    """Solve bracket = c1 A0 + c2 B0 + c3 C0 on packed entries via probes."""
     prec = bracket.ring.prec
-    reduced = [_reduce_matrix(mat, prec) for mat in basis]
-    probes = [(1, 0), (2, 0), (3, 0)]  # A0, B0, C0 are the only ones nonzero there
-    coords = []
-    for idx, (r, c) in enumerate(probes):
-        denom = reduced[idx].rows[r][c]
-        num = bracket.rows[r][c]
-        v = denom.valuation()
-        if denom.is_zero() or num.value % p**v:
+    flats = [tuple(v % p**prec for v in mat._flat) for mat in basis]
+    coords, combo_prec = [], prec
+    # (1,0), (2,0), (3,0): A0, B0, C0 are the only ones nonzero there
+    for flat, i in zip(flats, (4, 8, 12)):
+        denom, num = flat[i], bracket._flat[i]
+        v = int_valuation(denom, p, prec)
+        if denom == 0 or num % p**v:
             return None
-        scaled_prec = prec - v
-        coord = (
-            num.value
-            // p**v
-            * pow(denom.value // p**v, -1, p**scaled_prec)
-            % p**scaled_prec
-        )
-        coords.append(PadicScalar(p, scaled_prec, coord))
+        scaled = p ** (prec - v)
+        coords.append(num // p**v * pow(denom // p**v, -1, scaled) % scaled)
+        combo_prec = min(combo_prec, prec - v)
     # consistency: the combination must reproduce the bracket at that precision
-    combo_prec = min(c_.prec for c_ in coords)
-    lhs = _reduce_matrix(bracket, combo_prec)
-    combo = None
-    for coord, mat in zip(coords, reduced):
-        term = _reduce_matrix(mat, combo_prec).scale(
-            PadicScalar(p, combo_prec, coord.value)
-        )
-        combo = term if combo is None else combo + term
-    if combo != lhs:
-        return None
-    return [c_.value for c_ in coords]
+    low = p**combo_prec
+    for i, b in enumerate(bracket._flat):
+        if (b - sum(c * flat[i] for c, flat in zip(coords, flats))) % low:
+            return None
+    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ seed produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -74,6 +76,7 @@ def _emit(args, command: str, items: list[CheckItem], data: dict, seed=None) -> 
         for key, value in sorted(data.items()):
             print(f"{key}: {value}")
         print(f"elapsed: {time.monotonic() - args._t0:.3f}s")
+    sys.stdout.flush()  # a closed stdout fails here, inside main's handlers
     if any(item.status == "fail" for item in items):
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -309,10 +312,18 @@ def main(argv=None) -> int:
     args._t0 = time.monotonic()
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the unwritten output's flush at exit goes to the null device instead
+        with contextlib.suppress(OSError):  # unless stdout has no descriptor
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        print("error: standard output was closed", file=sys.stderr)
+        return EXIT_RESOURCE
     except (LimitExceeded, WindowTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SchemaError, DomainError, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TamelabError as exc:

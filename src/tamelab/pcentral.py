@@ -6,11 +6,12 @@ Group multiplication, inversion (by the adjugate), powering and depth all
 run on that kernel, and an element tuple is exactly the packed form of
 the matching `RingMatrix`.  This module has no matrix loops of its own.
 
-Every subgroup is enumerated by Dimino's algorithm: each generator that
-is not yet a member extends the subgroup H built so far by whole right
-cosets H r, so each element is made by one multiply and no membership
-test.  The uniformity check counts the cosets of P_(n+2) that the p-th
-powers of P_n hit by labelling each such coset once.
+Every subgroup and normal closure is enumerated by one Dimino loop: each
+queued seed element that is not yet a member extends the subgroup H built
+so far by whole right cosets H r, so each element is made by one multiply
+and no membership test; for a normal closure each kept element queues its
+conjugates under the generators.  The uniformity check counts the cosets
+of P_(n+2) that the p-th powers of P_n hit by labelling each once.
 
 The p-central series is computed level by level: with Y generating P_n and X
 generating G, P_(n+1) is the normal closure of {y^p} union {[x, y]} over
@@ -134,20 +135,25 @@ class FiniteQuotientGroup:
     def comm(self, a: tuple, b: tuple) -> tuple:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
 
+    def _conjugates(self, z: tuple) -> list:
+        """g z g^-1 over the generators g: two multiplies each."""
+        return [
+            self.mul(self.mul(g, z), g_inv)
+            for g, g_inv in zip(self.generators, self.generator_inverses)
+        ]
+
     def conjugacy_class(self, a: tuple):
         """Yield the conjugates of a, a first, each once.
 
-        A breadth-first orbit under g z g^-1 over the generators g: each
-        conjugate costs two multiplies per generator.  The orbit is closed
-        under the generators, hence (G being finite and generated by them)
-        under all of G, so it is the whole class.
+        A breadth-first orbit under the generator conjugations.  The orbit
+        is closed under the generators, hence (G being finite and generated
+        by them) under all of G, so it is the whole class.
         """
         seen = {a}
         orbit = [a]
         for z in orbit:  # orbit grows while it is walked
             yield z
-            for g, g_inv in zip(self.generators, self.generator_inverses):
-                c = self.mul(self.mul(g, z), g_inv)
+            for c in self._conjugates(z):
                 if c not in seen:
                     seen.add(c)
                     orbit.append(c)
@@ -164,24 +170,33 @@ class FiniteQuotientGroup:
             raise PrecisionMismatch("matrix ring differs from group ring")
         return g._flat
 
-    def subgroup_closure(self, seed, limit: int | None = None) -> frozenset:
-        """Elements generated by `seed`, by Dimino's coset extension.
+    def _dimino(self, seed, limit: int | None, normal: bool):
+        """(elements, kept): the closure of `seed` by Dimino's coset extension.
 
-        A seed element s outside the subgroup H built so far is kept, and
-        <H, s> is filled in by whole right cosets H r: each costs |H|
-        multiplies and no membership tests.  New representatives come from
-        r g over the representatives r and the kept generators g; the union
-        is closed under right multiplication by them, so (being finite) it
-        is the group.  Seed elements already in H are skipped.
+        The seed queue is walked in order; an element s outside the subgroup
+        H built so far is kept, and <H, s> is filled in by whole right cosets
+        H r, each costing |H| multiplies and no membership tests.  New
+        representatives r g come from the representatives r and the kept g;
+        the union is closed under right multiplication by them, so (being
+        finite) it is the group.  Each kept element multiplies the order by
+        at least p, so at most log_p |result| are kept.  With `normal`, each
+        kept element's generator conjugates join the queue: the result N is
+        generated by the kept elements and holds their generator conjugates,
+        so g N g^-1 <= N for the generators g, which generate G.  N is thus
+        normal, and it lies in every normal subgroup holding the seed.
+        `limit` defaults to |G|, which no subgroup exceeds.
         """
-        limit = closure_limit() if limit is None else limit
+        limit = self.order if limit is None else limit
         elements = [self.identity]
         members = set(elements)
         kept = []
-        for s in seed:
+        queue = list(seed)
+        for s in queue:  # with `normal`, queue grows while it is walked
             if s in members:
                 continue
             kept.append(s)
+            if normal:
+                queue.extend(self._conjugates(s))
             sub = elements[:]
             reps = []
 
@@ -199,30 +214,18 @@ class FiniteQuotientGroup:
                     t = self.mul(r, g)
                     if t not in members:
                         add_coset(t)
-        return frozenset(members)
+        return frozenset(members), kept
+
+    def subgroup_closure(self, seed, limit: int | None = None) -> frozenset:
+        """Elements generated by `seed` (see `_dimino`); `limit` defaults to |G|."""
+        return self._dimino(seed, limit, normal=False)[0]
 
     def normal_closure(self, seed, limit: int | None = None):
-        """Normal closure of `seed` under the group generators.
+        """(elements, generating set) of the normal closure of `seed` in G.
 
-        Returns (elements, generating set); the set returned generates the
-        closure as a plain subgroup.
+        The set is the kept elements of `_dimino`, at most log_p |elements|.
         """
-        seed = [s for s in dict.fromkeys(seed) if s != self.identity]
-        fresh = seed
-        while True:
-            sub = self.subgroup_closure(seed, limit)
-            # conjugates of earlier rounds' seeds lie in the earlier closure
-            # or were added as seeds, so only the fresh ones are conjugated
-            new = []
-            for s in fresh:
-                for g, ginv in zip(self.generators, self.generator_inverses):
-                    t = self.mul(self.mul(g, s), ginv)
-                    if t not in sub:
-                        new.append(t)
-            if not new:
-                return sub, seed
-            fresh = list(dict.fromkeys(new))
-            seed = seed + fresh
+        return self._dimino(seed, limit, normal=True)
 
 
 def _p_log(n: int, p: int, what: str) -> int:
@@ -298,12 +301,9 @@ def pcentral_series(G: FiniteQuotientGroup, limit: int | None = None) -> PCentra
     levels = [G.elements]
     level_gens = [list(G.generators)]
     while len(levels[-1]) > 1:
-        seed = []
-        for y in level_gens[-1]:
-            seed.append(G.power(y, G.p))
-        for x in G.generators:
-            for y in level_gens[-1]:
-                seed.append(G.comm(x, y))
+        ys = level_gens[-1]
+        seed = [G.power(y, G.p) for y in ys]
+        seed += [G.comm(x, y) for x in G.generators for y in ys]
         nxt, gens = G.normal_closure(seed, limit)
         if len(nxt) >= len(levels[-1]):
             raise NotPGroup("p-central series failed to descend")

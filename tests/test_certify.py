@@ -315,6 +315,83 @@ def test_quaternion_structure_constants_match_matrix_brackets():
     assert coords("yz")[0] % mod == (-2 * a * p) % mod
 
 
+def _oracle_quaternion_coordinates(bracket, basis, p):
+    """The PadicScalar path: probe entries as views, the check as matrices."""
+    prec = bracket.ring.prec
+    reduced = [pcentral._reduce_matrix(mat, prec) for mat in basis]
+    probes = [(1, 0), (2, 0), (3, 0)]
+    coords = []
+    for idx, (r, c) in enumerate(probes):
+        denom = reduced[idx].rows[r][c]
+        num = bracket.rows[r][c]
+        v = denom.valuation()
+        if denom.is_zero() or num.value % p**v:
+            return None
+        scaled_prec = prec - v
+        coord = (
+            num.value
+            // p**v
+            * pow(denom.value // p**v, -1, p**scaled_prec)
+            % p**scaled_prec
+        )
+        coords.append(PadicScalar(p, scaled_prec, coord))
+    combo_prec = min(c_.prec for c_ in coords)
+    lhs = pcentral._reduce_matrix(bracket, combo_prec)
+    combo = None
+    for coord, mat in zip(coords, reduced):
+        term = pcentral._reduce_matrix(mat, combo_prec).scale(
+            PadicScalar(p, combo_prec, coord.value)
+        )
+        combo = term if combo is None else combo + term
+    if combo != lhs:
+        return None
+    return [c_.value for c_ in coords]
+
+
+def _suite_brackets(p, precision):
+    """(bracket, basis) for x, y, z as `quaternion_uniform_suite` builds them."""
+    wring = ScalarRing(p, max(precision, 6))
+    mats = quaternion_matrices(wring, first_nonresidue(p))
+    wa, wb = mats["A"], mats["B"]
+    basis = tuple(g.scale(wring.from_int(p)) for g in (wa, wb, wa * wb))
+    x, y, z = (mat_exp(g) for g in basis)
+    pairs = ((x, y), (x, z), (y, z))
+    return [(pcentral.dictionary_bracket(g, h).matrix, basis) for g, h in pairs]
+
+
+def _with_entry(matrix, index, value):
+    flat = list(matrix._flat)
+    flat[index] = value % matrix.ring.modulus
+    return RingMatrix._packed(matrix.ring, matrix.m, tuple(flat))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("precision", [4, 5, 6, 7])
+def test_quaternion_coordinates_match_padic_scalar_oracle(p, precision):
+    solve = certify._quaternion_coordinates
+    for bracket, basis in _suite_brackets(p, precision):
+        coords = solve(bracket, basis, p)
+        assert coords is not None
+        assert coords == _oracle_quaternion_coordinates(bracket, basis, p)
+        prec = bracket.ring.prec
+        # each None path: a probe entry the denominator's valuation does not
+        # divide, a mismatch off the probes, a zero denominator (B0 at (1, 0))
+        for bad, bad_basis in (
+            (_with_entry(bracket, 4, 1), basis),
+            (_with_entry(bracket, 0, bracket._flat[0] + 1), basis),
+            (bracket, (basis[1], basis[0], basis[2])),
+        ):
+            assert solve(bad, bad_basis, p) is None
+            assert _oracle_quaternion_coordinates(bad, bad_basis, p) is None
+        # every entry moved by every power of p below the precision
+        for i in range(16):
+            for j in range(prec):
+                moved = _with_entry(bracket, i, bracket._flat[i] + p**j)
+                assert solve(moved, basis, p) == _oracle_quaternion_coordinates(
+                    moved, basis, p
+                )
+
+
 # ---------------------------------------------------------------------------
 # exhaustive searches
 

@@ -211,18 +211,35 @@ def test_closure_limit_env_must_be_a_positive_integer(capsys, monkeypatch, value
     assert err.startswith("error: ") and "TAMELAB_CLOSURE_LIMIT" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_module(**kwargs):
+    """`python -m tamelab --json gs --d 2 --degrees 9` in a child process."""
     src = str(Path(tamelab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "tamelab", "--json", "gs", "--d", "2", "--degrees", "9"],
-        capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
+        **kwargs,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_module(capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "gs"
+
+
+def test_closed_stdout_exits_with_resource_code():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: every write fails
+    try:
+        proc = _run_module(stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_bound_input_missing_key_is_schema_error(capsys, tmp_path):
@@ -299,6 +316,11 @@ _CERT_EDITS = {
         (["pcentral", "--m", "2", "--p", "3", "--prec", "-2", "--window", "1"], "none"),
         (["certify", "--cert", "CERT"], "series-negative-exponent"),
         (["certify", "--cert", "CERT"], "series-repeated-monomial"),
+        (["lie", "--input", "DIR", "--seed", "0"], "none"),
+        (["certify", "--cert", "DIR"], "none"),
+        (["plan", "--a", "1", "--b", "1", "--k", "1", "--p", "5", "--prec", "4",
+          "--cert", "DIR"], "none"),
+        (["bound", "--input", "DIR"], "none"),
     ],
     ids=["gs-degree-1", "bound-disc-0", "quaternion-square-a", "plan-nonunit-a",
          "certify-entry-p", "certify-entry-prec", "certify-size-0",
@@ -308,7 +330,8 @@ _CERT_EDITS = {
          "lie-trials-negative", "lie-samples-negative", "pcentral-limit-0",
          "pcentral-limit-negative", "pcentral-prec-0", "pcentral-prec-negative",
          "certify-series-negative-exponent",
-         "certify-series-repeated-monomial"],
+         "certify-series-repeated-monomial", "lie-input-dir", "certify-cert-dir",
+         "plan-cert-dir", "bound-input-dir"],
 )
 def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
     if "CERT" in argv:
@@ -318,6 +341,7 @@ def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(cert))
         argv = [str(path) if arg == "CERT" else arg for arg in argv]
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

@@ -238,7 +238,7 @@ def _oracle_normal_closure(G, seed):
                 if t not in sub:
                     new.append(t)
         if not new:
-            return sub, seed
+            return sub
         seed.extend(dict.fromkeys(new))
 
 
@@ -305,6 +305,17 @@ def test_closure_matches_breadth_first_oracle(name):
     assert G.subgroup_closure(seed) == G.elements
 
 
+def _check_normal_closure(G, seed):
+    """normal_closure(seed) against the oracle; returns it."""
+    elements, gens = G.normal_closure(seed)
+    assert elements == _oracle_normal_closure(G, seed)
+    # the returned kept elements generate the closure, each one raising the
+    # order by at least p
+    assert G.subgroup_closure(gens) == elements
+    assert len(gens) <= _p_log(len(elements), G.p, "order")
+    return elements, gens
+
+
 @pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
 def test_pcentral_levels_match_oracle_normal_closures(name):
     G = _oracle_group(name)
@@ -314,8 +325,7 @@ def test_pcentral_levels_match_oracle_normal_closures(name):
     ):
         seed = [G.power(y, G.p) for y in gens]
         seed += [G.comm(x, y) for x in G.generators for y in gens]
-        oracle = _oracle_normal_closure(G, seed)
-        assert G.normal_closure(seed) == oracle == (nxt, nxt_gens)
+        assert _check_normal_closure(G, seed) == (nxt, nxt_gens)
 
 
 def test_normal_closure_of_single_elements_matches_oracle(sl2_mod81):
@@ -323,11 +333,41 @@ def test_normal_closure_of_single_elements_matches_oracle(sl2_mod81):
     rng = random.Random(5)
     elements = sorted(G.elements)
     for _ in range(6):
-        seed = [elements[rng.randrange(len(elements))]]
-        assert G.normal_closure(seed) == _oracle_normal_closure(G, seed)
+        _check_normal_closure(G, [elements[rng.randrange(len(elements))]])
     semi = _oracle_group("semidirect")
     for a in sorted(semi.elements)[:12]:
-        assert semi.normal_closure([a]) == _oracle_normal_closure(semi, [a])
+        _check_normal_closure(semi, [a])
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
+def test_level_generating_sets_have_at_most_log_p_elements(name):
+    G = _oracle_group(name)
+    chain = pcentral_series(G)
+    for gens, level in zip(chain.level_gens, chain.levels):
+        assert len(gens) <= _p_log(len(level), G.p, "order")
+
+
+def test_enumerated_closures_ignore_the_env_cap(sl2_mod81, monkeypatch):
+    # closures inside an enumerated G are bounded by |G|, not by the cap that
+    # only governs the enumeration of G itself
+    chain = pcentral_series(sl2_mod81)
+    report = uniformity_check(sl2_mod81, 2)
+    monkeypatch.setenv("TAMELAB_CLOSURE_LIMIT", "10")
+    assert pcentral_series(sl2_mod81) == chain
+    assert uniformity_check(sl2_mod81, 2) == report
+
+
+def test_closures_of_seeds_outside_a_smaller_group_exceed_its_order(sl2_mod81):
+    ring = ScalarRing(3, 4)
+    H = closure([unipotent(ring, 3)])
+    assert H.order == 27
+    seed = sl2_mod81.generators
+    with pytest.raises(LimitExceeded, match="past 27"):
+        H.subgroup_closure(seed)
+    with pytest.raises(LimitExceeded, match="past 27"):
+        H.normal_closure(seed)
+    # an explicit limit still overrides the default bound
+    assert H.subgroup_closure(seed, 3**9) == sl2_mod81.elements
 
 
 @pytest.fixture(scope="module")
