@@ -2,7 +2,8 @@
 
 Each golden file is the stdout of `tamelab <argv>` for the argv listed
 below.  Regenerate one only for an intended change of output, with
-`PYTHONPATH=src python -m tamelab.cli <argv> > tests/golden/<name>`.
+`PYTHONPATH=src python -m tamelab.cli <argv> > tests/golden/<name>`, run
+from the repository root.
 """
 
 from pathlib import Path
@@ -11,7 +12,11 @@ import pytest
 
 from tamelab import cli
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
+LIE_FIXTURES = (
+    "abelian2", "quaternion_a2_p3", "quaternion_a2_p5", "sl2", "sl3", "sl4", "solvable2",
+)
 
 GOLDEN = {
     "verify-examples-all-p3.json": "--json verify-examples --suite all --p 3",
@@ -35,6 +40,13 @@ GOLDEN = {
     "verify-examples-slm-p5-m3-k3-nvars2-trunc5.json": (
         "--json verify-examples --p 5 --suite slm --m 3 --k 3 --nvars 2 --trunc 5"
     ),
+    # the payload echoes argv, so these run from the repository root
+    **{
+        f"lie-{name}-seed0.json": (
+            f"--json lie --input src/tamelab/fixtures/{name}.json --seed 0"
+        )
+        for name in LIE_FIXTURES
+    },
 }
 
 
@@ -43,7 +55,8 @@ def test_every_golden_file_has_a_command():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_json_output_matches_golden(capsys, name):
+def test_json_output_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.chdir(REPO_ROOT)
     code = cli.main(GOLDEN[name].split())
     out = capsys.readouterr().out
     assert code == 0
