@@ -8,15 +8,19 @@ verdicts.  Universal toral-ness is not decidable by sampling, so sampled
 all-pass results are reported as evidence, never upgraded to certainty;
 the only exact toral verdict is the abelian case.
 
-`SpanTracker` is the one exact elimination kernel, a reduced echelon basis
-over Q or F_p; rref, solve, nullspace, minimal polynomials (one Krylov
-pass) and the F_p rank of `certify` all run on it.
+Work over Q runs on ints: a sparse integer structure-constant table, and
+`SpanTracker`, the one exact elimination kernel, fraction-free over Q or
+over F_p, behind rref, solve, nullspace, minimal polynomials (one Krylov
+pass) and the F_p rank of `certify`.  `Fraction`s are made only where a
+result leaves the kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,40 +42,38 @@ def _vec(values) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-def _zero_vec(d: int) -> Vector:
-    return (Fraction(0),) * d
+def _numerators(v) -> tuple[list, int]:
+    """(nums, den) with v = nums / den: integer numerators over a common denominator."""
+    den = math.lcm(*(x.denominator for x in v))
+    if den == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (den // x.denominator) for x in v], den
 
 
-def _vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+def _eliminate(v: list, row: list, c: int) -> list:
+    """(a*v - b*row) / content with a > 0 clearing column c; row[c] > 0."""
+    g = math.gcd(v[c], row[c])
+    a, b = row[c] // g, v[c] // g
+    if a == 1:
+        w = [x - b * y if y else x for x, y in zip(v, row)]
+    else:
+        w = [a * x - b * y if y else a * x for x, y in zip(v, row)]
+    g = math.gcd(*w)
+    return w if g < 2 else [x // g for x in w]
 
 
-def _vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_scale(c, u: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
-def _is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
-
-
-def _sub_multiple(u: list, f, row: list, p) -> list:
-    """u - f * row, entrywise, skipping the zero entries of row."""
-    if p is None:
-        return [x - f * y if y else x for x, y in zip(u, row)]
+def _sub_multiple(u: list, f, row: list, p: int) -> list:
+    """u - f * row over F_p, entrywise, skipping the zero entries of row."""
     return [(x - f * y) % p if y else x for x, y in zip(u, row)]
 
 
 class SpanTracker:
     """Row space in reduced row echelon form, over Q or, given a prime p, F_p.
 
-    This is the package's one elimination routine.  rows[i] has a 1 in
-    column pivots[i] and a 0 in every other pivot column; rows stay in
-    insertion order.  Over F_p the entries are ints in [0, p).
+    This is the package's one elimination routine.  rows stay in insertion
+    order; rows[i] is 0 in every pivot column but pivots[i].  Over F_p its
+    entries are in [0, p) with a 1 at the pivot; over Q it is a primitive
+    integer row with a positive pivot, to be divided by it.
     """
 
     def __init__(self, dim: int, p: int | None = None):
@@ -81,9 +83,17 @@ class SpanTracker:
         self.pivots: list = []
 
     def _reduce(self, v) -> list:
-        """v minus the combination of stored rows that clears every pivot column."""
+        """v minus the combination of stored rows that clears every pivot column.
+
+        v holds ints; over Q the result is known up to a positive factor.
+        """
         p = self.p
-        v = [Fraction(x) for x in v] if p is None else [x % p for x in v]
+        if p is None:
+            for row, c in zip(self.rows, self.pivots):
+                if v[c]:
+                    v = _eliminate(v, row, c)
+            return v
+        v = [x % p for x in v]
         for row, c in zip(self.rows, self.pivots):
             if v[c]:
                 v = _sub_multiple(v, v[c], row, p)
@@ -95,25 +105,29 @@ class SpanTracker:
         if c is None:
             return False
         p = self.p
-        if v[c] != 1 and p is None:
-            inv = 1 / v[c]
-            v = [inv * x if x else x for x in v]
-        elif v[c] != 1:
-            inv = pow(v[c], -1, p)
-            v = [inv * x % p for x in v]
-        for i, row in enumerate(self.rows):
-            if row[c]:
-                self.rows[i] = _sub_multiple(row, row[c], v, p)
+        if p is None:
+            g = math.gcd(*v) if v[c] > 0 else -math.gcd(*v)
+            v = [x // g for x in v]
+            for i, row in enumerate(self.rows):
+                if row[c]:
+                    self.rows[i] = _eliminate(row, v, c)
+        else:
+            if v[c] != 1:
+                inv = pow(v[c], -1, p)
+                v = [inv * x % p for x in v]
+            for i, row in enumerate(self.rows):
+                if row[c]:
+                    self.rows[i] = _sub_multiple(row, row[c], v, p)
         self.rows.append(v)
         self.pivots.append(c)
         return True
 
     def contains(self, v: Vector) -> bool:
-        return not any(self._reduce(v))
+        return not any(self._reduce(_numerators(v)[0]))
 
     def add(self, v: Vector) -> bool:
         """Insert v; True when it enlarged the span."""
-        return self._insert(self._reduce(v))
+        return self._insert(self._reduce(_numerators(v)[0]))
 
     @property
     def rank(self) -> int:
@@ -124,32 +138,36 @@ class SpanTracker:
         return len(self.rows) == self.dim
 
 
+def _echelon(rows) -> tuple[list, list]:
+    """Fraction-free reduced echelon form over Q: (integer rows, pivots) by pivot."""
+    tracker = SpanTracker(len(rows[0]) if rows else 0)
+    for row in rows:
+        tracker._insert(tracker._reduce(_numerators(row)[0]))
+    order = sorted(range(tracker.rank), key=tracker.pivots.__getitem__)
+    return [tracker.rows[i] for i in order], [tracker.pivots[i] for i in order]
+
+
 def rref(rows) -> tuple[list, list]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    if not rows:
-        return [], []
-    tracker = SpanTracker(len(rows[0]))
-    for row in rows:
-        tracker._insert(tracker._reduce(row))
-    order = sorted(range(tracker.rank), key=tracker.pivots.__getitem__)
-    return [tuple(tracker.rows[i]) for i in order], [tracker.pivots[i] for i in order]
+    ints, pivots = _echelon(rows)
+    return [
+        tuple(Fraction(x, row[c]) for x in row) for row, c in zip(ints, pivots)
+    ], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def solve(a_rows, b: Vector):
     """One solution of A x = b, or None; free variables are set to zero."""
-    n = len(b)
     ncols = len(a_rows[0]) if a_rows else 0
-    aug = [list(a_rows[i]) + [b[i]] for i in range(n)]
-    reduced, pivots = rref(aug)
+    ints, pivots = _echelon([[*row, bi] for row, bi in zip(a_rows, b)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for row, c in zip(reduced, pivots):
-        x[c] = row[-1]
+    for row, c in zip(ints, pivots):
+        x[c] = Fraction(row[-1], row[c])
     return tuple(x)
 
 
@@ -158,14 +176,14 @@ def nullspace(a_rows) -> list:
     if not a_rows:
         return []
     ncols = len(a_rows[0])
-    reduced, pivots = rref(a_rows)
+    ints, pivots = _echelon(a_rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for row, c in zip(reduced, pivots):
-            v[c] = -row[f]
+        for row, c in zip(ints, pivots):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
     return basis
 
@@ -183,27 +201,6 @@ def _poly_derivative(p: list) -> list:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _poly_mod(a: list, b: list) -> list:
-    a = list(a)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a: list, b: list) -> list:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def _poly_eval(p: list, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -211,16 +208,10 @@ def _poly_eval(p: list, x: Fraction) -> Fraction:
     return acc
 
 
-def _divisors(n: int) -> list:
+def _divisors(n: int) -> set:
     n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return {*small, *(n // d for d in small)}
 
 
 _ROOT_SEARCH_BOUND = 10**9
@@ -228,58 +219,66 @@ _ROOT_SEARCH_BOUND = 10**9
 
 def rational_roots(poly: list) -> list:
     """All rational roots of a polynomial over Q (rational root theorem)."""
-    poly = _poly_trim(list(map(Fraction, poly)))
-    if not poly:
-        return []
-    roots = []
-    low = 0
-    while poly[low] == 0:
-        roots.append(Fraction(0))
-        low += 1
-    poly = poly[low:]
-    if len(poly) <= 1:
-        return sorted(set(roots))
-    denom = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * denom) for c in poly]
-    a0, an = ints[0], ints[-1]
-    if abs(a0) > _ROOT_SEARCH_BOUND or abs(an) > _ROOT_SEARCH_BOUND:
-        return sorted(set(roots))
-    for num in _divisors(a0):
-        for den in _divisors(an):
+    ints = _poly_trim(_numerators(list(map(Fraction, poly)))[0])
+    low = next((i for i, c in enumerate(ints) if c), 0)
+    roots = {Fraction(0)} if low else set()
+    ints = ints[low:]
+    if len(ints) > 1 and max(abs(ints[0]), abs(ints[-1])) <= _ROOT_SEARCH_BOUND:
+        for num, den in itertools.product(_divisors(ints[0]), _divisors(ints[-1])):
             for cand in (Fraction(num, den), Fraction(-num, den)):
-                if _poly_eval(poly, cand) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+                if _poly_eval(ints, cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _row_times(row: list, sparse_rows: list) -> list:
+    """The integer row times a matrix given as each row's nonzero (column, entry)."""
+    out = [0] * len(row)
+    for x, entries in zip(row, sparse_rows):
+        if x:
+            for c, b in entries:
+                out[c] += x * b
+    return out
 
 
 def minimal_polynomial(mat: Matrix) -> list:
     """Monic minimal polynomial of a square matrix, low degree first.
 
-    One Krylov pass: the flattened powers I, A, A^2, ... are reduced in turn
-    against the earlier ones, each tagged by a unit vector in d + 1 extra
-    columns.  The first power whose matrix part reduces to zero carries the
-    monic relation in its tag columns.
+    One Krylov pass on N = D * mat, D the entries' common denominator: the
+    flattened powers I, N, N^2, ... are reduced in turn against the earlier
+    ones, each tagged by a unit vector in d + 1 extra columns.  The first
+    power whose matrix part reduces to zero carries a relation sum c_i N^i
+    = 0 in its tag columns; mat's coefficients are c_i D^i, made monic.
     """
     d = len(mat)
     size = d * d
+    nums, den = _numerators([x for row in mat for x in row])
+    sparse_rows = [
+        [(c, b) for c, b in enumerate(nums[r * d : r * d + d]) if b] for r in range(d)
+    ]
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
     tracker = SpanTracker(size + d + 1)
-    columns = [[(t, b) for t, b in enumerate(col) if b] for col in zip(*mat)]
-    power = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     for k in range(d + 1):
         tags = [int(j == k) for j in range(d + 1)]
         v = tracker._reduce([x for row in power for x in row] + tags)
         if not any(v[:size]):
-            return v[size : size + k + 1]
+            lead = v[size + k] * den**k
+            return [Fraction(v[size + i] * den**i, lead) for i in range(k + 1)]
         tracker._insert(v)
-        power = [
-            [sum(row[t] * b for t, b in col if row[t]) for col in columns]
-            for row in power
-        ]
+        power = [_row_times(row, sparse_rows) for row in power]
     raise GuardFailed("minimal polynomial degree exceeds the dimension")
 
 
 def is_squarefree(poly: list) -> bool:
-    return len(_poly_gcd(poly, _poly_derivative(list(poly)))) <= 1
+    """gcd(f, f') = 1, i.e. the Sylvester matrix of f and f' has full rank."""
+    f = _poly_trim(list(poly))
+    df = _poly_derivative(f)
+    n, m = len(f) - 1, len(df) - 1
+    if m < 1:
+        return True
+    rows = [[0] * i + f + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + df + [0] * (n - 1 - i) for i in range(n)]
+    return rank(rows) == n + m
 
 
 # ---------------------------------------------------------------------------
@@ -288,70 +287,95 @@ def is_squarefree(poly: list) -> bool:
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure constants table[i][j] = [e_i, e_j] as coordinate vectors."""
+    """table[i]: the sorted (c, t, k), k != 0, with [e_i, e_c] = sum k / den * e_t.
+
+    den is the constants' least common denominator, so equal algebras have
+    equal fields.
+    """
 
     dim: int
     table: tuple
+    den: int
     field: str = "Q"
     name: str = ""
 
     @classmethod
     def from_brackets(cls, dim, brackets: dict, field="Q", name="") -> "LieAlgebra":
         """Build from {(i, j): coeffs} for i < j; antisymmetry is filled in."""
-        table = [[_zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
+        if dim < 1:
+            raise DomainError(f"dimension must be at least 1, got {dim}")
+        vectors = {}
         for (i, j), coeffs in brackets.items():
             if not 0 <= i < j < dim:
                 raise DomainError(f"bracket indices ({i}, {j}) out of range")
             v = _vec(coeffs)
             if len(v) != dim:
                 raise DomainError(f"bracket ({i}, {j}) has wrong length")
-            table[i][j] = v
-            table[j][i] = _vec_scale(-1, v)
-        return cls(dim, tuple(tuple(r) for r in table), field, name)
+            vectors[i, j] = v
+        den = math.lcm(*(x.denominator for v in vectors.values() for x in v))
+        table = [[] for _ in range(dim)]
+        for (i, j), v in vectors.items():
+            for t, x in enumerate(v):
+                if x:
+                    k = x.numerator * (den // x.denominator)
+                    table[i].append((j, t, k))
+                    table[j].append((i, t, -k))
+        return cls(dim, tuple(tuple(sorted(r)) for r in table), den, field, name)
+
+    def _ad_numerators(self, x: list) -> list:
+        """Integer N with ad_x = N / den (column c is den [x, e_c]), for integer x."""
+        out = [[0] * self.dim for _ in range(self.dim)]
+        for i, xi in enumerate(x):
+            if xi:
+                for c, t, k in self.table[i]:
+                    out[t][c] += xi * k
+        return out
+
+    def _bracket_numerators(self, u: list, v: list) -> list:
+        """Integer w with [u, v] = w / den, for integer vectors u and v."""
+        return [sum(map(operator.mul, row, v)) for row in self._ad_numerators(u)]
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        out = list(_zero_vec(self.dim))
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                w = self.table[i][j]
-                c = ui * vj
-                for t, wt in enumerate(w):
-                    if wt != 0:
-                        out[t] += c * wt
-        return tuple(out)
+        (nu, du), (nv, dv) = _numerators(u), _numerators(v)
+        den = du * dv * self.den
+        return tuple(Fraction(w, den) for w in self._bracket_numerators(nu, nv))
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of ad_x: y -> [x, y]; column c is [x, e_c]."""
-        cols = [self.bracket(x, self.basis_vector(c)) for c in range(self.dim)]
-        return tuple(zip(*cols))
+        nums, den = _numerators(x)
+        rows = self._ad_numerators(nums)
+        return tuple(tuple(Fraction(n, den * self.den) for n in row) for row in rows)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
     def to_json(self) -> dict:
-        brackets = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if not _is_zero(self.table[i][j]):
-                    brackets.append([i, j, [str(c) for c in self.table[i][j]]])
+        brackets = [
+            [i, j, [str(Fraction(k, self.den)) for k in w]]
+            for (i, j), w in _brackets(self).items()
+        ]
         return {"dim": self.dim, "field": self.field, "brackets": brackets}
 
     @classmethod
     def from_json(cls, obj, name="") -> "LieAlgebra":
         try:
-            dim = int(obj["dim"])
+            dim, brackets = obj["dim"], {}
+            for i, j, coeffs in obj["brackets"]:
+                if (i, j) in brackets:
+                    raise SchemaError(f"bracket ({i}, {j}) is listed twice")
+                brackets[i, j] = list(coeffs)
+            # bool is an int subclass, and int() would truncate a float
+            if any(type(n) is not int for n in (dim, *itertools.chain(*brackets))):
+                raise SchemaError("dim and bracket indices must be integers")
+            if any(type(c) is bool for v in brackets.values() for c in v):
+                raise SchemaError("coefficients must be numbers or strings")
+            if dim < 1:
+                raise SchemaError(f"dim must be at least 1, got {dim}")
             field_desc = obj.get("field", "Q")
             if field_desc != "Q":
                 raise SchemaError(f"unsupported field {field_desc!r}; only Q is exact")
-            brackets = {
-                (int(i), int(j)): [Fraction(c) for c in coeffs]
-                for i, j, coeffs in obj["brackets"]
-            }
-        except (KeyError, TypeError, ValueError) as exc:
+            brackets = {pair: _vec(v) for pair, v in brackets.items()}
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad Lie algebra payload: {exc}") from exc
         return cls.from_brackets(dim, brackets, "Q", name)
 
@@ -376,25 +400,26 @@ def list_fixtures() -> list:
 
 def validate(L: LieAlgebra) -> list:
     """Antisymmetry and Jacobi on all basis triples; empty list means valid."""
+    brackets = {}  # (i, c) -> {t: k}, the nonzeros of den [e_i, e_c]
+    for i, row in enumerate(L.table):
+        for c, t, k in row:
+            brackets.setdefault((i, c), {})[t] = k
     violations = []
     for i in range(L.dim):
-        if not _is_zero(L.table[i][i]):
+        if (i, i) in brackets:
             violations.append({"kind": "antisymmetry", "triple": (i, i)})
         for j in range(L.dim):
-            if L.table[i][j] != _vec_scale(-1, L.table[j][i]):
+            minus = {t: -k for t, k in brackets.get((j, i), {}).items()}
+            if brackets.get((i, j), {}) != minus:
                 violations.append({"kind": "antisymmetry", "triple": (i, j)})
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            for k in range(j + 1, L.dim):
-                ei, ej, ek = (L.basis_vector(t) for t in (i, j, k))
-                acc = _vec_add(
-                    _vec_add(
-                        L.bracket(ei, L.table[j][k]), L.bracket(ej, L.table[k][i])
-                    ),
-                    L.bracket(ek, L.table[i][j]),
-                )
-                if not _is_zero(acc):
-                    violations.append({"kind": "jacobi", "triple": (i, j, k)})
+    for i, j, k in itertools.combinations(range(L.dim), 3):
+        acc = {}  # den^2 ([e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]])
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for s, x in brackets.get((b, c), {}).items():
+                for t, y in brackets.get((a, s), {}).items():
+                    acc[t] = acc.get(t, 0) + x * y
+        if any(acc.values()):
+            violations.append({"kind": "jacobi", "triple": (i, j, k)})
     return violations
 
 
@@ -408,14 +433,18 @@ def require_valid(L: LieAlgebra):
 # classical invariants
 
 
+def _brackets(L: LieAlgebra) -> dict:
+    """{(i, j): w}, i < j, w the dense ints with [e_i, e_j] = w / den != 0, sorted."""
+    out = {}
+    for i, row in enumerate(L.table):
+        for c, t, k in row:
+            if i < c:
+                out.setdefault((i, c), [0] * L.dim)[t] = k
+    return out
+
+
 def derived_subalgebra(L: LieAlgebra) -> list:
-    rows = [
-        L.table[i][j]
-        for i in range(L.dim)
-        for j in range(i + 1, L.dim)
-        if not _is_zero(L.table[i][j])
-    ]
-    basis, _ = rref(rows)
+    basis, _ = rref(list(_brackets(L).values()))
     return basis
 
 
@@ -424,41 +453,35 @@ def is_perfect(L: LieAlgebra) -> bool:
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
-    """kappa(e_i, e_j) = tr(ad_i ad_j), summed once per pair over ad_i's nonzeros."""
-    d = L.dim
-    ads = [L.ad(L.basis_vector(i)) for i in range(d)]
+    """kappa(e_i, e_j) = tr(ad_i ad_j), summed once per pair over table[i]."""
+    d, den = L.dim, L.den * L.den
+    ads = [{(c, t): k for c, t, k in row} for row in L.table]
     out = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
-        support = [
-            (r, c, v) for r, row in enumerate(ads[i]) for c, v in enumerate(row) if v
-        ]
         for j in range(i, d):
             ad_j = ads[j]
-            out[i][j] = out[j][i] = sum(
-                (v * ad_j[c][r] for r, c, v in support), Fraction(0)
-            )
+            total = sum(k * ad_j.get((t, c), 0) for c, t, k in L.table[i])
+            out[i][j] = out[j][i] = Fraction(total, den)
     return tuple(tuple(row) for row in out)
 
 
 def radical(L: LieAlgebra) -> list:
     """Cartan's criterion: rad(L) is the Killing-orthogonal of [L, L]."""
-    kappa = killing_form(L)
-    derived = derived_subalgebra(L)
+    derived, _ = _echelon(list(_brackets(L).values()))
     if not derived:
         return [L.basis_vector(i) for i in range(L.dim)]
-    constraints = []
-    for dvec in derived:
-        constraints.append(
-            tuple(
-                sum(kappa[r][c] * dvec[c] for c in range(L.dim)) for r in range(L.dim)
-            )
-        )
+    kappa = killing_form(L)
+    constraints = [
+        [sum(k_row[c] * x for c, x in enumerate(dvec) if x) for k_row in kappa]
+        for dvec in derived
+    ]
     return nullspace(constraints)
 
 
 def ad_semisimple(L: LieAlgebra, x: Vector) -> bool:
-    """True iff the minimal polynomial of ad_x is squarefree."""
-    return is_squarefree(minimal_polynomial(L.ad(_vec(x))))
+    """True iff the minimal polynomial of ad_x (or of a multiple) is squarefree."""
+    nums, _ = _numerators(_vec(x))
+    return is_squarefree(minimal_polynomial(L._ad_numerators(nums)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +497,11 @@ class InertialLieCertificate:
     lam: Fraction
 
     def holds_in(self, L: LieAlgebra) -> bool:
-        return self.lam != 0 and L.bracket(self.x, self.y) == _vec_scale(
-            self.lam, self.y
-        )
+        """[x, y] = w / (dx dy den) against lambda y = lam y / dy, exactly."""
+        (x, dx), (y, _) = _numerators(self.x), _numerators(self.y)
+        lam = Fraction(self.lam)
+        w, scale = L._bracket_numerators(x, y), lam.numerator * dx * L.den
+        return lam != 0 and all(a * lam.denominator == scale * b for a, b in zip(w, y))
 
 
 def inertial_solve(L: LieAlgebra, y) -> InertialLieCertificate | None:
@@ -486,10 +511,11 @@ def inertial_solve(L: LieAlgebra, y) -> InertialLieCertificate | None:
     infeasible (which is exactly the non-inertial condition, up to scaling).
     """
     y = _vec(y)
-    if _is_zero(y):
+    nums, _ = _numerators(y)
+    if not any(nums):
         raise ZeroVector("inertial elements are nonzero by definition")
-    ady = L.ad(y)
-    x = solve([list(r) for r in ady], _vec_scale(-1, y))
+    # with y = nums / a, ad_y = N / (a den), so ad_y x = -y is N x = -den nums
+    x = solve(L._ad_numerators(nums), [-L.den * c for c in nums])
     if x is None:
         return None
     cert = InertialLieCertificate(y, x, Fraction(1))
@@ -518,7 +544,7 @@ class ToralReport:
 def _random_vector(rng: random.Random, dim: int) -> Vector:
     while True:
         v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
-        if not _is_zero(v):
+        if any(v):
             return v
 
 
@@ -528,9 +554,7 @@ def is_toral_sampled(L: LieAlgebra, trials: int = 200, seed: int = 0) -> ToralRe
     One failure is a definitive not-toral witness.  All-pass is evidence
     only, except for the abelian case where toral-ness is exact.
     """
-    abelian = all(
-        _is_zero(L.table[i][j]) for i in range(L.dim) for j in range(L.dim)
-    )
+    abelian = not any(L.table)
     rng = random.Random(seed)
     samples = [L.basis_vector(i) for i in range(L.dim)]
     samples += [_random_vector(rng, L.dim) for _ in range(trials)]
@@ -566,13 +590,12 @@ class InertialSpanResult:
 
 
 def _mining_probes(L: LieAlgebra):
-    for i in range(L.dim):
-        yield L.basis_vector(i)
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            ei, ej = L.basis_vector(i), L.basis_vector(j)
-            yield _vec_add(ei, ej)
-            yield _vec_sub(ei, ej)
+    """e_i, then e_i + e_j and e_i - e_j for i < j, as integer vectors."""
+    units = [[int(i == j) for j in range(L.dim)] for i in range(L.dim)]
+    yield from units
+    for u, v in itertools.combinations(units, 2):
+        yield [a + b for a, b in zip(u, v)]
+        yield [a - b for a, b in zip(u, v)]
 
 
 def inertial_span(
@@ -599,16 +622,18 @@ def inertial_span(
 
     if not tracker.full:
         for x in _mining_probes(L):
-            ad = L.ad(x)
-            for lam in rational_roots(minimal_polynomial(ad)):
-                if lam == 0:
+            ad = L._ad_numerators(x)
+            for root in rational_roots(minimal_polynomial(ad)):
+                if root == 0:
                     continue
+                lam = root / L.den
+                num, den = root.numerator, root.denominator
                 shifted = [
-                    [a - lam if r == c else a for c, a in enumerate(row)]
+                    [den * a - num if r == c else den * a for c, a in enumerate(row)]
                     for r, row in enumerate(ad)
                 ]
                 for y in nullspace(shifted):
-                    cert = InertialLieCertificate(y, x, lam)
+                    cert = InertialLieCertificate(y, _vec(x), lam)
                     if not cert.holds_in(L):
                         raise GuardFailed("mined eigenvector fails [x, y] = lambda y")
                     harvest(cert)
@@ -720,50 +745,25 @@ def sl_table(m: int) -> LieAlgebra:
     """Trace-zero m x m matrices: basis E_ij (i != j) then H_k = E_kk - E_(k+1,k+1)."""
     if m < 2:
         raise DomainError("m must be >= 2")
-    basis = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                basis.append(("E", i, j))
-    for k in range(m - 1):
-        basis.append(("H", k, k + 1))
-    dim = len(basis)
 
-    def to_matrix(tag):
-        mat = [[Fraction(0)] * m for _ in range(m)]
-        kind, i, j = tag
-        if kind == "E":
-            mat[i][j] = Fraction(1)
-        else:
-            mat[i][i] = Fraction(1)
-            mat[j][j] = Fraction(-1)
+    def matrix(*entries):
+        mat = [[0] * m for _ in range(m)]
+        for r, c, x in entries:
+            mat[r][c] = x
         return mat
 
-    def coords(mat):
-        out = []
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    out.append(mat[i][j])
-        partial = Fraction(0)
-        for k in range(m - 1):
-            partial += mat[k][k]
-            out.append(partial)
-        return tuple(out)
-
-    mats = [to_matrix(t) for t in basis]
-    brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            a, b = mats[i], mats[j]
-            comm = [
-                [
-                    sum(a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(m))
-                    for c in range(m)
-                ]
-                for r in range(m)
-            ]
-            v = coords(comm)
-            if not _is_zero(v):
-                brackets[(i, j)] = v
-    return LieAlgebra.from_brackets(dim, brackets, name=f"sl{m}")
+    off = [(i, j) for i in range(m) for j in range(m) if i != j]
+    mats = [matrix((i, j, 1)) for i, j in off]
+    mats += [matrix((k, k, 1), (k + 1, k + 1, -1)) for k in range(m - 1)]
+    brackets, idx = {}, range(m)
+    for (i, a), (j, b) in itertools.combinations(enumerate(mats), 2):
+        comm = [
+            [sum(a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in idx) for c in idx]
+            for r in idx
+        ]
+        # coordinates: the off-diagonal entries, then the diagonal's partial sums
+        v = [comm[r][c] for r, c in off]
+        v += itertools.accumulate(comm[k][k] for k in range(m - 1))
+        if any(v):
+            brackets[i, j] = v
+    return LieAlgebra.from_brackets(len(mats), brackets, name=f"sl{m}")

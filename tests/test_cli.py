@@ -211,12 +211,13 @@ def test_closure_limit_env_must_be_a_positive_integer(capsys, monkeypatch, value
     assert err.startswith("error: ") and "TAMELAB_CLOSURE_LIMIT" in err
 
 
-def _run_module(**kwargs):
-    """`python -m tamelab --json gs --d 2 --degrees 9` in a child process."""
+def _run_module(*argv, **kwargs):
+    """`python -m tamelab <argv>` in a child process; argv defaults to a gs run."""
     src = str(Path(tamelab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = argv or ("--json", "gs", "--d", "2", "--degrees", "9")
     return subprocess.run(
-        [sys.executable, "-m", "tamelab", "--json", "gs", "--d", "2", "--degrees", "9"],
+        [sys.executable, "-m", "tamelab", *argv],
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
@@ -240,6 +241,33 @@ def test_closed_stdout_exits_with_resource_code():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# Lie algebra files that must exit 3; a dim below 1 used to hang, so these
+# run in a child process with a timeout
+_BAD_LIE_FILES = {
+    "dim-0": {"dim": 0, "brackets": []},
+    "dim-negative": {"dim": -1, "brackets": []},
+    "dim-non-integral": {"dim": 2.7, "brackets": [[0, 1, ["0", "1"]]]},
+    "dim-boolean": {"dim": True, "brackets": []},
+    "coefficient-division-by-zero": {"dim": 2, "brackets": [[0, 1, ["1/0", "0"]]]},
+    "coefficient-boolean": {"dim": 2, "brackets": [[0, 1, [True, "0"]]]},
+    "pair-listed-twice": {
+        "dim": 2, "brackets": [[0, 1, ["0", "1"]], [0, 1, ["1", "0"]]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_LIE_FILES))
+def test_malformed_lie_algebra_file_exits_with_usage_code(tmp_path, name):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(_BAD_LIE_FILES[name]))
+    proc = _run_module(
+        "--json", "lie", "--input", str(path), "--seed", "0", capture_output=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_bound_input_missing_key_is_schema_error(capsys, tmp_path):

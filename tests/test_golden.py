@@ -15,7 +15,8 @@ from tamelab import cli
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 LIE_FIXTURES = (
-    "abelian2", "quaternion_a2_p3", "quaternion_a2_p5", "sl2", "sl3", "sl4", "solvable2",
+    "abelian2", "quaternion_a2_p3", "quaternion_a2_p5",
+    "sl2", "sl3", "sl4", "solvable2",
 )
 
 GOLDEN = {

@@ -1,6 +1,7 @@
 """Lie classification: invariants, solvers, verdicts, fixtures."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from tamelab import liealg as liealg_module
 from tamelab.certify import _fp_rank
 
-from tamelab.errors import DomainError, ZeroVector
+from tamelab.errors import DomainError, SchemaError, ZeroVector
 from tamelab.liealg import (
     LieAlgebra,
     SpanTracker,
@@ -25,6 +26,7 @@ from tamelab.liealg import (
     inertial_solve,
     inertial_span,
     is_perfect,
+    is_squarefree,
     is_toral_sampled,
     killing_form,
     list_fixtures,
@@ -34,6 +36,7 @@ from tamelab.liealg import (
     quaternion_table,
     radical,
     rank,
+    rational_roots,
     rref,
     sl2_table,
     sl_table,
@@ -377,6 +380,33 @@ def test_fixture_roundtrip_sl2():
     assert load_fixture("sl2").table == sl2_table().table
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": 0, "brackets": []},
+        {"dim": -1, "brackets": []},
+        {"dim": 2.7, "brackets": [[0, 1, ["0", "1"]]]},
+        {"dim": True, "brackets": []},
+        {"dim": 2, "brackets": [[0, 1, ["1/0", "0"]]]},
+        {"dim": 2, "brackets": [[0, 1, [True, "0"]]]},
+        {"dim": 2, "brackets": [[0.0, 1, ["0", "1"]]]},
+        {"dim": 2, "brackets": [[0, 1, ["0", "1"]], [0, 1, ["1", "0"]]]},
+    ],
+    ids=["dim-0", "dim-negative", "dim-non-integral", "dim-boolean",
+         "coefficient-division-by-zero", "coefficient-boolean", "index-float",
+         "pair-listed-twice"],
+)
+def test_from_json_rejects_malformed_payloads(payload):
+    with pytest.raises(SchemaError):
+        LieAlgebra.from_json(payload)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_from_brackets_rejects_dimension_below_one(dim):
+    with pytest.raises(DomainError):
+        LieAlgebra.from_brackets(dim, {})
+
+
 # ---------------------------------------------------------------------------
 # the elimination kernel against the routines it replaced
 #
@@ -606,6 +636,314 @@ def test_random_minimal_polynomials_match_oracle(d):
         mat = [[Fraction(2 if i == j else 0) for j in range(d)] for i in range(d)]
         mat[0][d - 1] += 1
     assert minimal_polynomial(mat) == _oracle_minimal_polynomial(mat)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction kernel it replaced
+#
+# The oracles below are the earlier Fraction kernel, kept apart from their
+# names: its SpanTracker over Q, its dense bracket, adjoint, Jacobi check and
+# Killing form over a dense Fraction table, its Krylov minimal polynomial,
+# and its Euclidean squarefree test and rational root search.
+
+
+class _FractionSpanTracker:
+    def __init__(self, dim):
+        self.dim = dim
+        self.rows = []
+        self.pivots = []
+
+    def _reduce(self, v):
+        v = [Fraction(x) for x in v]
+        for row, c in zip(self.rows, self.pivots):
+            if v[c]:
+                f = v[c]
+                v = [x - f * y if y else x for x, y in zip(v, row)]
+        return v
+
+    def _insert(self, v):
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        if v[c] != 1:
+            inv = 1 / v[c]
+            v = [inv * x if x else x for x in v]
+        for i, row in enumerate(self.rows):
+            if row[c]:
+                f = row[c]
+                self.rows[i] = [x - f * y if y else x for x, y in zip(row, v)]
+        self.rows.append(v)
+        self.pivots.append(c)
+        return True
+
+
+def _fraction_rref(rows):
+    if not rows:
+        return [], []
+    tracker = _FractionSpanTracker(len(rows[0]))
+    for row in rows:
+        tracker._insert(tracker._reduce(row))
+    order = sorted(range(len(tracker.rows)), key=tracker.pivots.__getitem__)
+    return [tuple(tracker.rows[i]) for i in order], [tracker.pivots[i] for i in order]
+
+
+def _fraction_nullspace(a_rows):
+    if not a_rows:
+        return []
+    ncols = len(a_rows[0])
+    reduced, pivots = _fraction_rref(a_rows)
+    basis = []
+    for f in [c for c in range(ncols) if c not in pivots]:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _fraction_minimal_polynomial(mat):
+    d = len(mat)
+    size = d * d
+    tracker = _FractionSpanTracker(size + d + 1)
+    columns = [[(t, b) for t, b in enumerate(col) if b] for col in zip(*mat)]
+    power = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    for k in range(d + 1):
+        tags = [int(j == k) for j in range(d + 1)]
+        v = tracker._reduce([x for row in power for x in row] + tags)
+        if not any(v[:size]):
+            return v[size : size + k + 1]
+        tracker._insert(v)
+        power = [
+            [sum(row[t] * b for t, b in col if row[t]) for col in columns]
+            for row in power
+        ]
+    raise AssertionError("minimal polynomial degree exceeds the dimension")
+
+
+def _dense_table(dim, brackets):
+    table = [[(Fraction(0),) * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), coeffs in brackets.items():
+        table[i][j] = tuple(Fraction(c) for c in coeffs)
+        table[j][i] = tuple(-c for c in table[i][j])
+    return table
+
+
+def _unit(dim, i):
+    return tuple(Fraction(int(j == i)) for j in range(dim))
+
+
+def _dense_bracket(table, u, v):
+    out = [Fraction(0)] * len(table)
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v):
+            if vj == 0:
+                continue
+            w = table[i][j]
+            c = ui * vj
+            for t, wt in enumerate(w):
+                if wt != 0:
+                    out[t] += c * wt
+    return tuple(out)
+
+
+def _dense_ad(table, x):
+    dim = len(table)
+    return tuple(zip(*(_dense_bracket(table, x, _unit(dim, c)) for c in range(dim))))
+
+
+def _dense_validate(table):
+    dim = len(table)
+    violations = []
+    for i in range(dim):
+        if any(table[i][i]):
+            violations.append({"kind": "antisymmetry", "triple": (i, i)})
+        for j in range(dim):
+            if table[i][j] != tuple(-c for c in table[j][i]):
+                violations.append({"kind": "antisymmetry", "triple": (i, j)})
+    for i, j, k in itertools.combinations(range(dim), 3):
+        ei, ej, ek = (_unit(dim, t) for t in (i, j, k))
+        terms = (
+            _dense_bracket(table, ei, table[j][k]),
+            _dense_bracket(table, ej, table[k][i]),
+            _dense_bracket(table, ek, table[i][j]),
+        )
+        if any(sum(col) for col in zip(*terms)):
+            violations.append({"kind": "jacobi", "triple": (i, j, k)})
+    return violations
+
+
+def _dense_killing_form(table):
+    dim = len(table)
+    ads = [_dense_ad(table, _unit(dim, i)) for i in range(dim)]
+    supports = [
+        [(r, c, v) for r, row in enumerate(ad) for c, v in enumerate(row) if v]
+        for ad in ads
+    ]
+    return tuple(
+        tuple(
+            sum((v * ads[j][c][r] for r, c, v in supports[i]), Fraction(0))
+            for j in range(dim)
+        )
+        for i in range(dim)
+    )
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mod(a, b):
+    a = list(a)
+    while len(a) >= len(b) and a:
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        _poly_trim(a)
+    return a
+
+
+def _euclid_is_squarefree(poly):
+    a = _poly_trim([Fraction(c) for c in poly])
+    b = _poly_trim([i * c for i, c in enumerate(a)][1:])
+    while b:
+        a, b = b, _poly_mod(a, b)
+    return len(a) <= 1
+
+
+def _oracle_rational_roots(poly):
+    poly = _poly_trim(list(map(Fraction, poly)))
+    if not poly:
+        return []
+    roots = []
+    low = 0
+    while poly[low] == 0:
+        roots.append(Fraction(0))
+        low += 1
+    poly = poly[low:]
+    if len(poly) <= 1:
+        return sorted(set(roots))
+    denom = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * denom) for c in poly]
+    a0, an = ints[0], ints[-1]
+    if abs(a0) > 10**9 or abs(an) > 10**9:
+        return sorted(set(roots))
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for num in divisors(a0):
+        for den in divisors(an):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                acc = Fraction(0)
+                for c in reversed(poly):
+                    acc = acc * cand + c
+                if acc == 0:
+                    roots.append(cand)
+    return sorted(set(roots))
+
+
+def _brackets_of(L):
+    return {(i, j): coeffs for i, j, coeffs in L.to_json()["brackets"]}
+
+
+def _random_brackets(seed, dim, denominators):
+    """Seeded structure constants with the given denominators; most break Jacobi."""
+    rng = random.Random(seed)
+    brackets = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        if rng.random() < 0.6:
+            brackets[i, j] = [
+                Fraction(rng.choice([0, 0, 1, -1, 2, -3]), rng.choice(denominators))
+                for _ in range(dim)
+            ]
+    return brackets
+
+
+_KERNEL_CASES = {
+    **{f"sl{m}": (lambda m=m: _brackets_of(sl_table(m))) for m in (2, 3, 4, 5)},
+    # the quaternion table scaled by 1/2 is again a Lie algebra, with den = 2
+    "quaternion-half": lambda: {
+        pair: [Fraction(c) / 2 for c in coeffs]
+        for pair, coeffs in _brackets_of(quaternion_table(2, 5)).items()
+    },
+    **{
+        f"random-integer-{seed}": lambda s=seed: _random_brackets(s, 4 + s, [1])
+        for seed in range(3)
+    },
+    "random-fraction": lambda: _random_brackets(7, 5, [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_integer_kernel_matches_fraction_kernel(case):
+    brackets = _KERNEL_CASES[case]()
+    dim = len(next(iter(brackets.values())))
+    L = LieAlgebra.from_brackets(dim, brackets)
+    table = _dense_table(dim, brackets)
+    coefficients = [Fraction(c) for v in brackets.values() for c in v]
+    assert L.den == math.lcm(*(c.denominator for c in coefficients))
+    assert {pair: list(map(Fraction, v)) for pair, v in _brackets_of(L).items()} == {
+        pair: list(map(Fraction, v)) for pair, v in brackets.items() if any(v)
+    }
+    assert validate(L) == _dense_validate(table)
+    assert killing_form(L) == _dense_killing_form(table)
+    rng = random.Random(dim)
+    probes = [L.basis_vector(i) for i in range(0, dim, 1 + dim // 8)]
+    # past dim 16 a dense probe's Fraction Krylov pass takes seconds
+    support = dim if dim <= 16 else 6
+    probes += [
+        tuple(_random_entry(rng) if i < support else Fraction(0) for i in range(dim))
+        for _ in range(2)
+    ]
+    for x in probes:
+        ad = L.ad(x)
+        assert ad == _dense_ad(table, x)
+        assert rref(ad) == _fraction_rref(ad)
+        assert nullspace(ad) == _fraction_nullspace(ad)
+        mu = minimal_polynomial(ad)
+        assert mu == _fraction_minimal_polynomial(ad)
+        assert is_squarefree(mu) == _euclid_is_squarefree(mu)
+        assert rational_roots(mu) == _oracle_rational_roots(mu)
+        for y in probes[-3:]:
+            assert L.bracket(x, y) == _dense_bracket(table, x, y)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rational_span_tracker_keeps_primitive_reduced_integer_rows(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 7)
+    tracker, oracle = SpanTracker(dim), _FractionSpanTracker(dim)
+    for _ in range(2 * dim):
+        v = tuple(_random_entry(rng) for _ in range(dim - 1)) + (Fraction(0),)
+        assert tracker.contains(v) == (not any(oracle._reduce(v)))
+        assert tracker.add(v) == oracle._insert(oracle._reduce(v))
+        assert tracker.pivots == oracle.pivots
+        for row, c, want in zip(tracker.rows, tracker.pivots, oracle.rows):
+            assert all(type(x) is int for x in row)
+            assert row[c] > 0 and math.gcd(*row) == 1
+            assert [row[c2] for c2 in tracker.pivots] == [
+                row[c] if c2 == c else 0 for c2 in tracker.pivots
+            ]
+            assert [Fraction(x, row[c]) for x in row] == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polynomial_helpers_match_oracle(seed):
+    # products of rational linear factors, some repeated, times a random factor
+    rng = random.Random(seed)
+    poly = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+    for _ in range(rng.randint(0, 4)):
+        root = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 2)):
+            poly = [b - root * a for a, b in zip(poly + [0], [0] + poly)]
+    assert is_squarefree(poly) == _euclid_is_squarefree(poly)
+    assert rational_roots(poly) == _oracle_rational_roots(poly)
 
 
 def test_sympy_cross_check_rref_and_minimal_polynomial():
