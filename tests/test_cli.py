@@ -243,8 +243,8 @@ def test_closed_stdout_exits_with_resource_code():
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
-# Lie algebra files that must exit 3; a dim below 1 used to hang, so these
-# run in a child process with a timeout
+# Lie algebra files that must exit 3.  A dim below 1 that got past the schema
+# would loop forever in the sampler, so these run in a child with a timeout.
 _BAD_LIE_FILES = {
     "dim-0": {"dim": 0, "brackets": []},
     "dim-negative": {"dim": -1, "brackets": []},
