@@ -835,7 +835,12 @@ def _oracle_rational_roots(poly):
         return sorted(set(roots))
 
     def divisors(n):
-        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+        n, out, d = abs(n), [], 1
+        while d * d <= n:
+            if n % d == 0:
+                out += [d, n // d]
+            d += 1
+        return sorted(set(out))
 
     for num in divisors(a0):
         for den in divisors(an):
