@@ -67,9 +67,12 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint_str(self, digits: int = 15) -> str:
-        mid = (self.lo + self.hi) / 2
-        return str(round(float(mid), digits))
+    def midpoint_str(self) -> str:
+        """The exact midpoint rounded half-even to 15 decimals, as "0.5" or "0.0"."""
+        q = round((self.lo + self.hi) / 2 * 10**15)
+        whole, frac = divmod(abs(q), 10**15)
+        digits = f"{frac:015d}".rstrip("0") or "0"
+        return f"{'-' if q < 0 else ''}{whole}.{digits}"
 
 
 def _literal_interval(truncated: str) -> Interval:
@@ -110,6 +113,20 @@ def sqrt_interval(n: int) -> Interval:
         ctx.prec = _DIGITS + 10
         root = Decimal(n).sqrt()
     return _widened(root)
+
+
+# the splitting bound's archimedean terms (per real place, per complex place);
+# log is monotone, so the ends of the pi enclosure bound log pi
+_LOG_PI = Interval(log_interval(PI.lo).lo, log_interval(PI.hi).hi)
+_HALF = Fraction(1, 2)
+_ARCHIMEDEAN = (
+    (GAMMA + log_interval(4) + _LOG_PI).scale(_HALF),
+    GAMMA + log_interval(2) + _LOG_PI,
+)
+_ARCHIMEDEAN_GRH = (
+    (PI.scale(_HALF) + GAMMA + log_interval(8) + _LOG_PI).scale(_HALF),
+    GAMMA + log_interval(8) + _LOG_PI,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +200,7 @@ def splitting_bound(inp: SplittingBoundInput) -> SplittingBoundResult:
             denom = Interval.exact(n - 1)
         alpha_finite = alpha_finite + log_n.div_positive(denom)
 
-    if inp.grh:
-        real_term = (PI.scale(Fraction(1, 2)) + GAMMA + log_interval(8) + log_interval_pi()).scale(
-            Fraction(1, 2)
-        )
-        complex_term = GAMMA + log_interval(8) + log_interval_pi()
-    else:
-        real_term = (GAMMA + log_interval(4) + log_interval_pi()).scale(Fraction(1, 2))
-        complex_term = GAMMA + log_interval(2) + log_interval_pi()
+    real_term, complex_term = _ARCHIMEDEAN_GRH if inp.grh else _ARCHIMEDEAN
     alpha_infinite = real_term.scale(inp.r1) + complex_term.scale(inp.r2)
 
     threshold = log_interval(inp.abs_discriminant).scale(Fraction(1, 2))
@@ -202,11 +212,6 @@ def splitting_bound(inp: SplittingBoundInput) -> SplittingBoundResult:
     else:
         verdict = "indeterminate"
     return SplittingBoundResult(alpha_finite, alpha_infinite, threshold, verdict)
-
-
-def log_interval_pi() -> Interval:
-    """Certified enclosure of log pi via monotonicity on the pi enclosure."""
-    return Interval(log_interval(PI.lo).lo, log_interval(PI.hi).hi)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .errors import (
     CertificateInvalid,
     DomainError,
     GuardFailed,
+    NonUnitDeterminant,
     NotNonresidue,
     RingMismatch,
     SchemaError,
@@ -65,7 +66,7 @@ from .padic import (
     int_valuation,
     is_nonresidue,
 )
-from .liealg import SpanTracker
+from .liealg import _echelon
 from .pcentral import (
     FiniteQuotientGroup,
     PCentralChain,
@@ -125,7 +126,11 @@ def verify_certificate(cert: GroupInertialCertificate) -> bool:
         return False
     if cert.y == RingMatrix.identity(cert.y.ring, cert.y.m):
         return False
-    return commutator(cert.x, cert.y) == int_power(cert.y, cert.exponent)
+    try:
+        lhs = commutator(cert.x, cert.y)
+    except NonUnitDeterminant:  # x or y is not invertible
+        return False
+    return lhs == int_power(cert.y, cert.exponent)
 
 
 @dataclass(frozen=True)
@@ -384,10 +389,7 @@ def slm_series_suite(
 
 
 def _fp_rank(rows: list, p: int) -> int:
-    tracker = SpanTracker(len(rows[0]) if rows else 0, p)
-    for row in rows:
-        tracker._insert(tracker._reduce(row))
-    return tracker.rank
+    return len(_echelon(rows, p)[1])
 
 
 # ---------------------------------------------------------------------------

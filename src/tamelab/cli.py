@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import bounds, certify, liealg, pcentral
 from .errors import (
+    CertificateInvalid,
     DomainError,
     LimitExceeded,
     SchemaError,
@@ -113,37 +114,31 @@ def cmd_pcentral(args) -> int:
     _require_at_least(1, k=args.k, window=args.window, prec=args.prec)
     if args.limit is not None:
         _require_at_least(1, limit=args.limit)
-    if args.window > args.prec - 1:
+    dim_levels, power_levels = pcentral._trusted_levels(args.prec, args.k)
+    if args.window > dim_levels:
+        need = args.window + args.k - 1
         raise WindowTooLarge(
-            f"dims through level {args.window} need precision > {args.window}"
+            f"dims through level {args.window} need precision > {need}"
         )
     gens = sl_standard_generators(args.m, args.p, args.prec)
-    if args.k > 1:
-        gens = [int_power(g, args.p ** (args.k - 1)) for g in gens]
+    gens = [int_power(g, args.p ** (args.k - 1)) for g in gens]
     group = pcentral.closure(gens, limit=args.limit)
     chain = pcentral.pcentral_series(group)
-    # the powering-map check needs one more trusted level than the dims table
-    check_window = min(args.window, args.prec - 2)
-    if check_window >= 1:
-        uni = pcentral.uniformity_check(group, check_window, chain)
-        frattini_abelian, bijective = uni.frattini_abelian, uni.power_map_bijective
-    else:
-        # mod p^2 no power-map level is trusted; the Frattini check still is
-        powers = pcentral._p_powers(group, group.elements)
-        frattini_abelian, bijective = pcentral._frattini_abelian(group, powers), []
+    checked = min(args.window, power_levels)
+    uni = pcentral._uniformity(group, checked, chain)
     data = {
         "order": f"{args.p}^{sum(chain.dims)}",
         "dims": chain.dims[: args.window],
         # only claim the verdict when every requested level was checkable
-        "uniform": uni.uniform if check_window == args.window else None,
+        "uniform": uni.uniform if checked == args.window else None,
         "window": args.window,
-        "power_map_levels_checked": check_window,
+        "power_map_levels_checked": checked,
     }
     items = [
-        check("pcentral/frattini-abelian", frattini_abelian),
+        check("pcentral/frattini-abelian", uni.frattini_abelian),
         *(
             check(f"pcentral/power-map-level-{n + 1}", ok)
-            for n, ok in enumerate(bijective)
+            for n, ok in enumerate(uni.power_map_bijective)
         ),
     ]
     return _emit(args, "pcentral", items, data)
@@ -176,6 +171,7 @@ def cmd_certify(args) -> int:
 def cmd_plan(args) -> int:
     _require_odd_prime(args.p)
     _require_at_least(1, k=args.k)
+    _require_at_least(2, prec=args.prec)
     if args.cert:
         with open(args.cert) as fh:
             cert = certify.GroupInertialCertificate.from_json(json.load(fh))
@@ -189,9 +185,11 @@ def cmd_plan(args) -> int:
             raise SchemaError(f"--a must be a unit mod {args.p}, got {args.a}")
         cert = certify.standard_inertial_certificate(args.p, args.prec, args.a, args.k)
     b = PadicScalar(args.p, args.prec, args.b)
-    plan = certify.build_local_plan(cert, b)
-    data = plan.to_json()
-    return _emit(args, "plan", [check("plan/tame-relation", True)], data)
+    try:
+        plan = certify.build_local_plan(cert, b)
+    except CertificateInvalid:
+        return _emit(args, "plan", [check("certificate/identity", False)], {})
+    return _emit(args, "plan", [check("plan/tame-relation", True)], plan.to_json())
 
 
 def cmd_bound(args) -> int:

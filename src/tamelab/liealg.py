@@ -138,9 +138,10 @@ class SpanTracker:
         return len(self.rows) == self.dim
 
 
-def _echelon(rows) -> tuple[list, list]:
-    """Fraction-free reduced echelon form over Q: (integer rows, pivots) by pivot."""
-    tracker = SpanTracker(len(rows[0]) if rows else 0)
+def _echelon(rows, p: int | None = None) -> tuple[list, list]:
+    """Reduced echelon form (rows, pivots) by pivot: fraction-free over Q, or
+    over F_p for rows of ints given a prime p (see `SpanTracker`)."""
+    tracker = SpanTracker(len(rows[0]) if rows else 0, p)
     for row in rows:
         tracker._insert(tracker._reduce(_numerators(row)[0]))
     order = sorted(range(tracker.rank), key=tracker.pivots.__getitem__)
@@ -367,8 +368,9 @@ class LieAlgebra:
             # bool is an int subclass, and int() would truncate a float
             if any(type(n) is not int for n in (dim, *itertools.chain(*brackets))):
                 raise SchemaError("dim and bracket indices must be integers")
-            if any(type(c) is bool for v in brackets.values() for c in v):
-                raise SchemaError("coefficients must be numbers or strings")
+            # a JSON float holds a binary approximation, never the decimal text
+            if any(type(c) not in (int, str) for v in brackets.values() for c in v):
+                raise SchemaError("coefficients must be integers or strings")
             if dim < 1:
                 raise SchemaError(f"dim must be at least 1, got {dim}")
             field_desc = obj.get("field", "Q")

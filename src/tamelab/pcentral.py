@@ -220,12 +220,12 @@ class FiniteQuotientGroup:
         """Elements generated by `seed` (see `_dimino`); `limit` defaults to |G|."""
         return self._dimino(seed, limit, normal=False)[0]
 
-    def normal_closure(self, seed, limit: int | None = None):
+    def normal_closure(self, seed):
         """(elements, generating set) of the normal closure of `seed` in G.
 
         The set is the kept elements of `_dimino`, at most log_p |elements|.
         """
-        return self._dimino(seed, limit, normal=True)
+        return self._dimino(seed, None, normal=True)
 
 
 def _p_log(n: int, p: int, what: str) -> int:
@@ -297,14 +297,14 @@ class PCentralChain:
         )
 
 
-def pcentral_series(G: FiniteQuotientGroup, limit: int | None = None) -> PCentralChain:
+def pcentral_series(G: FiniteQuotientGroup) -> PCentralChain:
     levels = [G.elements]
     level_gens = [list(G.generators)]
     while len(levels[-1]) > 1:
         ys = level_gens[-1]
         seed = [G.power(y, G.p) for y in ys]
         seed += [G.comm(x, y) for x in G.generators for y in ys]
-        nxt, gens = G.normal_closure(seed, limit)
+        nxt, gens = G.normal_closure(seed)
         if len(nxt) >= len(levels[-1]):
             raise NotPGroup("p-central series failed to descend")
         levels.append(nxt)
@@ -328,18 +328,13 @@ class UniformityReport:
     uniform: bool
 
 
-def _frattini_abelian(G: FiniteQuotientGroup, powers) -> bool:
-    """Whether G/G^p is abelian (G is powerful), given G's p-th powers.
+def _trusted_levels(prec: int, depth: int) -> tuple[int, int]:
+    """The last levels (dims, power map) that Gamma_depth mod p^prec shows faithfully.
 
-    G^p, the subgroup the powers generate, is normal, so this holds exactly
-    when the generator commutators lie in it.
+    P_n = Gamma_(depth+n-1) / Gamma_prec (p odd), so gr_n is faithful for
+    n <= prec - depth and the power map gr_n -> gr_(n+1) one level less.
     """
-    gp = G.subgroup_closure(powers)
-    return all(G.comm(x, y) in gp for x in G.generators for y in G.generators)
-
-
-def _p_powers(G: FiniteQuotientGroup, elements) -> set:
-    return {G.power(a, G.p) for a in elements}
+    return prec - depth, prec - depth - 1
 
 
 def uniformity_check(
@@ -350,23 +345,29 @@ def uniformity_check(
     """Check the powering maps gr_n -> gr_(n+1) for 1 <= n <= window.
 
     A quotient mod p^N only reflects the pro-p group faithfully for
-    n < N - 1, hence the window precondition.
+    n < N - 1 (the depth-1 rule of `_trusted_levels`), hence the window
+    precondition.
     """
     if window < 1:
         raise DomainError(f"window must be >= 1, got {window}")
-    if window >= G.prec - 1:
+    if window > _trusted_levels(G.prec, 1)[1]:
         raise WindowTooLarge(f"window {window} needs precision > {window + 1}")
-    chain = pcentral_series(G) if chain is None else chain
+    return _uniformity(G, window, pcentral_series(G) if chain is None else chain)
 
-    # P_1 = G: one pass of the power map gives the Frattini seed and the
-    # level-1 images
-    images = _p_powers(G, G.elements)
-    frattini_abelian = _frattini_abelian(G, images)
+
+def _uniformity(G: FiniteQuotientGroup, window: int, chain) -> UniformityReport:
+    """`uniformity_check` past its window checks; window 0 checks Frattini only."""
+    # P_1 = G: one pass of the power map gives the level-1 images and G^p,
+    # the normal subgroup they generate; G/G^p is abelian (G is powerful)
+    # exactly when the generator commutators lie in G^p
+    images = {G.power(a, G.p) for a in G.elements}
+    gp, gens = G.subgroup_closure(images), G.generators
+    frattini_abelian = all(G.comm(x, y) in gp for x in gens for y in gens)
 
     bijective = []
     for n in range(1, window + 1):
         if n > 1:
-            images = _p_powers(G, chain.level(n))
+            images = {G.power(a, G.p) for a in chain.level(n)}
         size_n = len(chain.level(n)) // len(chain.level(n + 1))
         size_n1 = len(chain.level(n + 1)) // len(chain.level(n + 2))
         lower = chain.level(n + 2)
@@ -400,20 +401,21 @@ class DictionaryBracket:
     steps: int
 
 
-def _reduce_matrix(g: RingMatrix, prec: int) -> RingMatrix:
+def _reduce_matrix(g: RingMatrix, prec: int, shift: int = 1) -> RingMatrix:
+    """g / shift over Z/p^prec; shift must divide every entry of g."""
     ring = ScalarRing(g.ring.p, prec)
-    return RingMatrix._packed(ring, g.m, tuple(v % ring.modulus for v in g._flat))
+    return RingMatrix._packed(
+        ring, g.m, tuple(v // shift % ring.modulus for v in g._flat)
+    )
 
 
-def dictionary_bracket(
-    g: RingMatrix, h: RingMatrix, steps: int | None = None
-) -> DictionaryBracket:
+def dictionary_bracket(g: RingMatrix, h: RingMatrix) -> DictionaryBracket:
     """Lie bracket of log g and log h read off the group commutator limit.
 
     Step n computes log([g^(p^n), h^(p^n)]) and strips p^(2n); the p^(-2n)
     root of the limit formula is realized by this precision shift, never by
-    root extraction.  Successive steps must agree on their overlap, and the
-    certified level is what the series analysis guarantees:
+    root extraction.  The (N - 2) // 2 steps must agree on their overlap,
+    and the certified level is what the series analysis guarantees:
     min(N - 2n, n + 3) levels (n + 2 for p = 3).
     """
     g._check(h)
@@ -423,28 +425,20 @@ def dictionary_bracket(
     if congruence_depth(g) < 1 or congruence_depth(h) < 1:
         raise DepthError("dictionary bracket needs depth >= 1 arguments")
     p, prec = ring.p, ring.prec
-    max_steps = (prec - 2) // 2
-    if steps is None:
-        steps = max_steps
-    if steps < 1 or steps > max_steps:
-        raise InsufficientPrecision(
-            f"precision {prec} supports 1..{max_steps} steps, got {steps}"
-        )
+    steps = (prec - 2) // 2
+    if steps < 1:
+        raise InsufficientPrecision(f"precision {prec} supports no step; need >= 4")
     gain = 3 if p >= 5 else 2
 
     results = []
     for n in range(1, steps + 1):
         gn = int_power(g, p**n)
         hn = int_power(h, p**n)
-        level = mat_log(commutator(gn, hn))._flat
+        level = mat_log(commutator(gn, hn))
         shift = p ** (2 * n)
-        if any(v % shift for v in level):
+        if any(v % shift for v in level._flat):
             raise InsufficientPrecision(f"commutator log not divisible by p^{2 * n}")
-        results.append(
-            RingMatrix._packed(
-                ScalarRing(p, prec - 2 * n), g.m, tuple(v // shift for v in level)
-            )
-        )
+        results.append(_reduce_matrix(level, prec - 2 * n, shift))
 
     for n in range(1, steps):
         overlap = min(prec - 2 * (n + 1), n + gain)

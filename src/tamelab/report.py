@@ -45,6 +45,3 @@ class SuiteReport:
     @property
     def all_pass(self) -> bool:
         return all(item.ok for item in self.items)
-
-    def failures(self) -> list[CheckItem]:
-        return [item for item in self.items if item.status == FAIL]

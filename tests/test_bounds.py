@@ -1,6 +1,7 @@
 """Arithmetic bound calculators: certified intervals, formulas, negativity."""
 
 import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,44 @@ def test_splitting_bound_json_input():
         {"abs_discriminant": "1", "r1": 1, "r2": 0, "prime_norms": [2], "grh": True}
     )
     assert splitting_bound(inp).verdict == "true"
+
+
+def _half_even_15(x: Fraction) -> str:
+    """x to 15 decimals, ties to even, trailing zeros cut: the decimal module's way."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        d = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
+            Decimal("1e-15"), rounding=ROUND_HALF_EVEN
+        )
+    whole, _, frac = f"{d:f}".partition(".")
+    return f"{whole}.{frac.rstrip('0') or '0'}"
+
+
+def test_json_midpoints_are_exact_roundings():
+    # the acceptance gate's draws, 300 of them, each plain and under GRH
+    rng = random.Random(6)
+    for _ in range(300):
+        r1, r2 = rng.randint(0, 3), rng.randint(0, 3)
+        if r1 + 2 * r2 < 1:
+            r1 = 1
+        norms = tuple(rng.choice([2, 3, 4, 5, 9]) for _ in range(rng.randint(0, 3)))
+        disc = F(rng.choice([1, 3, 100, 10**6]))
+        for grh in (False, True):
+            result = splitting_bound(SplittingBoundInput(disc, r1, r2, norms, grh))
+            payload = result.to_json()
+            for key in ("alpha_finite", "alpha_infinite", "threshold"):
+                interval = getattr(result, key)
+                mid = (interval.lo + interval.hi) / 2
+                assert payload[key] == _half_even_15(mid), (key, r1, r2, norms, disc)
+
+
+def test_midpoint_str_keeps_the_decimal_shape():
+    assert Interval.exact(0).midpoint_str() == "0.0"
+    assert Interval(F(1), F(2)).midpoint_str() == "1.5"
+    assert Interval.exact(F(-1, 4)).midpoint_str() == "-0.25"
+    assert Interval.exact(F(1, 3)).midpoint_str() == "0.333333333333333"
+    assert Interval.exact(F(5, 10**16)).midpoint_str() == "0.0"  # tie to even
+    assert Interval.exact(F(15, 10**16)).midpoint_str() == "0.000000000000002"
 
 
 # ---------------------------------------------------------------------------

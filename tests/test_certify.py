@@ -587,24 +587,6 @@ def _nonabelian_order_81():
     return closure([s, x])
 
 
-def _assert_same_certificates(G, k_max):
-    found_any = False
-    for y in sorted(G.elements):
-        if y == G.identity:
-            continue
-        cert = brute_search_certificate(G, y, k_max=k_max)
-        oracle = _oracle_brute_search_certificate(G, y, k_max)
-        if oracle is None:
-            assert cert is None, y
-            continue
-        found_any = True
-        x_t, unit, k = oracle
-        assert cert.y == G.to_matrix(y)
-        assert cert.x == G.to_matrix(x_t)
-        assert (cert.a, cert.k) == (PadicScalar(G.p, G.prec, unit), k)
-    return found_any
-
-
 def _assert_same_certificate(G, y, k_max):
     """brute_search_certificate gives the oracle's (x, a, k), or None with it."""
     cert = brute_search_certificate(G, y, k_max=k_max)

@@ -81,6 +81,60 @@ def test_pcentral_m3_low_precision(capsys):
     assert data["uniform"] is None  # no headroom to check the power map
 
 
+def _pcentral(capsys, m, p, k, prec, window):
+    code, out, _ = run(
+        capsys, "--json", "pcentral", "--m", str(m), "--p", str(p), "--k", str(k),
+        "--prec", str(prec), "--window", str(window),
+    )
+    return code, json.loads(out) if code in (0, 1) else None
+
+
+def _statuses(payload):
+    return {item["anchor"]: item["status"] for item in payload["items"]}
+
+
+def test_pcentral_window_rule_reads_k(capsys):
+    # Gamma_2 mod 3^4: dims through level 2, the power map through level 1
+    code, payload = _pcentral(capsys, 2, 3, 2, 4, 1)
+    assert code == 0 and payload["data"]["uniform"] is True
+    code, payload = _pcentral(capsys, 2, 3, 2, 4, 2)
+    assert code == 0
+    assert payload["data"]["uniform"] is None
+    assert payload["data"]["dims"] == [3, 3]
+    assert _statuses(payload) == {
+        "pcentral/frattini-abelian": "pass", "pcentral/power-map-level-1": "pass",
+    }
+    assert _pcentral(capsys, 2, 3, 2, 4, 3)[0] == 2
+    # Gamma_3 mod 3^4: one trusted layer and no power-map level
+    code, payload = _pcentral(capsys, 2, 3, 3, 4, 1)
+    assert code == 0
+    assert payload["data"]["uniform"] is None
+    assert payload["data"]["power_map_levels_checked"] == 0
+    assert _statuses(payload) == {"pcentral/frattini-abelian": "pass"}
+
+
+# (m, p, k, N) whose quotient mod p^(N+1) has at most 3^11 elements
+_STABLE_WINDOWS = [
+    (2, p, k, prec)
+    for p in (3, 5, 7)
+    for k in (1, 2, 3)
+    for prec in range(k + 1, k + 4)
+    if p ** (3 * (prec + 1 - k)) <= 3**11
+]
+
+
+@pytest.mark.parametrize("m, p, k, prec", _STABLE_WINDOWS)
+def test_pcentral_verdicts_inside_the_window_hold_one_level_up(capsys, m, p, k, prec):
+    window = prec - k  # the widest window the dims allow
+    code, low = _pcentral(capsys, m, p, k, prec, window)
+    assert code in (0, 1)
+    _, high = _pcentral(capsys, m, p, k, prec + 1, window)
+    assert low["data"]["dims"] == high["data"]["dims"]
+    assert high["data"]["power_map_levels_checked"] == window
+    high_statuses = _statuses(high)
+    assert {a: high_statuses[a] for a in _statuses(low)} == _statuses(low)
+
+
 def test_pcentral_limit_exceeded(capsys):
     code, _, err = run(
         capsys, "pcentral", "--m", "2", "--p", "3", "--prec", "4", "--window", "2",
@@ -125,6 +179,31 @@ def test_certify_tampered_certificate_fails(capsys, tmp_path):
     code, out, _ = run(capsys, "--json", "certify", "--cert", str(path))
     assert code == 1
     assert json.loads(out)["items"][0]["status"] == "fail"
+
+
+def _zero_x(cert):
+    for entry in cert["x"]["entries"]:
+        entry["value"] = "0"
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [("certify", _zero_x), ("plan", _zero_x), ("plan", lambda cert: cert.update(k=2))],
+    ids=["certify-singular-x", "plan-singular-x", "plan-identity-fails"],
+)
+def test_failed_certificate_is_a_failed_check(capsys, tmp_path, command, edit):
+    cert = standard_inertial_certificate(5, 4, 1, 1).to_json()
+    edit(cert)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    argv = ["--json", command, "--cert", str(path)]
+    if command == "plan":
+        argv += ["--a", "1", "--b", "2", "--k", "1", "--p", "5", "--prec", "4"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["items"] == [
+        {"anchor": "certificate/identity", "status": "fail", "detail": ""}
+    ]
 
 
 def test_certify_malformed_json_is_schema_error(capsys, tmp_path):
@@ -252,6 +331,7 @@ _BAD_LIE_FILES = {
     "dim-boolean": {"dim": True, "brackets": []},
     "coefficient-division-by-zero": {"dim": 2, "brackets": [[0, 1, ["1/0", "0"]]]},
     "coefficient-boolean": {"dim": 2, "brackets": [[0, 1, [True, "0"]]]},
+    "coefficient-float": {"dim": 2, "brackets": [[0, 1, [0.1, "0"]]]},
     "pair-listed-twice": {
         "dim": 2, "brackets": [[0, 1, ["0", "1"]], [0, 1, ["1", "0"]]],
     },
@@ -349,6 +429,9 @@ _CERT_EDITS = {
         (["plan", "--a", "1", "--b", "1", "--k", "1", "--p", "5", "--prec", "4",
           "--cert", "DIR"], "none"),
         (["bound", "--input", "DIR"], "none"),
+        (["plan", "--a", "1", "--b", "1", "--k", "1", "--p", "5", "--prec", "1"], "none"),
+        (["verify-examples", "--p", "3", "--prec", "2"], "none"),
+        (["bound", "--disc", "5", "--r1", "1"], "none"),
     ],
     ids=["gs-degree-1", "bound-disc-0", "quaternion-square-a", "plan-nonunit-a",
          "certify-entry-p", "certify-entry-prec", "certify-size-0",
@@ -359,7 +442,8 @@ _CERT_EDITS = {
          "pcentral-limit-negative", "pcentral-prec-0", "pcentral-prec-negative",
          "certify-series-negative-exponent",
          "certify-series-repeated-monomial", "lie-input-dir", "certify-cert-dir",
-         "plan-cert-dir", "bound-input-dir"],
+         "plan-cert-dir", "bound-input-dir", "plan-prec-1", "verify-prec-2",
+         "bound-without-r2"],
 )
 def test_invalid_input_exits_with_usage_code(capsys, tmp_path, argv, edit):
     if "CERT" in argv:
@@ -393,7 +477,7 @@ def _small_argv(draw):
         return ["pcentral", *argv, "--limit", "2000"], k < 1 or window < 1 or prec < 1
     if command == "plan":
         argv = _flags(a=draw(small), b=draw(small), k=k, p=p, prec=prec)
-        return ["plan", *argv], k < 1
+        return ["plan", *argv], k < 1 or prec < 2
     if command == "gs":
         degrees = draw(st.lists(small, min_size=1, max_size=3))
         argv = _flags(d=draw(small), grid=draw(st.integers(-1, 20)))

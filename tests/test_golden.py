@@ -27,6 +27,13 @@ GOLDEN = {
     "pcentral-m2-p3-prec4-window2.json": (
         "--json pcentral --m 2 --p 3 --prec 4 --window 2"
     ),
+    "pcentral-m2-k2-p3-prec5-window2.json": (
+        "--json pcentral --m 2 --k 2 --p 3 --prec 5 --window 2"
+    ),
+    # midpoints are exact half-even roundings of the certified intervals
+    "bound-disc100-r1-2-r2-1-norms-2-9-grh.json": (
+        "--json bound --disc 100 --r1 2 --r2 1 --norm 2 --norm 9 --grh"
+    ),
     # at --prec 6 and above the quaternion suite works at --prec itself
     "verify-examples-all-p5-prec7.json": (
         "--json verify-examples --suite all --p 5 --prec 7"

@@ -389,11 +389,13 @@ def test_fixture_roundtrip_sl2():
         {"dim": True, "brackets": []},
         {"dim": 2, "brackets": [[0, 1, ["1/0", "0"]]]},
         {"dim": 2, "brackets": [[0, 1, [True, "0"]]]},
+        {"dim": 2, "brackets": [[0, 1, [0.1, "0"]]]},
         {"dim": 2, "brackets": [[0.0, 1, ["0", "1"]]]},
         {"dim": 2, "brackets": [[0, 1, ["0", "1"]], [0, 1, ["1", "0"]]]},
     ],
     ids=["dim-0", "dim-negative", "dim-non-integral", "dim-boolean",
-         "coefficient-division-by-zero", "coefficient-boolean", "index-float",
+         "coefficient-division-by-zero", "coefficient-boolean", "coefficient-float",
+         "index-float",
          "pair-listed-twice"],
 )
 def test_from_json_rejects_malformed_payloads(payload):
