@@ -49,6 +49,7 @@ from .matgrp import (
     RingMatrix,
     _from_entries,
     _mul,
+    _reduce_matrix,
     commutator,
     int_power,
     mat_exp,
@@ -67,12 +68,7 @@ from .padic import (
     is_nonresidue,
 )
 from .liealg import _echelon
-from .pcentral import (
-    FiniteQuotientGroup,
-    PCentralChain,
-    _reduce_matrix,
-    dictionary_bracket,
-)
+from .pcentral import FiniteQuotientGroup, PCentralChain, dictionary_bracket
 from .report import SuiteReport
 
 
@@ -530,7 +526,7 @@ def quaternion_uniform_suite(a: int, p: int, precision: int) -> SuiteReport:
 def _quaternion_coordinates(bracket: RingMatrix, basis, p: int):
     """Solve bracket = c1 A0 + c2 B0 + c3 C0 on packed entries via probes."""
     prec = bracket.ring.prec
-    flats = [tuple(v % p**prec for v in mat._flat) for mat in basis]
+    flats = [_reduce_matrix(mat, prec)._flat for mat in basis]
     coords, combo_prec = [], prec
     # (1,0), (2,0), (3,0): A0, B0, C0 are the only ones nonzero there
     for flat, i in zip(flats, (4, 8, 12)):

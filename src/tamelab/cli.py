@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -18,22 +19,15 @@ import time
 from fractions import Fraction
 
 from . import bounds, certify, liealg, pcentral
-from .errors import (
-    CertificateInvalid,
-    DomainError,
-    LimitExceeded,
-    SchemaError,
-    TamelabError,
-    WindowTooLarge,
-)
+from .errors import CertificateInvalid, SchemaError, TamelabError, WindowTooLarge
 from .matgrp import int_power, sl_standard_generators
 from .padic import PadicScalar, ScalarRing, is_odd_prime
 from .report import FAIL, INDETERMINATE, PASS, CheckItem, SuiteReport, check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_RESOURCE = 2
-EXIT_USAGE = 3
+EXIT_RESOURCE = TamelabError.exit_code
+EXIT_USAGE = SchemaError.exit_code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,9 +48,9 @@ def _require_at_least(low: int, **values):
             raise SchemaError(f"--{name} must be >= {low}, got {value}")
 
 
-def _emit(args, command: str, items: list[CheckItem], data: dict, seed=None) -> int:
+def _emit(args, items: list[CheckItem], data: dict, seed=None) -> int:
     payload = {
-        "command": command,
+        "command": args.command,
         "argv": getattr(args, "_argv", []),
         "seed": seed,
         "items": [item.to_json() for item in items],
@@ -65,7 +59,7 @@ def _emit(args, command: str, items: list[CheckItem], data: dict, seed=None) -> 
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"# {command}")
+        print(f"# {args.command}")
         if seed is not None:
             print(f"seed: {seed}")
         for item in items:
@@ -106,7 +100,7 @@ def cmd_verify_examples(args) -> int:
         suites.append(certify.quaternion_uniform_suite(a, args.p, args.prec))
     items = [item for suite in suites for item in suite.items]
     data = {suite.name: suite.data for suite in suites}
-    return _emit(args, "verify-examples", items, data)
+    return _emit(args, items, data)
 
 
 def cmd_pcentral(args) -> int:
@@ -141,7 +135,7 @@ def cmd_pcentral(args) -> int:
             for n, ok in enumerate(uni.power_map_bijective)
         ),
     ]
-    return _emit(args, "pcentral", items, data)
+    return _emit(args, items, data)
 
 
 def cmd_lie(args) -> int:
@@ -158,14 +152,14 @@ def cmd_lie(args) -> int:
             report.pluperfect,
         ),
     ]
-    return _emit(args, "lie", items, report.to_json(), seed=args.seed)
+    return _emit(args, items, report.to_json(), seed=args.seed)
 
 
 def cmd_certify(args) -> int:
     with open(args.cert) as fh:
         cert = certify.GroupInertialCertificate.from_json(json.load(fh))
     ok = certify.verify_certificate(cert)
-    return _emit(args, "certify", [check("certificate/identity", ok)], {})
+    return _emit(args, [check("certificate/identity", ok)], {})
 
 
 def cmd_plan(args) -> int:
@@ -188,8 +182,8 @@ def cmd_plan(args) -> int:
     try:
         plan = certify.build_local_plan(cert, b)
     except CertificateInvalid:
-        return _emit(args, "plan", [check("certificate/identity", False)], {})
-    return _emit(args, "plan", [check("plan/tame-relation", True)], plan.to_json())
+        return _emit(args, [check("certificate/identity", False)], {})
+    return _emit(args, [check("plan/tame-relation", True)], plan.to_json())
 
 
 def cmd_bound(args) -> int:
@@ -213,7 +207,7 @@ def cmd_bound(args) -> int:
         "indeterminate": INDETERMINATE,
     }[result.verdict]
     items = [CheckItem("bound/no-toral-quotient", status, result.verdict)]
-    return _emit(args, "bound", items, result.to_json())
+    return _emit(args, items, result.to_json())
 
 
 def cmd_gs(args) -> int:
@@ -227,14 +221,16 @@ def cmd_gs(args) -> int:
             "grid-relative" if not result.negative else f"witness t={result.witness_t}",
         )
     ]
-    return _emit(args, "gs", items, result.to_json())
+    return _emit(args, items, result.to_json())
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of a process, built by the first `main` call."""
     parser = _Parser(prog="tamelab")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,15 +314,12 @@ def main(argv=None) -> int:
             os.close(null)
         print("error: standard output was closed", file=sys.stderr)
         return EXIT_RESOURCE
-    except (LimitExceeded, WindowTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (SchemaError, DomainError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TamelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return exc.exit_code
+    except (OSError, ValueError) as exc:  # unreadable or undecodable input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

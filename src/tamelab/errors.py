@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by all tamelab modules."""
+"""Exception hierarchy shared by all tamelab modules.
+
+Each class owns its exit code at the CLI (`exit_code`): 3 for usage and
+schema errors (`DomainError`, `SchemaError` and their subclasses), 2 for
+every other error, a resource limit or a failed computation.
+"""
 
 
 class TamelabError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class PrecisionMismatch(TamelabError):
@@ -19,6 +26,8 @@ class NonResidue(TamelabError):
 
 class DomainError(TamelabError):
     """Argument outside the domain of a function (a usage error at the CLI)."""
+
+    exit_code = 3
 
 
 class NonUnitDeterminant(TamelabError):
@@ -75,6 +84,8 @@ class InvalidSignature(DomainError):
 
 class SchemaError(TamelabError):
     """Malformed input: a JSON payload, a flag value or an environment setting."""
+
+    exit_code = 3
 
 
 class GuardFailed(TamelabError):

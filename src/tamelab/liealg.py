@@ -297,11 +297,9 @@ class LieAlgebra:
     dim: int
     table: tuple
     den: int
-    field: str = "Q"
-    name: str = ""
 
     @classmethod
-    def from_brackets(cls, dim, brackets: dict, field="Q", name="") -> "LieAlgebra":
+    def from_brackets(cls, dim, brackets: dict) -> "LieAlgebra":
         """Build from {(i, j): coeffs} for i < j; antisymmetry is filled in."""
         if dim < 1:
             raise DomainError(f"dimension must be at least 1, got {dim}")
@@ -321,7 +319,7 @@ class LieAlgebra:
                     k = x.numerator * (den // x.denominator)
                     table[i].append((j, t, k))
                     table[j].append((i, t, -k))
-        return cls(dim, tuple(tuple(sorted(r)) for r in table), den, field, name)
+        return cls(dim, tuple(tuple(sorted(r)) for r in table), den)
 
     def _ad_numerators(self, x: list) -> list:
         """Integer N with ad_x = N / den (column c is den [x, e_c]), for integer x."""
@@ -355,10 +353,10 @@ class LieAlgebra:
             [i, j, [str(Fraction(k, self.den)) for k in w]]
             for (i, j), w in _brackets(self).items()
         ]
-        return {"dim": self.dim, "field": self.field, "brackets": brackets}
+        return {"dim": self.dim, "field": "Q", "brackets": brackets}
 
     @classmethod
-    def from_json(cls, obj, name="") -> "LieAlgebra":
+    def from_json(cls, obj) -> "LieAlgebra":
         try:
             dim, brackets = obj["dim"], {}
             for i, j, coeffs in obj["brackets"]:
@@ -379,13 +377,12 @@ class LieAlgebra:
             brackets = {pair: _vec(v) for pair, v in brackets.items()}
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad Lie algebra payload: {exc}") from exc
-        return cls.from_brackets(dim, brackets, "Q", name)
+        return cls.from_brackets(dim, brackets)
 
 
 def load_algebra(path) -> LieAlgebra:
-    path = Path(path)
     with open(path) as fh:
-        return LieAlgebra.from_json(json.load(fh), name=path.stem)
+        return LieAlgebra.from_json(json.load(fh))
 
 
 def load_fixture(name: str) -> LieAlgebra:
@@ -717,29 +714,25 @@ def classify(
 
 
 def abelian_table(dim: int) -> LieAlgebra:
-    return LieAlgebra.from_brackets(dim, {}, name=f"abelian{dim}")
+    return LieAlgebra.from_brackets(dim, {})
 
 
 def solvable2_table() -> LieAlgebra:
     # [x, y] = y
-    return LieAlgebra.from_brackets(2, {(0, 1): [0, 1]}, name="solvable2")
+    return LieAlgebra.from_brackets(2, {(0, 1): [0, 1]})
 
 
 def sl2_table() -> LieAlgebra:
     # basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
     return LieAlgebra.from_brackets(
-        3,
-        {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]},
-        name="sl2",
+        3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
     )
 
 
 def quaternion_table(a: int, p: int) -> LieAlgebra:
     # trace-zero quaternions of (a, p): [x,y] = pz, [x,z] = pay, [y,z] = p^2 x
     return LieAlgebra.from_brackets(
-        3,
-        {(0, 1): [0, 0, p], (0, 2): [0, a * p, 0], (1, 2): [p * p, 0, 0]},
-        name=f"quaternion_a{a}_p{p}",
+        3, {(0, 1): [0, 0, p], (0, 2): [0, a * p, 0], (1, 2): [p * p, 0, 0]}
     )
 
 
@@ -768,4 +761,4 @@ def sl_table(m: int) -> LieAlgebra:
         v += itertools.accumulate(comm[k][k] for k in range(m - 1))
         if any(v):
             brackets[i, j] = v
-    return LieAlgebra.from_brackets(len(mats), brackets, name=f"sl{m}")
+    return LieAlgebra.from_brackets(len(mats), brackets)

@@ -20,8 +20,10 @@ below run on such tuples with + - * only, finishing each entry with
 An entry of a product of series matrices is one accumulation over its
 row and column (`padic._series_dot`), reduced once.  `RingMatrix` and
 the enumerated groups of `pcentral` share them; `PadicScalar` is the view
-at the boundary (`rows`, `det`, `trace`, JSON).  The exp/log series is not
-written here: `mat_exp`/`mat_log` sum the coefficients that `padic`
+at the boundary (`rows`, `det`, `trace`, JSON).  Narrowing a matrix to
+another precision (`_reduce_matrix`) and reading the valuations of its
+packed entries (`_Entries`) are written here only.  The exp/log series is
+not written here: `mat_exp`/`mat_log` sum the coefficients that `padic`
 specifies for its scalar `pexp`/`plog`.
 """
 
@@ -43,6 +45,7 @@ from .padic import (
     _series_coefficients,
     _series_dot,
     int_valuation,
+    ring_from_header,
 )
 
 Ring = ScalarRing | SeriesRing
@@ -75,9 +78,14 @@ class _Entries:
         return PadicScalar(self.ring.p, self.ring.prec, e) if self.scalar else e
 
     def depth(self, e) -> int:
+        """The m-adic depth of e (its p-adic valuation over Z/p^N)."""
         if self.scalar:
             return int_valuation(e % self.mod, self.ring.p, self.ring.prec)
-        return e.depth()
+        return e.m_adic_depth()
+
+    def content(self, e) -> int:
+        """The least p-adic valuation of a coefficient of e."""
+        return self.depth(e) if self.scalar else e.p_content()
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +302,7 @@ class RingMatrix:
     @classmethod
     def from_json(cls, obj) -> "RingMatrix":
         try:
-            header = obj["ring"]
-            if header["type"] == "padic":
-                ring: Ring = ScalarRing(int(header["p"]), int(header["prec"]))
-            elif header["type"] == "series":
-                ring = SeriesRing(
-                    int(header["p"]), int(header["n_vars"]), int(header["trunc"])
-                )
-            else:
-                raise SchemaError(f"unknown ring type {header!r}")
+            ring = ring_from_header(obj["ring"])
             m = int(obj["m"])
             if m < 1:
                 raise SchemaError(f"matrix size must be >= 1, got {m}")
@@ -314,6 +314,22 @@ class RingMatrix:
         if any(e.ring != ring for e in entries):
             raise SchemaError("matrix entry does not match the matrix ring header")
         return cls(ring, [entries[i * m : (i + 1) * m] for i in range(m)])
+
+
+def _reduce_matrix(g: RingMatrix, cap: int, shift: int = 1) -> RingMatrix:
+    """g / shift over the ring of g at precision cap, narrower or wider.
+
+    shift must divide every entry of g.  Over Z/p^N the result lives in
+    Z/p^cap, over a series ring in the truncation at m^cap.
+    """
+    ring = g.ring
+    if isinstance(ring, ScalarRing):
+        ring = ScalarRing(ring.p, cap)
+        flat = tuple(v // shift % ring.modulus for v in g._flat)
+    else:
+        ring = SeriesRing(ring.p, ring.n_vars, cap)
+        flat = tuple(e._retag(ring, shift) for e in g._flat)
+    return RingMatrix._packed(ring, g.m, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -364,34 +380,23 @@ def zp_power(g: RingMatrix, alpha: PadicScalar) -> RingMatrix:
 
 
 def _content(g: RingMatrix) -> int:
-    return min(e.p_content() for row in g.rows for e in row)
+    return min(map(g._ent.content, g._flat))
 
 
 def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
     ring, m = x.ring, x.m
     headroom, coeffs = _series_coefficients(kind, ring.p, ring.cap)
-    if isinstance(ring, SeriesRing):
-        wide = SeriesRing(ring.p, ring.n_vars, ring.trunc + headroom)
-        base = tuple(e._retag(wide) for e in x._flat)
-    else:
-        wide = ScalarRing(ring.p, ring.cap + headroom)
-        base = x._flat
-    ent = _Entries(wide)
+    wide = _reduce_matrix(x, ring.cap + headroom)
+    ent = wide._ent
     mod = ent.mod
-    coeffs = [ent.pack(wide.from_int(c)) for c in coeffs]
+    coeffs = [ent.pack(wide.ring.from_int(c)) for c in coeffs]
 
     power = _identity(m, ent.zero, ent.one)
     acc = _scale(power, coeffs[0], mod)
     for c in coeffs[1:]:
-        power = _mul(power, base, m, mod)
+        power = _mul(power, wide._flat, m, mod)
         acc = tuple((s + c * t) % mod for s, t in zip(acc, power))
-
-    shift = ring.p**headroom
-    if isinstance(ring, SeriesRing):
-        flat = tuple(e._retag(ring, shift) for e in acc)
-    else:
-        flat = tuple(v // shift for v in acc)
-    return RingMatrix._packed(ring, m, flat)
+    return _reduce_matrix(wide._like(acc), ring.cap, ring.p**headroom)
 
 
 def mat_exp(x: RingMatrix) -> RingMatrix:

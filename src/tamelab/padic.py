@@ -19,6 +19,9 @@ and term coefficients come from `_series_coefficients`, which `plog`/`pexp`
 evaluate on scalars and `matgrp.mat_exp`/`mat_log` on matrices.  The
 series, the Hensel square root and the quadratic-nonresidue helpers feed
 the congruence-group constructions in `matgrp` and `certify`.
+
+Each ring writes its JSON header (`json_header`), and `ring_from_header`
+alone reads one back.
 """
 
 from __future__ import annotations
@@ -131,10 +134,6 @@ class ScalarRing:
         return self.prec
 
     @property
-    def n_vars(self) -> int:
-        return 0
-
-    @property
     def modulus(self) -> int:
         return self.p**self.prec
 
@@ -208,12 +207,6 @@ class PadicScalar:
     def valuation(self) -> int:
         """v_p capped at the precision; the zero residue reports the cap."""
         return int_valuation(self.value, self.p, self.prec)
-
-    def depth(self) -> int:
-        return self.valuation()
-
-    def p_content(self) -> int:
-        return self.valuation()
 
     def is_unit(self) -> bool:
         return self.value % self.p != 0
@@ -416,6 +409,20 @@ class SeriesRing:
         }
 
 
+def ring_from_header(header) -> ScalarRing | SeriesRing:
+    """The ring whose `json_header` is header.
+
+    A missing or non-integer field raises KeyError, TypeError or ValueError
+    for the caller's payload parser to report; an unknown type SchemaError.
+    """
+    if header["type"] == "padic":
+        return ScalarRing(int(header["p"]), int(header["prec"]))
+    if header["type"] == "series":
+        n_vars, trunc = int(header["n_vars"]), int(header["trunc"])
+        return SeriesRing(int(header["p"]), n_vars, trunc)
+    raise SchemaError(f"unknown ring type {header!r}")
+
+
 @lru_cache(maxsize=None)
 class _Layout(dict):
     """The monomials of degree < M of one series ring, in graded-lex order.
@@ -517,9 +524,6 @@ class SeriesElement:
     def m_adic_depth(self) -> int:
         """Largest k with the element in m^k, capped at the truncation order."""
         return min((d + v for d, v in self._valuations()), default=self.ring.trunc)
-
-    def depth(self) -> int:
-        return self.m_adic_depth()
 
     def p_content(self) -> int:
         """Minimal coefficient valuation; infinite (capped) for the zero element."""

@@ -44,6 +44,7 @@ from .matgrp import (
     _identity,
     _mul,
     _pow,
+    _reduce_matrix,
     _scale,
     commutator,
     congruence_depth,
@@ -98,7 +99,7 @@ class FiniteQuotientGroup:
     def prec(self) -> int:
         return self.ring.prec
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.ring.modulus
 
@@ -162,8 +163,7 @@ class FiniteQuotientGroup:
         return _depth(a, self.m, _Entries(self.ring))
 
     def to_matrix(self, a: tuple) -> RingMatrix:
-        mod = self.modulus
-        return RingMatrix._packed(self.ring, self.m, tuple(v % mod for v in a))
+        return RingMatrix._packed(self.ring, self.m, a)
 
     def to_tuple(self, g: RingMatrix) -> tuple:
         if g.ring != self.ring:
@@ -399,14 +399,6 @@ class DictionaryBracket:
     matrix: RingMatrix
     certified_levels: int
     steps: int
-
-
-def _reduce_matrix(g: RingMatrix, prec: int, shift: int = 1) -> RingMatrix:
-    """g / shift over Z/p^prec; shift must divide every entry of g."""
-    ring = ScalarRing(g.ring.p, prec)
-    return RingMatrix._packed(
-        ring, g.m, tuple(v // shift % ring.modulus for v in g._flat)
-    )
 
 
 def dictionary_bracket(g: RingMatrix, h: RingMatrix) -> DictionaryBracket:

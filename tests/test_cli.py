@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tamelab
-from tamelab import cli
+from tamelab import cli, errors
 from tamelab.certify import standard_inertial_certificate
 from tamelab.liealg import _FIXTURE_DIR
 from tamelab.matgrp import RingMatrix
@@ -269,6 +269,36 @@ def test_json_reports_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    cli.build_parser.cache_clear()
+    bound = ["--json", "bound", "--disc", "100", "--r1", "2", "--r2", "1"]
+    run(capsys, *bound, "--norm", "2")
+    _, reused, _ = run(capsys, *bound)
+    assert cli.build_parser.cache_info()[:2] == (1, 1)  # (hits, misses)
+    cli.build_parser.cache_clear()
+    _, fresh, _ = run(capsys, *bound)
+    assert reused == fresh
+
+
+def _error_classes(cls=errors.TamelabError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_its_own_code(capsys, monkeypatch, error):
+    def raise_error(*args):
+        raise error("raised by the scan")
+
+    monkeypatch.setattr(cli.bounds, "gs_negative", raise_error)
+    code, out, err = run(capsys, "gs", "--d", "2", "--degrees", "9")
+    usage = issubclass(error, (errors.SchemaError, errors.DomainError))
+    assert code == (3 if usage else 2)
+    assert out == ""
+    assert err == "error: raised by the scan\n"
 
 
 def test_closure_limit_env_override(capsys, monkeypatch):

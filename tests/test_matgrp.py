@@ -17,7 +17,7 @@ from tamelab.matgrp import (
     zp_power,
 )
 from tamelab import matgrp
-from tamelab.matgrp import _Entries, _identity, _mul, _scale
+from tamelab.matgrp import _Entries, _identity, _mul, _reduce_matrix, _scale
 from tamelab.padic import (
     PadicScalar,
     ScalarRing,
@@ -659,6 +659,35 @@ def test_mat_exp_log_match_series_oracle_on_series_matrices(ring, m):
     for _ in range(3):
         rows = [[entry() for _ in range(m)] for _ in range(m)]
         _check_exp_log(RingMatrix(ring, rows))
+
+
+@pytest.mark.parametrize("headroom", [1, 2])
+@pytest.mark.parametrize("n_vars", [1, 2])
+@pytest.mark.parametrize("p", [3, 5])
+def test_series_exp_commutes_with_narrowing(p, n_vars, headroom):
+    trunc = 3
+    wide = SeriesRing(p, n_vars, trunc + headroom)
+    rng = random.Random(100 * p + 10 * n_vars + headroom)
+    monos = [(0,) * n_vars, *_monomials(n_vars, trunc + headroom - 1)]
+
+    def entry():
+        return wide.from_terms({e: p * rng.randrange(p**trunc) for e in monos})
+
+    x = RingMatrix(wide, [[entry() for _ in range(2)] for _ in range(2)])
+    narrow = _reduce_matrix(x, trunc)
+    assert narrow.ring == SeriesRing(p, n_vars, trunc)
+    assert _reduce_matrix(mat_exp(x), trunc) == mat_exp(narrow)
+    assert _reduce_matrix(_reduce_matrix(narrow, trunc + headroom), trunc) == narrow
+
+
+def test_series_mat_exp_needs_p_divisible_entries():
+    ring = SeriesRing(3, 1, 4)
+    t = ring.variable(0)
+    with pytest.raises(DepthError):
+        mat_exp(RingMatrix(ring, [[ring.zero(), t], [ring.zero(), ring.zero()]]))
+    pt = ring.from_int(3) * t
+    g = mat_exp(RingMatrix(ring, [[ring.zero(), pt], [ring.zero(), ring.zero()]]))
+    assert g == RingMatrix(ring, [[ring.one(), pt], [ring.zero(), ring.one()]])
 
 
 def _monomials(n_vars, max_degree):
