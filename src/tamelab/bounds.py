@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .errors import InvalidSignature, SchemaError
+from .errors import InvalidSignature, SchemaError, json_int
 
 _DIGITS = 40
 
@@ -154,12 +154,18 @@ class SplittingBoundInput:
     @classmethod
     def from_json(cls, obj) -> "SplittingBoundInput":
         try:
+            disc, grh = obj["abs_discriminant"], obj.get("grh", False)
+            if type(disc) not in (int, str) or type(grh) is not bool:
+                raise SchemaError(
+                    "abs_discriminant must be an integer or a string,"
+                    f" grh a boolean; got {disc!r}, {grh!r}"
+                )
             return cls(
-                Fraction(str(obj["abs_discriminant"])),
-                int(obj["r1"]),
-                int(obj["r2"]),
-                tuple(int(n) for n in obj.get("prime_norms", [])),
-                bool(obj.get("grh", False)),
+                Fraction(disc),
+                json_int(obj["r1"]),
+                json_int(obj["r2"]),
+                tuple(map(json_int, obj.get("prime_norms", []))),
+                grh,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad splitting-bound payload: {exc}") from exc

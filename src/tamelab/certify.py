@@ -40,10 +40,12 @@ from .errors import (
     GuardFailed,
     NonUnitDeterminant,
     NotNonresidue,
+    PrecisionMismatch,
     RingMismatch,
     SchemaError,
     TameRelationFailed,
     ZeroVector,
+    json_int,
 )
 from .matgrp import (
     RingMatrix,
@@ -67,7 +69,7 @@ from .padic import (
     int_valuation,
     is_nonresidue,
 )
-from .liealg import _echelon
+from .liealg import rank
 from .pcentral import FiniteQuotientGroup, PCentralChain, dictionary_bracket
 from .report import SuiteReport
 
@@ -108,7 +110,7 @@ class GroupInertialCertificate:
                 RingMatrix.from_json(obj["y"]),
                 RingMatrix.from_json(obj["x"]),
                 PadicScalar.from_json(obj["a"]),
-                int(obj["k"]),
+                json_int(obj["k"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad certificate payload: {exc}") from exc
@@ -281,6 +283,12 @@ def slm_series_suite(
     (p^k - 1)^2), each with exponent (p^k - 1)^2 exactly.  The harvested
     unipotent directions must span the full graded layer, verified by an
     independent rank computation over F_p.
+
+    A direction w is read as the weight-k digits of the entries of w - I
+    (`SeriesElement.weight_digits`).  Each harvested w - I is trace zero,
+    so its digits lie in gr_k, the |monomials| (m^2 - 1)-dimensional space
+    of blocks with trace zero, one block per monomial; any coordinates of
+    gr_k (`liealg.sl_table`'s basis among them) give the same rank.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
@@ -299,34 +307,12 @@ def slm_series_suite(
     monomials = list(_weight_monomials(ring, k))
     pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
 
-    # gr_k coordinates: (monomial slot) x (matrix slot: E_ij then partial diag sums)
-    mono_index = {beta: t for t, (a0, beta, _) in enumerate(monomials)}
-    pair_index = {pr: t for t, pr in enumerate(pairs)}
-    mat_dim = len(pairs) + (m - 1)
-    gr_dim = len(monomials) * mat_dim
+    gr_dim = len(monomials) * (m * m - 1)
+    identity = RingMatrix.identity(ring, m)
     harvested = []
 
-    def gr_coords(w: RingMatrix):
-        """Coordinates of (w - I)'s weight-k part in the graded layer, mod p."""
-        coords = [0] * gr_dim
-        delta = (w - RingMatrix.identity(ring, m)).rows
-        for i in range(m):
-            for j in range(m):
-                for exps, coeff in delta[i][j].coeffs.items():
-                    t_deg = sum(exps)
-                    val = int_valuation(coeff, p, truncation - t_deg)
-                    if t_deg + val != k or exps not in mono_index:
-                        continue
-                    digit = (coeff // p**val) % p
-                    slot = mono_index[exps] * mat_dim
-                    if i != j:
-                        coords[slot + pair_index[(i, j)]] = digit
-                    else:
-                        # diagonal entry contributes to partial-sum coordinates
-                        for t in range(i, m - 1):
-                            base = slot + len(pairs) + t
-                            coords[base] = (coords[base] + digit) % p
-        return coords
+    def digits(w: RingMatrix) -> list:
+        return [d for e in (w - identity)._flat for d in e.weight_digits(k)]
 
     # diag[(j, i)] is the inverse of diag[(i, j)] and D is symmetric in
     # (i, j), so one inversion per unordered pair builds every conjugator
@@ -334,7 +320,7 @@ def slm_series_suite(
     for i, j in pairs:
         diag[(i, j)] = _from_entries(ring, m, {(i, i): u, (j, j): u_inv})
         if i > j:
-            if diag[(i, j)] * diag[(j, i)] != RingMatrix.identity(ring, m):
+            if diag[(i, j)] * diag[(j, i)] != identity:
                 raise GuardFailed("diagonal conjugators are not mutually inverse")
             d_mat = _from_entries(
                 ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c}
@@ -368,24 +354,18 @@ def slm_series_suite(
                     d_mat * n_mat * d_inv == n_mat.scale(ring.from_int(exponent)),
                 )
                 checked_dn = True
-            w = RingMatrix.identity(ring, m) + n_mat.scale(mu)
+            w = identity + n_mat.scale(mu)
             report.add(
                 f"{mono_label}/({i},{j})/DN-conj",
                 d_mat * w * d_inv == int_power(w, exponent),
             )
             if i < j:
-                harvested.append(gr_coords(upper))
-                harvested.append(gr_coords(lower))
-                harvested.append(gr_coords(w))
+                harvested += [digits(upper), digits(lower), digits(w)]
 
-    spanned = _fp_rank(harvested, p) == gr_dim
+    spanned = rank(harvested, p) == gr_dim
     report.add("gr_k-span", spanned, f"rank target {gr_dim}")
     report.data["gr_dim"] = gr_dim
     return report
-
-
-def _fp_rank(rows: list, p: int) -> int:
-    return len(_echelon(rows, p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +601,8 @@ def brute_search_certificate(
     certificates (exponent annihilating y) are excluded; at finite modulus
     they exist for every element and carry no information.
     """
+    if not isinstance(G.ring, ScalarRing):  # the scan orders G's elements
+        raise PrecisionMismatch("certificate search needs a scalar ring")
     y_t = y if isinstance(y, tuple) else G.to_tuple(y)
     if y_t == G.identity:
         raise ZeroVector("y must differ from the identity")

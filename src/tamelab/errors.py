@@ -90,3 +90,15 @@ class SchemaError(TamelabError):
 
 class GuardFailed(TamelabError):
     """An exactness guard failed: a computed value misses its defining identity."""
+
+
+def json_int(value) -> int:
+    """A JSON integer, or a string of one, as an int.
+
+    A float or a bool raises SchemaError: int() would truncate the one and
+    read the other as 0 or 1.  A string that is no integer raises
+    ValueError, as int() does, for the caller's payload parser to report.
+    """
+    if type(value) is int or isinstance(value, str):
+        return int(value)
+    raise SchemaError(f"expected an integer or a string of one, got {value!r}")

@@ -10,9 +10,9 @@ the only exact toral verdict is the abelian case.
 
 Work over Q runs on ints: a sparse integer structure-constant table, and
 `SpanTracker`, the one exact elimination kernel, fraction-free over Q or
-over F_p, behind rref, solve, nullspace, minimal polynomials (one Krylov
-pass) and the F_p rank of `certify`.  `Fraction`s are made only where a
-result leaves the kernel.
+over F_p, behind rref, rank, solve, nullspace and minimal polynomials
+(one Krylov pass).  `Fraction`s are made only where a result leaves the
+kernel.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ def rref(rows) -> tuple[list, list]:
     ], pivots
 
 
-def rank(rows) -> int:
-    return len(_echelon(rows)[1])
+def rank(rows, p: int | None = None) -> int:
+    return len(_echelon(rows, p)[1])
 
 
 def solve(a_rows, b: Vector):

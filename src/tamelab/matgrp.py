@@ -19,12 +19,12 @@ below run on such tuples with + - * only, finishing each entry with
 `% mod`: p^N for scalars, a no-op for series, which reduce themselves.
 An entry of a product of series matrices is one accumulation over its
 row and column (`padic._series_dot`), reduced once.  `RingMatrix` and
-the enumerated groups of `pcentral` share them; `PadicScalar` is the view
-at the boundary (`rows`, `det`, `trace`, JSON).  Narrowing a matrix to
-another precision (`_reduce_matrix`) and reading the valuations of its
-packed entries (`_Entries`) are written here only.  The exp/log series is
-not written here: `mat_exp`/`mat_log` sum the coefficients that `padic`
-specifies for its scalar `pexp`/`plog`.
+the enumerated groups of `pcentral` share them, `_inverse` included;
+`PadicScalar` is the view at the boundary (`rows`, `det`, `trace`, JSON).
+Narrowing (`_reduce_matrix`) and the entry contract of both rings
+(`_Entries`: zero, one, modulus, valuations, view) are written here only.
+The exp/log series is not: `mat_exp`/`mat_log` sum the coefficients that
+`padic` specifies for its scalar `pexp`/`plog`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from operator import mul
 
 from .errors import (
     DepthError,
+    NonUnit,
     NonUnitDeterminant,
     PrecisionMismatch,
     SchemaError,
+    json_int,
 )
 from .padic import (
     PadicScalar,
@@ -153,20 +155,26 @@ def _det(a: tuple, m: int, mod, one):
     return dp[(1 << m) - 1]
 
 
-def _det_adj(a: tuple, m: int, mod, one) -> tuple:
-    """(det a, adj a); a^-1 is adj a scaled by det^-1 whenever det is a unit."""
+def _inverse(a: tuple, m: int, ent: _Entries) -> tuple:
+    """a^-1, adj a scaled by det(a)^-1; NonUnitDeterminant unless det a is a unit."""
+    mod, one = ent.mod, ent.one
     if m == 2:
         a0, a1, a2, a3 = a
-        return (a0 * a3 - a1 * a2) % mod, (a3, -a1 % mod, -a2 % mod, a0)
-    adj = []
-    for i in range(m):
-        for j in range(m):
-            minor = tuple(
-                a[r * m + c] for r in range(m) if r != j for c in range(m) if c != i
-            )
-            cof = _det(minor, m - 1, mod, one)
-            adj.append(-cof % mod if (i + j) % 2 else cof)
-    return _det(a, m, mod, one), tuple(adj)
+        det, adj = (a0 * a3 - a1 * a2) % mod, (a3, -a1 % mod, -a2 % mod, a0)
+    else:
+        det, adj = _det(a, m, mod, one), []
+        for i in range(m):
+            for j in range(m):
+                minor = tuple(
+                    a[r * m + c] for r in range(m) if r != j for c in range(m) if c != i
+                )
+                cof = _det(minor, m - 1, mod, one)
+                adj.append(-cof % mod if (i + j) % 2 else cof)
+    try:
+        det_inv = pow(det, -1, mod) if ent.scalar else det.inv()
+    except (ValueError, NonUnit):
+        raise NonUnitDeterminant(f"determinant {ent.view(det)!r} is not a unit")
+    return _scale(adj, det_inv, mod)
 
 
 def _depth(a: tuple, m: int, ent: _Entries) -> int:
@@ -267,12 +275,7 @@ class RingMatrix:
         return ent.view(_det(self._flat, self.m, ent.mod, ent.one))
 
     def inverse(self) -> "RingMatrix":
-        ent = self._ent
-        det, adj = _det_adj(self._flat, self.m, ent.mod, ent.one)
-        d = ent.view(det)
-        if not d.is_unit():
-            raise NonUnitDeterminant(f"determinant {d!r} is not a unit")
-        return self._like(_scale(adj, ent.pack(d.inv()), ent.mod))
+        return self._like(_inverse(self._flat, self.m, self._ent))
 
     # -- comparisons and serialization ----------------------------------
 
@@ -303,7 +306,7 @@ class RingMatrix:
     def from_json(cls, obj) -> "RingMatrix":
         try:
             ring = ring_from_header(obj["ring"])
-            m = int(obj["m"])
+            m = json_int(obj["m"])
             if m < 1:
                 raise SchemaError(f"matrix size must be >= 1, got {m}")
             entries = [ring.element_from_json(e) for e in obj["entries"]]

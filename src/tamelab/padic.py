@@ -26,7 +26,7 @@ alone reads one back.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
@@ -40,21 +40,39 @@ from .errors import (
     NonUnit,
     PrecisionMismatch,
     SchemaError,
+    json_int,
 )
 
 # ---------------------------------------------------------------------------
 # integer helpers
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86 (2017), 985-1003)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
 def is_odd_prime(p: int) -> bool:
+    """Exact for p below `_PRIME_BOUND`; a larger p raises DomainError."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _PRIME_BOUND:
+        raise DomainError(f"p = {p} is not below {_PRIME_BOUND}, the primality bound")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (0, 1, p - 1):  # 0 only when p is the base a
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -199,11 +217,6 @@ class PadicScalar:
             raise NonUnit(f"{self!r} has valuation {self.valuation()}")
         return PadicScalar(self.p, self.prec, pow(self.value, -1, self.p**self.prec))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        return PadicScalar(self.p, self.prec, pow(self.value, e, self.p**self.prec))
-
     def valuation(self) -> int:
         """v_p capped at the precision; the zero residue reports the cap."""
         return int_valuation(self.value, self.p, self.prec)
@@ -234,7 +247,7 @@ class PadicScalar:
     @classmethod
     def from_json(cls, obj) -> "PadicScalar":
         try:
-            return cls(int(obj["p"]), int(obj["prec"]), int(obj["value"]))
+            return cls(*(json_int(obj[key]) for key in ("p", "prec", "value")))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad scalar payload {obj!r}: {exc}") from exc
 
@@ -412,14 +425,15 @@ class SeriesRing:
 def ring_from_header(header) -> ScalarRing | SeriesRing:
     """The ring whose `json_header` is header.
 
-    A missing or non-integer field raises KeyError, TypeError or ValueError
-    for the caller's payload parser to report; an unknown type SchemaError.
+    A missing field or a string that is no integer raises KeyError,
+    TypeError or ValueError for the caller's payload parser to report; a
+    float, a bool or an unknown type raises SchemaError.
     """
     if header["type"] == "padic":
-        return ScalarRing(int(header["p"]), int(header["prec"]))
+        return ScalarRing(json_int(header["p"]), json_int(header["prec"]))
     if header["type"] == "series":
-        n_vars, trunc = int(header["n_vars"]), int(header["trunc"])
-        return SeriesRing(int(header["p"]), n_vars, trunc)
+        n_vars, trunc = json_int(header["n_vars"]), json_int(header["trunc"])
+        return SeriesRing(json_int(header["p"]), n_vars, trunc)
     raise SchemaError(f"unknown ring type {header!r}")
 
 
@@ -525,6 +539,13 @@ class SeriesElement:
         """Largest k with the element in m^k, capped at the truncation order."""
         return min((d + v for d, v in self._valuations()), default=self.ring.trunc)
 
+    def weight_digits(self, k: int) -> list:
+        """The image of this element of m^k in m^k/m^(k+1), k < M: per monomial
+        T^beta of degree d <= k, its coefficient over p^(k - d), mod p."""
+        p, degs, terms = self.ring.p, self._layout.degs, self._terms
+        return [terms.get(t, 0) // p ** (k - d) % p
+                for t, d in enumerate(degs[: bisect_right(degs, k)])]
+
     def p_content(self) -> int:
         """Minimal coefficient valuation; infinite (capped) for the zero element."""
         return min((v for _, v in self._valuations()), default=self.ring.trunc)
@@ -590,10 +611,10 @@ class SeriesElement:
     @classmethod
     def from_json(cls, ring: SeriesRing, obj) -> "SeriesElement":
         try:
-            header = (int(obj["p"]), int(obj["n_vars"]), int(obj["trunc"]))
+            header = tuple(json_int(obj[key]) for key in ("p", "n_vars", "trunc"))
             if header != (ring.p, ring.n_vars, ring.trunc):
                 raise SchemaError(f"series payload {obj!r} does not match {ring}")
-            terms = [(tuple(int(x) for x in e), int(c)) for e, c in obj["coeffs"]]
+            terms = [(tuple(map(json_int, e)), json_int(c)) for e, c in obj["coeffs"]]
             if len(dict(terms)) != len(terms):
                 raise SchemaError(f"series payload {obj!r} repeats a monomial")
             return cls(ring, dict(terms))

@@ -1,10 +1,10 @@
 """Finite congruence quotients: enumeration, p-central series, uniformity.
 
-Groups are enumerated as sets of plain int tuples: matrices mod p^N in the
-flat row-major layout of `matgrp`, which owns the one packed matrix kernel.
-Group multiplication, inversion (by the adjugate), powering and depth all
-run on that kernel, and an element tuple is exactly the packed form of
-the matching `RingMatrix`.  This module has no matrix loops of its own.
+Groups are enumerated as sets of flat tuples, matrices over Z/p^N or A/m^M
+in the layout of `matgrp`, which owns the one packed matrix kernel and the
+entry contract (`_Entries`) of both rings.  Multiplication, inversion,
+powering and depth run on that kernel, and an element tuple is exactly the
+packed form of the matching `RingMatrix`.  No matrix loops live here.
 
 Every subgroup and normal closure is enumerated by one Dimino loop: each
 queued seed element that is not yet a member extends the subgroup H built
@@ -37,15 +37,15 @@ from .errors import (
     WindowTooLarge,
 )
 from .matgrp import (
+    Ring,
     RingMatrix,
     _depth,
-    _det_adj,
     _Entries,
     _identity,
+    _inverse,
     _mul,
     _pow,
     _reduce_matrix,
-    _scale,
     commutator,
     congruence_depth,
     int_power,
@@ -78,7 +78,7 @@ def closure_limit() -> int:
 
 @dataclass(frozen=True)
 class FiniteQuotientGroup:
-    """A finite p-group of matrices mod p^N with its full element set.
+    """A finite p-group of matrices over Z/p^N or A/m^M with its full element set.
 
     Invariant: `generators` generate `elements`.  `closure`, the only
     constructor, enumerates `elements` as the subgroup the generators
@@ -86,7 +86,7 @@ class FiniteQuotientGroup:
     conjugacy class, and a normal closure under them is normal in G.
     """
 
-    ring: ScalarRing
+    ring: Ring
     m: int
     generators: tuple
     elements: frozenset
@@ -97,11 +97,15 @@ class FiniteQuotientGroup:
 
     @property
     def prec(self) -> int:
-        return self.ring.prec
+        return self.ring.cap
 
     @cached_property
-    def modulus(self) -> int:
-        return self.ring.modulus
+    def _ent(self) -> _Entries:
+        return _Entries(self.ring)
+
+    @cached_property
+    def modulus(self):
+        return self._ent.mod
 
     @property
     def order(self) -> int:
@@ -109,7 +113,7 @@ class FiniteQuotientGroup:
 
     @cached_property
     def identity(self) -> tuple:
-        return _identity(self.m, 0, 1)
+        return _identity(self.m, self._ent.zero, self._ent.one)
 
     @cached_property
     def sorted_elements(self) -> tuple:
@@ -124,9 +128,7 @@ class FiniteQuotientGroup:
         return _mul(a, b, self.m, self.modulus)
 
     def inv(self, a: tuple) -> tuple:
-        mod = self.modulus
-        det, adj = _det_adj(a, self.m, mod, 1)
-        return _scale(adj, pow(det, -1, mod), mod)
+        return _inverse(a, self.m, self._ent)
 
     def power(self, a: tuple, e: int) -> tuple:
         if e < 0:
@@ -160,7 +162,7 @@ class FiniteQuotientGroup:
                     orbit.append(c)
 
     def element_depth(self, a: tuple) -> int:
-        return _depth(a, self.m, _Entries(self.ring))
+        return _depth(a, self.m, self._ent)
 
     def to_matrix(self, a: tuple) -> RingMatrix:
         return RingMatrix._packed(self.ring, self.m, a)
@@ -241,20 +243,17 @@ def closure(
     limit: int | None = None,
     allow_depth_zero: bool = False,
 ) -> FiniteQuotientGroup:
-    """Enumeration of the group the generators produce mod p^N.
+    """Enumeration of the group the generators produce mod p^N or mod m^M.
 
-    Generators must be congruent to I mod p unless `allow_depth_zero` opts
-    out (needed for p-groups, like semidirect products with a nontrivial
-    mod-p action, that admit no congruence-kernel model).  The resulting
-    order must be a power of p.
+    Generators must be congruent to I mod m = (p, T_1..T_n) unless
+    `allow_depth_zero` opts out (needed for p-groups, like semidirect
+    products with a nontrivial mod-p action, that admit no congruence-kernel
+    model).  The resulting order must be a power of p.
     """
     if not generators:
         raise ValueError("need at least one generator")
     limit = closure_limit() if limit is None else limit
-    ring = generators[0].ring
-    if not isinstance(ring, ScalarRing):
-        raise PrecisionMismatch("enumeration works over scalar rings only")
-    m = generators[0].m
+    ring, m = generators[0].ring, generators[0].m
     gens = []
     for g in generators:
         if g.ring != ring or g.m != m:
@@ -263,7 +262,8 @@ def closure(
             raise DepthError("generator not congruent to I mod p")
         gens.append(g._flat)
 
-    shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset([_identity(m, 0, 1)]))
+    # the shell's element set is never read: `limit` caps its closure
+    shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset())
     elements = shell.subgroup_closure(gens, limit)
     _p_log(len(elements), ring.p, "order")
     return FiniteQuotientGroup(ring, m, tuple(gens), elements)

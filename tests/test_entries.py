@@ -1,0 +1,197 @@
+"""One entry contract for both coefficient rings.
+
+Enumerated groups, the matrix inverse and the graded-layer span check read
+their entries through `matgrp._Entries`, over Z/p^N and over truncated
+series rings alike.
+"""
+
+import itertools
+
+import pytest
+
+from tamelab.certify import _weight_monomials, brute_search_certificate, slm_series_suite
+from tamelab.errors import NonUnitDeterminant, PrecisionMismatch
+from tamelab.liealg import rank
+from tamelab.matgrp import RingMatrix, _from_entries, sl_standard_generators
+from tamelab.padic import ScalarRing, SeriesRing, int_valuation
+from tamelab.pcentral import closure, pcentral_series
+
+
+def gamma1_generators(ring):
+    """Unipotent and diagonal generators of Gamma_1 in SL_2 over a series ring.
+
+    One triple per F_p basis element t of m/m^2 (p, then each variable).
+    """
+    smalls = [ring.from_int(ring.p)] + [ring.variable(i) for i in range(ring.n_vars)]
+    out = []
+    for t in smalls:
+        u = ring.one() + t
+        out += [
+            _from_entries(ring, 2, {(0, 1): t}),
+            _from_entries(ring, 2, {(1, 0): t}),
+            _from_entries(ring, 2, {(0, 0): u, (1, 1): u.inv()}),
+        ]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# enumeration over series rings
+
+
+def test_series_closure_is_every_determinant_one_lift_mod_m2():
+    # Gamma_1 / Gamma_2 over Z_3[[T]]/m^2 is every I + X with X in M_2(m/m^2)
+    # and det 1: the trace of X vanishes, so 3^6 elements, elementary abelian
+    ring = SeriesRing(3, 1, 2)
+    G = closure(gamma1_generators(ring))
+    small = [ring.from_terms({(0,): 3 * a, (1,): b}) for a in range(3) for b in range(3)]
+    one = ring.one()
+    brute = set()
+    for x0, x1, x2, x3 in itertools.product(small, repeat=4):
+        g = RingMatrix(ring, [[one + x0, x1], [x2, one + x3]])
+        if g.det() == one:
+            brute.add(g._flat)
+    assert G.elements == brute
+    assert G.order == 3**6
+    assert pcentral_series(G).dims == [6]
+
+
+def test_series_closure_in_two_variables():
+    G = closure(gamma1_generators(SeriesRing(3, 2, 2)))
+    assert G.order == 3**9
+    assert G.prec == 2
+
+
+# ---------------------------------------------------------------------------
+# one inverse
+
+
+def _mixed_matrices(ring):
+    """A few invertible 2x2 matrices over ring, not all of depth one."""
+    t = ring.variable(0) if isinstance(ring, SeriesRing) else ring.from_int(ring.p)
+    two, one, zero = ring.from_int(2), ring.one(), ring.zero()
+    return [
+        RingMatrix(ring, [[one + t, two], [t, one]]),
+        RingMatrix(ring, [[two, t], [zero, two.inv()]]),
+        RingMatrix(ring, [[zero, -one], [one, t * t]]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring, gens",
+    [
+        (ScalarRing(3, 3), sl_standard_generators(2, 3, 3)),
+        (SeriesRing(3, 1, 2), gamma1_generators(SeriesRing(3, 1, 2))),
+    ],
+    ids=["scalar", "series"],
+)
+def test_group_and_matrix_inverses_agree(ring, gens):
+    G = closure(gens)
+    samples = sorted(G.elements, key=repr)[:: max(1, G.order // 50)]
+    samples += [g._flat for g in _mixed_matrices(ring)]
+    for a in samples:
+        a_inv = G.inv(a)
+        assert a_inv == G.to_matrix(a).inverse()._flat
+        assert G.mul(a, a_inv) == G.identity == G.mul(a_inv, a)
+
+
+@pytest.mark.parametrize(
+    "ring", [ScalarRing(3, 3), SeriesRing(3, 1, 3)], ids=["scalar", "series"]
+)
+def test_nonunit_determinant_raises_in_both_inverses(ring):
+    # det 3, or det T over the series ring: neither is a unit
+    small = ring.variable(0) if isinstance(ring, SeriesRing) else ring.from_int(3)
+    g = _from_entries(ring, 2, {(0, 0): small})
+    G = closure([_from_entries(ring, 2, {(0, 1): 3})])
+    with pytest.raises(NonUnitDeterminant):
+        g.inverse()
+    with pytest.raises(NonUnitDeterminant):
+        G.inv(g._flat)
+
+
+def test_certificate_search_refuses_a_series_group():
+    # the scan orders G, and series entries have no order
+    ring = SeriesRing(3, 1, 3)
+    y = _from_entries(ring, 2, {(0, 1): 3})
+    x = _from_entries(ring, 2, {(0, 0): 4, (1, 1): ring.from_int(4).inv()})
+    G = closure([x, y])
+    assert G.order == 81
+    with pytest.raises(PrecisionMismatch):
+        brute_search_certificate(G, y, 2)
+
+
+# ---------------------------------------------------------------------------
+# graded-layer digits
+
+
+def test_weight_digits_read_the_packed_coefficients():
+    ring = SeriesRing(3, 1, 4)
+    x = ring.from_terms({(0,): 18, (1,): 6, (2,): 5, (3,): 1})
+    # 18 = 2 * 9, 6 = 2 * 3, 5 = 2 mod 3; T^3 lies in m^3
+    assert x.weight_digits(2) == [2, 2, 2]
+    # 27 and 3 T^2 lie in m^3
+    assert ring.from_terms({(0,): 27, (1,): 3, (2,): 3}).weight_digits(2) == [0, 1, 0]
+
+
+def _sl_basis_coords(w, k, monomials, m):
+    """The slm suite's earlier reader: gr_k coordinates in `sl_table`'s basis.
+
+    Per monomial, the off-diagonal entries of (w - I)'s weight-k part, then
+    the partial sums of its diagonal; each digit's valuation is derived again
+    from the coefficient.
+    """
+    ring = w.ring
+    p, trunc = ring.p, ring.trunc
+    mono_index = {beta: t for t, (a0, beta, _) in enumerate(monomials)}
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    pair_index = {pr: t for t, pr in enumerate(pairs)}
+    mat_dim = len(pairs) + (m - 1)
+    coords = [0] * (len(monomials) * mat_dim)
+    delta = (w - RingMatrix.identity(ring, m)).rows
+    for i in range(m):
+        for j in range(m):
+            for exps, coeff in delta[i][j].coeffs.items():
+                t_deg = sum(exps)
+                val = int_valuation(coeff, p, trunc - t_deg)
+                if t_deg + val != k or exps not in mono_index:
+                    continue
+                digit = (coeff // p**val) % p
+                slot = mono_index[exps] * mat_dim
+                if i != j:
+                    coords[slot + pair_index[(i, j)]] = digit
+                else:
+                    for t in range(i, m - 1):
+                        base = slot + len(pairs) + t
+                        coords[base] = (coords[base] + digit) % p
+    return coords
+
+
+# (m, k, n_vars, trunc, p): the acceptance gate's slm cases (the `--suite all`
+# golden files among them), then the two `--suite slm` golden files
+_SLM_CASES = [
+    (2, k, n_vars, 3, p) for p in (3, 5, 7) for k in (1, 2) for n_vars in (0, 1)
+] + [(4, 2, 2, 4, 3), (3, 3, 2, 5, 5)]
+
+
+@pytest.mark.parametrize("m, k, n_vars, trunc, p", _SLM_CASES)
+def test_weight_digit_rank_matches_the_sl_basis_oracle(m, k, n_vars, trunc, p):
+    ring = SeriesRing(p, n_vars, trunc)
+    monomials = list(_weight_monomials(ring, k))
+    identity = RingMatrix.identity(ring, m)
+    new, old = [], []
+    for _, _, mu in monomials:
+        for i, j in itertools.combinations(range(m), 2):
+            n_mat = _from_entries(
+                ring, m, {(i, i): 1, (i, j): 1, (j, i): -1, (j, j): -1}, 0
+            )
+            for w in (
+                _from_entries(ring, m, {(i, j): mu}),
+                _from_entries(ring, m, {(j, i): mu}),
+                identity + n_mat.scale(mu),
+            ):
+                new.append([d for e in (w - identity)._flat for d in e.weight_digits(k)])
+                old.append(_sl_basis_coords(w, k, monomials, m))
+    gr_dim = len(monomials) * (m * m - 1)
+    assert rank(new, p) == rank(old, p) == gr_dim
+    report = slm_series_suite(m, k, n_vars, trunc, p)
+    assert report.all_pass
+    assert report.data["gr_dim"] == gr_dim

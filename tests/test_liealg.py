@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tamelab import liealg as liealg_module
-from tamelab.certify import _fp_rank
+from tamelab.liealg import rank as _fp_rank
 
 from tamelab.errors import DomainError, SchemaError, ZeroVector
 from tamelab.liealg import (
