@@ -167,7 +167,7 @@ class SplittingBoundInput:
                 tuple(map(json_int, obj.get("prime_norms", []))),
                 grh,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad splitting-bound payload: {exc}") from exc
 
 

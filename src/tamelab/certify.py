@@ -422,9 +422,7 @@ def stable_generation_audit(
                 cert.ring, cert.y.m
             ):
                 meaningful = False
-        gen_set = list(y_tuples) + list(chain.level_gens[n]) if n < len(
-            chain.level_gens
-        ) else list(y_tuples)
+        gen_set = y_tuples + chain.gens(n + 1)
         spans = certs_ok and membership_ok and G.subgroup_closure(gen_set) == pn
         out.append(AuditLevel(n, membership_ok, certs_ok, meaningful, spans))
     return out

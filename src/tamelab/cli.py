@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import bounds, certify, liealg, pcentral
 from .errors import CertificateInvalid, SchemaError, TamelabError, WindowTooLarge
@@ -193,13 +192,9 @@ def cmd_bound(args) -> int:
     else:
         if args.disc is None or args.r1 is None or args.r2 is None:
             raise SchemaError("bound needs --input or all of --disc --r1 --r2")
-        inp = bounds.SplittingBoundInput(
-            Fraction(str(args.disc)),
-            args.r1,
-            args.r2,
-            tuple(args.norm or ()),
-            args.grh,
-        )
+        payload = {"abs_discriminant": args.disc, "r1": args.r1, "r2": args.r2}
+        payload.update(prime_norms=args.norm or [], grh=args.grh)
+        inp = bounds.SplittingBoundInput.from_json(payload)
     result = bounds.splitting_bound(inp)
     status = {
         "true": PASS,

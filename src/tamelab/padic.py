@@ -587,7 +587,7 @@ class SeriesElement:
         )
 
     def __hash__(self):
-        return hash((self.ring, tuple(self.sorted_terms())))
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         if not self._terms:
@@ -614,6 +614,8 @@ class SeriesElement:
             header = tuple(json_int(obj[key]) for key in ("p", "n_vars", "trunc"))
             if header != (ring.p, ring.n_vars, ring.trunc):
                 raise SchemaError(f"series payload {obj!r} does not match {ring}")
+            if any(type(e) is not list for e, _ in obj["coeffs"]):
+                raise SchemaError(f"series payload {obj!r} has a non-list exponent")
             terms = [(tuple(map(json_int, e)), json_int(c)) for e, c in obj["coeffs"]]
             if len(dict(terms)) != len(terms):
                 raise SchemaError(f"series payload {obj!r} repeats a monomial")

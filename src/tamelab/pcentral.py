@@ -10,8 +10,8 @@ Every subgroup and normal closure is enumerated by one Dimino loop: each
 queued seed element that is not yet a member extends the subgroup H built
 so far by whole right cosets H r, so each element is made by one multiply
 and no membership test; for a normal closure each kept element queues its
-conjugates under the generators.  The uniformity check counts the cosets
-of P_(n+2) that the p-th powers of P_n hit by labelling each once.
+conjugates under the generators.  Uniformity is decided on the p-th powers
+of each level's generators, one subgroup closure per level.
 
 The p-central series is computed level by level: with Y generating P_n and X
 generating G, P_(n+1) is the normal closure of {y^p} union {[x, y]} over
@@ -290,6 +290,12 @@ class PCentralChain:
             return self.levels[n - 1]
         return frozenset([self.group.identity])
 
+    def gens(self, n: int) -> list:
+        """A generating set of P_n, empty past the computed chain."""
+        if n < 1:
+            raise ValueError("levels are indexed from 1")
+        return list(self.level_gens[n - 1]) if n <= len(self.level_gens) else []
+
     def depth_filtration(self, n: int) -> frozenset:
         """Elements of G congruent to I mod p^n; the dictionary's other side."""
         return frozenset(
@@ -356,36 +362,35 @@ def uniformity_check(
 
 
 def _uniformity(G: FiniteQuotientGroup, window: int, chain) -> UniformityReport:
-    """`uniformity_check` past its window checks; window 0 checks Frattini only."""
-    # P_1 = G: one pass of the power map gives the level-1 images and G^p,
-    # the normal subgroup they generate; G/G^p is abelian (G is powerful)
-    # exactly when the generator commutators lie in G^p
-    images = {G.power(a, G.p) for a in G.elements}
-    gp, gens = G.subgroup_closure(images), G.generators
-    frattini_abelian = all(G.comm(x, y) in gp for x in gens for y in gens)
+    """`uniformity_check` past its window checks; window 0 checks Frattini only.
 
-    bijective = []
-    for n in range(1, window + 1):
-        if n > 1:
-            images = {G.power(a, G.p) for a in chain.level(n)}
-        size_n = len(chain.level(n)) // len(chain.level(n + 1))
-        size_n1 = len(chain.level(n + 1)) // len(chain.level(n + 2))
-        lower = chain.level(n + 2)
-        # powering is well-defined on graded layers for any p-central series
-        # (Hall-Petrescu), so counting the cosets b P_(n+2) that the images b
-        # hit decides bijectivity: a count of |gr_n| forces injectivity, one
-        # of |gr_(n+1)| surjectivity.  Each coset hit is labelled once, so a
-        # level costs at most |P_(n+1)| multiplies.
-        labelled = set()
-        cosets = 0
-        for b in images:
-            if b not in labelled:
-                cosets += 1
-                labelled.update(G.mul(b, h) for h in lower)
-        bijective.append(cosets == size_n == size_n1)
+    Rule (p odd, as every ring requires): the power map gr_n -> gr_(n+1) is
+    onto exactly when the p-th powers of P_n's generators generate P_(n+1)
+    modulo P_(n+2).  Proof, from [P_i, P_j] <= P_(i+j) (Dixon, du Sautoy,
+    Mann & Segal, ch. 1):
+    - For x, y in P_n, Hall-Petrescu gives x^p y^p = (xy)^p prod c_i^C(p,i)
+      over 2 <= i <= p, c_i in gamma_i(<x, y>) <= P_(in).  For i < p, p |
+      C(p,i), so c_i^C(p,i) lies in P_(in)^p <= P_(in+1) <= P_(n+2), and
+      c_p in P_(pn) <= P_(n+2).  As P_(n+1)^p <= P_(n+2), x -> x^p induces a
+      homomorphism gr_n -> gr_(n+1), whose image the images of P_n's
+      generators generate; it is bijective iff onto and |gr_n| = |gr_(n+1)|.
+    - Level 1 onto gives P_2 = G^p P_3 with P_3 = [P_2, G] P_2^p, so in
+      G/G^p (where P_2^p dies) the image of P_2 is its commutator with G,
+      hence trivial, G being nilpotent: [G, G] <= P_2 = G^p.  Conversely,
+      G/G^p abelian gives P_2 = G^p, generated by p-th powers, which the
+      map reaches.  So G/G^p is abelian exactly when level 1 is onto.
+    """
+    level, onto = chain.level, []
+    for n in range(1, max(window, 1) + 1):
+        seed = [G.power(y, G.p) for y in chain.gens(n)] + chain.gens(n + 2)
+        onto.append(len(G.subgroup_closure(seed)) == len(level(n + 1)))
 
-    uniform = frattini_abelian and all(bijective)
-    return UniformityReport(window, frattini_abelian, bijective, chain.dims, uniform)
+    def layer(n):
+        return len(level(n)) // len(level(n + 1))
+
+    bijective = [onto[n - 1] and layer(n) == layer(n + 1) for n in range(1, window + 1)]
+    uniform = onto[0] and all(bijective)
+    return UniformityReport(window, onto[0], bijective, chain.dims, uniform)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ def _series_edit(where, value):
         entry = cert["y"]["entries"][0]
         if where == "exponent":
             entry["coeffs"] = [[[value, 0], "1"]]
+        elif where == "exponent-vector":
+            entry["coeffs"] = [[value, "5"]]
         elif where == "coefficient":
             entry["coeffs"] = [[[0, 0], value]]
         elif where == "header":
@@ -71,6 +73,8 @@ _CERT_FIELDS = {
     "entry-p-float": lambda cert: cert["y"]["entries"][0].update(p=5.0),
     "entry-value-bool": lambda cert: cert["y"]["entries"][1].update(value=False),
     "series-exponent-float": _series_edit("exponent", 1.0),
+    # a string is no exponent vector: "01" used to load as the monomial T2
+    "series-exponent-vector-string": _series_edit("exponent-vector", "01"),
     "series-coefficient-float": _series_edit("coefficient", 1.5),
     "series-trunc-float": _series_edit("trunc", 3.0),
     "series-header-p-float": _series_edit("header", 5.0),
@@ -125,6 +129,28 @@ def test_bound_input_reads_integers_strings_and_a_boolean(capsys, tmp_path):
         from_flags = run(capsys, "--json", "bound", *flags, *(["--grh"] if grh else []))
         assert from_file[0] == from_flags[0] == 0
         assert json.loads(from_file[1])["data"] == json.loads(from_flags[1])["data"]
+
+
+def test_bound_discriminant_with_a_zero_denominator_is_a_schema_error(capsys, tmp_path):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({**_BOUND_INPUT, "abs_discriminant": "1/0"}))
+    for argv in (
+        ["bound", "--input", str(path)],
+        ["bound", "--disc", "1/0", "--r1", "1", "--r2", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bound_flags_keep_fractional_discriminants(capsys, tmp_path):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({"abs_discriminant": "7/2", "r1": 1, "r2": 0}))
+    from_file = run(capsys, "--json", "bound", "--input", str(path))
+    from_flags = run(capsys, "--json", "bound", "--disc", "7/2", "--r1", "1", "--r2", "0")
+    assert from_file[0] == from_flags[0]
+    assert json.loads(from_file[1])["data"] == json.loads(from_flags[1])["data"]
 
 
 # ---------------------------------------------------------------------------

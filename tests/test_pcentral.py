@@ -1,5 +1,6 @@
 """Enumeration, p-central series, uniformity, and the commutator-limit bracket."""
 
+import functools
 import random
 
 import pytest
@@ -15,17 +16,20 @@ from tamelab.errors import (
     WindowTooLarge,
 )
 from tamelab.matgrp import RingMatrix, int_power, mat_exp, mat_log, sl_standard_generators
-from tamelab.padic import ScalarRing
+from tamelab.padic import ScalarRing, SeriesRing
 from tamelab.pcentral import (
+    FiniteQuotientGroup,
     UniformityReport,
     _p_log,
     _reduce_matrix,
+    _uniformity,
     closure,
     closure_limit,
     dictionary_bracket,
     pcentral_series,
     uniformity_check,
 )
+from test_entries import gamma1_generators
 
 
 def unipotent(ring, entry, where="upper"):
@@ -202,7 +206,7 @@ def test_window_too_large(sl2_mod81):
 
 
 # ---------------------------------------------------------------------------
-# Dimino enumeration and coset labelling against the old paths
+# Dimino enumeration and the generator rule against the old paths
 
 
 def _oracle_subgroup_closure(G, seed, limit=None):
@@ -390,6 +394,88 @@ def test_uniformity_matches_coset_rep_oracle(name):
     for window in range(1, G.prec - 1):
         report = uniformity_check(G, window, chain)
         assert report == _oracle_uniformity(G, window, chain)
+
+
+def _unitriangular_gens(p, prec):
+    ring = ScalarRing(p, prec)
+    return [
+        RingMatrix.from_int_rows(ring, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+        RingMatrix.from_int_rows(ring, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+    ]
+
+
+@functools.cache
+def _sl2_elements(p, prec):
+    return sorted(closure(sl_standard_generators(2, p, prec)).elements)
+
+
+def _random_sl2_subgroup_gens(p, prec, seed):
+    """Two seeded elements of Gamma_1 mod p^prec, often not a powerful pair."""
+    ring, rng = ScalarRing(p, prec), random.Random(seed)
+    elements = _sl2_elements(p, prec)
+    return [RingMatrix._packed(ring, 2, rng.choice(elements)) for _ in range(2)]
+
+
+# name -> (generator maker, allow_depth_zero, G/G^p abelian per the oracle)
+_UNIFORMITY_CORPUS = {
+    **{
+        name: (make, depth_zero, name != "semidirect")
+        for name, (make, depth_zero) in _ORACLE_GROUPS.items()
+    },
+    "ut3-3^2": (lambda: _unitriangular_gens(3, 2), True, False),
+    "ut3-5^2": (lambda: _unitriangular_gens(5, 2), True, False),
+    "random-3^4-seed1": (lambda: _random_sl2_subgroup_gens(3, 4, 1), False, False),
+    "random-3^4-seed3": (lambda: _random_sl2_subgroup_gens(3, 4, 3), False, True),
+    "random-3^4-seed5": (lambda: _random_sl2_subgroup_gens(3, 4, 5), False, False),
+    "random-5^3-seed1": (lambda: _random_sl2_subgroup_gens(5, 3, 1), False, False),
+    "random-5^3-seed4": (lambda: _random_sl2_subgroup_gens(5, 3, 4), False, True),
+    "series-gamma1-m^2": (lambda: gamma1_generators(SeriesRing(3, 1, 2)), False, True),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNIFORMITY_CORPUS))
+def test_generator_rule_matches_oracle_at_every_window(name):
+    make, allow_depth_zero, frattini_abelian = _UNIFORMITY_CORPUS[name]
+    G = closure(make(), allow_depth_zero=allow_depth_zero)
+    chain = pcentral_series(G)
+    # the oracle decides Frattini and each level apart from the window, so
+    # one run at the top window gives the report of every smaller window
+    top = _oracle_uniformity(G, len(chain.levels) + 1, chain)
+    assert top.frattini_abelian == frattini_abelian
+    for window in range(len(chain.levels) + 2):
+        bijective = top.power_map_bijective[:window]
+        uniform = frattini_abelian and all(bijective)
+        want = UniformityReport(window, frattini_abelian, bijective, chain.dims, uniform)
+        assert _uniformity(G, window, chain) == want
+
+
+def test_uniformity_powers_only_the_level_generators(
+    sl2_mod81, sl2_mod81_chain, monkeypatch
+):
+    # a p-th power sweep over G and each P_n would make about 20,000 calls here
+    calls = []
+    power = FiniteQuotientGroup.power
+
+    def counted(self, a, e):
+        calls.append(a)
+        return power(self, a, e)
+
+    monkeypatch.setattr(FiniteQuotientGroup, "power", counted)
+    assert uniformity_check(sl2_mod81, 2, sl2_mod81_chain).uniform
+    assert 0 < len(calls) <= sum(len(sl2_mod81_chain.gens(n)) for n in (1, 2))
+
+
+@pytest.mark.parametrize("name", ["sl2-3^4", "semidirect", "elementary-abelian"])
+def test_level_generators_generate_each_level_and_stop_with_the_chain(name):
+    G = _oracle_group(name)
+    chain = pcentral_series(G)
+    assert chain.gens(1) == list(G.generators)
+    for n in range(1, len(chain.levels) + 3):
+        assert G.subgroup_closure(chain.gens(n)) == chain.level(n)
+    assert chain.gens(len(chain.levels)) == []
+    assert chain.gens(len(chain.levels) + 1) == []
+    with pytest.raises(ValueError):
+        chain.gens(0)
 
 
 @pytest.mark.parametrize("name", ["sl2-3^4", "sl3-3^2", "semidirect"])
