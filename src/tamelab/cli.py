@@ -13,12 +13,19 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import time
 
 from . import bounds, certify, liealg, pcentral
-from .errors import CertificateInvalid, SchemaError, TamelabError, WindowTooLarge
+from .errors import (
+    CertificateInvalid,
+    LimitExceeded,
+    SchemaError,
+    TamelabError,
+    WindowTooLarge,
+)
 from .matgrp import int_power, sl_standard_generators
 from .padic import PadicScalar, ScalarRing, is_odd_prime
 from .report import FAIL, INDETERMINATE, PASS, CheckItem, SuiteReport, check
@@ -140,6 +147,12 @@ def cmd_pcentral(args) -> int:
 def cmd_lie(args) -> int:
     _require_at_least(0, trials=args.trials, samples=args.samples)
     algebra = liealg.load_algebra(args.input)
+    triples = math.comb(algebra.dim, 3)
+    if triples > liealg.MAX_JACOBI_TRIPLES:
+        raise LimitExceeded(
+            f"dim {algebra.dim} has {triples} Jacobi triples,"
+            f" past {liealg.MAX_JACOBI_TRIPLES}"
+        )
     report = liealg.classify(
         algebra, trials=args.trials, seed=args.seed, extra_samples=args.samples
     )

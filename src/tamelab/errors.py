@@ -39,7 +39,7 @@ class DepthError(TamelabError):
 
 
 class LimitExceeded(TamelabError):
-    """Group enumeration grew past the configured element cap."""
+    """A group order or a work count passed its cap."""
 
 
 class NotPGroup(TamelabError):

@@ -1,17 +1,24 @@
-"""Finite congruence quotients: enumeration, p-central series, uniformity.
+"""Finite congruence quotients: pc sequences, p-central series, uniformity.
 
-Groups are enumerated as sets of flat tuples, matrices over Z/p^N or A/m^M
-in the layout of `matgrp`, which owns the one packed matrix kernel and the
-entry contract (`_Entries`) of both rings.  Multiplication, inversion,
-powering and depth run on that kernel, and an element tuple is exactly the
-packed form of the matching `RingMatrix`.  No matrix loops live here.
+A group is a set of flat tuples, matrices over Z/p^N or A/m^M in the layout
+of `matgrp`, which owns the one packed matrix kernel and the entry contract
+(`_Entries`) of both rings.  Multiplication, inversion, powering and depth
+run on that kernel, and an element tuple is exactly the packed form of the
+matching `RingMatrix`.  No matrix loops live here.
 
-Every subgroup and normal closure is enumerated by one Dimino loop: each
-queued seed element that is not yet a member extends the subgroup H built
-so far by whole right cosets H r, so each element is made by one multiply
-and no membership test; for a normal closure each kept element queues its
-conjugates under the generators.  Uniformity is decided on the p-th powers
-of each level's generators, one subgroup closure per level.
+A group of depth >= 1 over Z/p^N is held as an induced polycyclic (pc)
+sequence, `_PcSet`: one F_p echelon basis (`liealg.SpanTracker`) of each
+depth layer (h - I)/p^n mod p, each row paired with a group element.
+Order, membership, subgroup and normal closures, the p-central series, the
+depth filtration and the uniformity checks all run on these sequences, in
+about rank^2 multiplies; an element set is built only when one is iterated.
+Groups with a depth-0 generator and groups over series rings are
+enumerated instead, by one Dimino loop: each queued seed element that is
+not yet a member extends the subgroup H built so far by whole right cosets
+H r, so each element is made by one multiply and no membership test; for a
+normal closure each kept element queues its conjugates under the
+generators.  Uniformity is decided on the p-th powers of each level's
+generators, one subgroup closure per level.
 
 The p-central series is computed level by level: with Y generating P_n and X
 generating G, P_(n+1) is the normal closure of {y^p} union {[x, y]} over
@@ -23,6 +30,7 @@ the image of P_(n+1) vanishes; the reverse inclusion is immediate.)
 from __future__ import annotations
 
 import os
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +59,7 @@ from .matgrp import (
     int_power,
     mat_log,
 )
+from .liealg import SpanTracker
 from .padic import ScalarRing, int_valuation
 
 DEFAULT_CLOSURE_LIMIT = 10**6
@@ -73,23 +82,219 @@ def closure_limit() -> int:
 
 
 # ---------------------------------------------------------------------------
+# induced pc sequences
+
+
+def _commutator(a, a_inv, b, b_inv, m, mod) -> tuple:
+    """[a, b] = a b a^-1 b^-1 from the inverses kept with a and b."""
+    return _mul(_mul(a, b, m, mod), _mul(a_inv, b_inv, m, mod), m, mod)
+
+
+class _PcSet(Set):
+    """A subgroup H of Gamma_1 = ker(GL_m(Z/p^N) -> GL_m(F_p)), read as a set.
+
+    H is held as an induced pc sequence: for each depth n < N, a basis of
+    the layer (H cap Gamma_n) / (H cap Gamma_(n+1)), embedded in M_m(F_p)
+    by h -> (h - I)/p^n mod p (a homomorphism, as 2n >= n + 1).  Row i of
+    `levels[n - 1][0]`, a `SpanTracker` in reduced echelon form, is the
+    layer vector of the element `levels[n - 1][1][i]`, kept with its
+    inverse.  So |H| = p^rank, and h is in H exactly when sifting ends at I:
+    at h's depth n, multiply h by b_i^(-c_i), c_i the entry of h's vector at
+    row i's pivot, which clears the layer, and go down a level.  H cap
+    Gamma_n is the part of the sequence at depth >= n (`at_depth`).
+
+    Iterating builds the element set once, as the normal words (the basis
+    elements in order, each to an exponent below p), and caches it as a
+    frozenset; `in` is then a lookup in it.  Two sequences over one ring
+    compare by sifting one's basis in the other.  `closure` builds them
+    (its docstring proves the sequence is one of <seed>), and `at_depth`
+    takes their parts.
+    """
+
+    def __init__(self, ring: ScalarRing, m: int):
+        self.ring, self.m, self.mod = ring, m, ring.modulus
+        self.identity = _identity(m, 0, 1)
+        self.levels = [(SpanTracker(m * m, ring.p), []) for _ in range(1, ring.prec)]
+        self._frozen = None
+
+    @classmethod
+    def closure(cls, ring: ScalarRing, m: int, seed, limit: int, conjugates=None):
+        """(H, kept): H = <seed>, normal under `conjugates` when it is given.
+
+        Sifting an element either ends at I or inserts its residual r as a
+        new basis element b = r^s at r's depth n (s scales the pivot to 1);
+        the rows the tracker then reduces by b's row are mirrored on their
+        elements.  Each insertion queues b^p and [b, a] for every element a
+        inserted before, skipping those that are I by depth alone (depths
+        add in commutators, and b^p is one deeper), and these are sifted
+        before the next seed element.  Proof, by descent on n, that H_n, the
+        group generated by the elements ever inserted at depth >= n, is the
+        set of normal words from depth n on, with H_n cap Gamma_(n+1) =
+        H_(n+1): these powers and commutators sift to I through depths
+        >= n + 1, so they lie in H_(n+1), which the depth-n insertions
+        therefore normalize, and modulo which they commute and have order
+        p; H_n / H_(n+1) is then elementary abelian and maps onto the
+        depth-n rows, of rank r_n, by the layer map, which is 0 on H_(n+1).
+        Every basis element is a word in the insertions and back, so before
+        each seed element s, H is the group that the earlier members of
+        `kept` generate, and s joins `kept` when H does not hold it, as in
+        `_dimino`.  With `conjugates`, a map from s to the g s g^-1 over
+        generators g, these join the seed for each kept s, so g H g^-1 <= H.
+        LimitExceeded as soon as p^rank would pass `limit`, before any
+        element set is made.
+        """
+        pc = cls(ring, m)
+        p, last, mod = ring.p, ring.prec, pc.mod
+        inserted, kept = [], []
+        queue = list(seed)
+        for s in queue:  # with `conjugates`, queue grows while it is walked
+            work = [s]
+            for i, x in enumerate(work):  # so does work, closing H before the next s
+                hit = pc._sift(x)
+                if hit is None:
+                    continue
+                if len(pc) * p > limit:
+                    raise LimitExceeded(f"subgroup closure past {limit}")
+                if i == 0:
+                    kept.append(s)
+                    if conjugates is not None:
+                        queue += conjugates(s)
+                n, r, vec = hit
+                b, b_inv = pc._insert(n, r, vec)
+                if n + 1 < last:
+                    work.append(_pow(b, p, m, mod))
+                work += [
+                    _commutator(b, b_inv, a, a_inv, m, mod)
+                    for a, a_inv, d in inserted
+                    if n + d < last
+                ]
+                inserted.append((b, b_inv, n))
+        return pc, kept
+
+    def _layer(self, x: tuple, n: int) -> list:
+        """(x - I)/p^n mod p, for x congruent to I mod p^n."""
+        q, p = self.ring.p**n, self.ring.p
+        return [(e - d) // q % p for e, d in zip(x, self.identity)]
+
+    def _sift(self, x: tuple):
+        """None when x sifts to I, else (n, r, vec): x reduced to r of depth
+        n, whose layer vector vec is outside the depth-n span."""
+        m, mod = self.m, self.mod
+        for n, (tracker, basis) in enumerate(self.levels, 1):
+            vec = self._layer(x, n)
+            if not any(vec):
+                continue
+            for (_, b_inv), c in zip(basis, tracker.pivots):
+                k = vec[c]
+                if k:
+                    x = _mul(x, _pow(b_inv, k, m, mod), m, mod)
+            vec = self._layer(x, n)
+            if any(vec):
+                return n, x, vec
+        return None
+
+    def _insert(self, n: int, r: tuple, vec: list) -> tuple:
+        """Add r's row at depth n; returns the new (b, b^-1)."""
+        m, mod, p = self.m, self.mod, self.ring.p
+        tracker, basis = self.levels[n - 1]
+        c = next(i for i, v in enumerate(vec) if v)
+        s = pow(vec[c], -1, p)
+        r_inv = _inverse(r, m, _Entries(self.ring))
+        b, b_inv = r, r_inv
+        if s != 1:
+            b, b_inv = _pow(r, s, m, mod), _pow(r_inv, s, m, mod)
+        # the tracker subtracts row[c] times b's row from each row: so do the elements
+        for i, row in enumerate(tracker.rows):
+            if row[c]:
+                a, a_inv = basis[i]
+                basis[i] = (
+                    _mul(a, _pow(b_inv, row[c], m, mod), m, mod),
+                    _mul(_pow(b, row[c], m, mod), a_inv, m, mod),
+                )
+        tracker.add(vec)
+        basis.append((b, b_inv))
+        return b, b_inv
+
+    def at_depth(self, n: int) -> "_PcSet":
+        """H cap Gamma_n: the levels at depth >= n."""
+        if n <= 1:
+            return self
+        out = _PcSet(self.ring, self.m)
+        out.levels[n - 1 :] = self.levels[n - 1 :]
+        return out
+
+    def basis(self) -> list:
+        return [b for _, level in self.levels for b, _ in level]
+
+    def _elements(self) -> frozenset:
+        if self._frozen is None:
+            m, mod = self.m, self.mod
+            words = [self.identity]
+            for b in reversed(self.basis()):
+                powers = [b]
+                for _ in range(2, self.ring.p):
+                    powers.append(_mul(powers[-1], b, m, mod))
+                words += [_mul(c, w, m, mod) for c in powers for w in words]
+            self._frozen = frozenset(words)
+        return self._frozen
+
+    def __len__(self) -> int:
+        return self.ring.p ** sum(len(level) for _, level in self.levels)
+
+    def __iter__(self):
+        return iter(self._elements())
+
+    def __contains__(self, x) -> bool:
+        if self._frozen is not None:
+            return x in self._frozen
+        return (
+            isinstance(x, tuple)
+            and len(x) == self.m * self.m
+            and _depth(x, self.m, _Entries(self.ring)) >= 1
+            and self._sift(x) is None
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _PcSet):
+            return (
+                (self.ring, self.m) == (other.ring, other.m)
+                and len(self) == len(other)
+                and all(other._sift(b) is None for b in self.basis())
+            )
+        return Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(self._elements())
+
+    def __repr__(self) -> str:
+        return f"_PcSet({self.ring!r}, m={self.m}, basis={self.basis()!r})"
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+
+# ---------------------------------------------------------------------------
 # enumerated groups
 
 
 @dataclass(frozen=True)
 class FiniteQuotientGroup:
-    """A finite p-group of matrices over Z/p^N or A/m^M with its full element set.
+    """A finite p-group of matrices over Z/p^N or A/m^M with its element set.
 
     Invariant: `generators` generate `elements`.  `closure`, the only
-    constructor, enumerates `elements` as the subgroup the generators
-    produce, so an orbit under conjugation by the generators is a full
-    conjugacy class, and a normal closure under them is normal in G.
+    constructor, makes `elements` the subgroup the generators produce, so
+    an orbit under conjugation by the generators is a full conjugacy class,
+    and a normal closure under them is normal in G.  `elements` is a
+    `_PcSet` for a group of depth >= 1 over Z/p^N, whose subgroup and
+    normal closures are pc sequences too, and an enumerated frozenset
+    otherwise.
     """
 
     ring: Ring
     m: int
     generators: tuple
-    elements: frozenset
+    elements: Set
 
     @property
     def p(self) -> int:
@@ -136,7 +341,7 @@ class FiniteQuotientGroup:
         return _pow(a, e, self.m, self.modulus) if e else self.identity
 
     def comm(self, a: tuple, b: tuple) -> tuple:
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+        return _commutator(a, self.inv(a), b, self.inv(b), self.m, self.modulus)
 
     def _conjugates(self, z: tuple) -> list:
         """g z g^-1 over the generators g: two multiplies each."""
@@ -218,15 +423,34 @@ class FiniteQuotientGroup:
                         add_coset(t)
         return frozenset(members), kept
 
-    def subgroup_closure(self, seed, limit: int | None = None) -> frozenset:
-        """Elements generated by `seed` (see `_dimino`); `limit` defaults to |G|."""
+    def _pc_seed(self, seed: list) -> bool:
+        """Whether closures of `seed` are pc sequences: G is one, seed in Gamma_1."""
+        return isinstance(self.elements, _PcSet) and all(
+            self.element_depth(s) >= 1 for s in seed
+        )
+
+    def subgroup_closure(self, seed, limit: int | None = None) -> Set:
+        """Elements generated by `seed` (see `_PcSet.closure` and `_dimino`).
+
+        `limit` defaults to |G|.
+        """
+        seed = list(seed)
+        if self._pc_seed(seed):
+            limit = self.order if limit is None else limit
+            return _PcSet.closure(self.ring, self.m, seed, limit)[0]
         return self._dimino(seed, limit, normal=False)[0]
 
     def normal_closure(self, seed):
         """(elements, generating set) of the normal closure of `seed` in G.
 
-        The set is the kept elements of `_dimino`, at most log_p |elements|.
+        The set is the kept elements of `_PcSet.closure` or `_dimino`, at
+        most log_p |elements|.
         """
+        seed = list(seed)
+        if self._pc_seed(seed):
+            return _PcSet.closure(
+                self.ring, self.m, seed, self.order, self._conjugates
+            )
         return self._dimino(seed, None, normal=True)
 
 
@@ -243,12 +467,13 @@ def closure(
     limit: int | None = None,
     allow_depth_zero: bool = False,
 ) -> FiniteQuotientGroup:
-    """Enumeration of the group the generators produce mod p^N or mod m^M.
+    """The group the generators produce mod p^N or mod m^M, of order <= `limit`.
 
     Generators must be congruent to I mod m = (p, T_1..T_n) unless
     `allow_depth_zero` opts out (needed for p-groups, like semidirect
     products with a nontrivial mod-p action, that admit no congruence-kernel
-    model).  The resulting order must be a power of p.
+    model).  Over Z/p^N without that opt-out the group is a pc sequence;
+    otherwise it is enumerated, and its order must be a power of p.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -262,10 +487,13 @@ def closure(
             raise DepthError("generator not congruent to I mod p")
         gens.append(g._flat)
 
-    # the shell's element set is never read: `limit` caps its closure
-    shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset())
-    elements = shell.subgroup_closure(gens, limit)
-    _p_log(len(elements), ring.p, "order")
+    if allow_depth_zero or not isinstance(ring, ScalarRing):
+        # the shell's element set is never read: `limit` caps its closure
+        shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset())
+        elements = shell.subgroup_closure(gens, limit)
+        _p_log(len(elements), ring.p, "order")
+    else:
+        elements = _PcSet.closure(ring, m, gens, limit)[0]
     return FiniteQuotientGroup(ring, m, tuple(gens), elements)
 
 
@@ -278,11 +506,11 @@ class PCentralChain:
     """P_1 >= P_2 >= ... >= {1} with per-level generating sets and dims."""
 
     group: FiniteQuotientGroup
-    levels: list[frozenset]
+    levels: list[Set]
     level_gens: list[list]
     dims: list[int] = field(default_factory=list)
 
-    def level(self, n: int) -> frozenset:
+    def level(self, n: int) -> Set:
         """P_n, defined as the trivial group past the computed chain."""
         if n < 1:
             raise ValueError("levels are indexed from 1")
@@ -296,21 +524,32 @@ class PCentralChain:
             raise ValueError("levels are indexed from 1")
         return list(self.level_gens[n - 1]) if n <= len(self.level_gens) else []
 
-    def depth_filtration(self, n: int) -> frozenset:
-        """Elements of G congruent to I mod p^n; the dictionary's other side."""
-        return frozenset(
-            a for a in self.group.elements if self.group.element_depth(a) >= n
-        )
+    def depth_filtration(self, n: int) -> Set:
+        """Elements of G congruent to I mod p^n; the dictionary's other side.
+
+        On a pc sequence this is its part at depth >= n; an enumerated G is
+        swept, reading depths capped at the precision (so I is kept).
+        """
+        G = self.group
+        if isinstance(G.elements, _PcSet):
+            return G.elements.at_depth(n)
+        n = min(n, G.prec)
+        return frozenset(a for a in G.elements if G.element_depth(a) >= n)
 
 
 def pcentral_series(G: FiniteQuotientGroup) -> PCentralChain:
     levels = [G.elements]
     level_gens = [list(G.generators)]
+    conj = ys = list(zip(G.generators, G.generator_inverses))
     while len(levels[-1]) > 1:
-        ys = level_gens[-1]
-        seed = [G.power(y, G.p) for y in ys]
-        seed += [G.comm(x, y) for x in G.generators for y in ys]
+        seed = [G.power(y, G.p) for y, _ in ys]
+        seed += [
+            _commutator(x, x_inv, y, y_inv, G.m, G.modulus)
+            for x, x_inv in conj
+            for y, y_inv in ys
+        ]
         nxt, gens = G.normal_closure(seed)
+        ys = list(zip(gens, map(G.inv, gens)))
         if len(nxt) >= len(levels[-1]):
             raise NotPGroup("p-central series failed to descend")
         levels.append(nxt)

@@ -320,7 +320,7 @@ def test_closure_limit_env_must_be_a_positive_integer(capsys, monkeypatch, value
     assert err.startswith("error: ") and "TAMELAB_CLOSURE_LIMIT" in err
 
 
-def _run_module(*argv, **kwargs):
+def _run_module(*argv, timeout=60, **kwargs):
     """`python -m tamelab <argv>` in a child process; argv defaults to a gs run."""
     src = str(Path(tamelab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -329,7 +329,7 @@ def _run_module(*argv, **kwargs):
         [sys.executable, "-m", "tamelab", *argv],
         text=True,
         env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
+        timeout=timeout,
         **kwargs,
     )
 
@@ -350,6 +350,28 @@ def test_closed_stdout_exits_with_resource_code():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# Inputs past a work cap exit 2 within seconds, with one error line: the pc
+# rank decides the closure cap before any element is made (SL_9 mod 9 has
+# 3^80 elements, SL_3 mod 27 has 3^16), and the count of Jacobi triples
+# decides `lie`'s before `validate` runs.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pcentral", "--m", "9", "--p", "3", "--prec", "2", "--window", "1"),
+        ("pcentral", "--m", "3", "--p", "3", "--prec", "3", "--window", "1"),
+        ("lie", "--input", "{algebra}", "--seed", "0"),
+    ],
+)
+def test_inputs_past_a_work_cap_exit_2_within_seconds(tmp_path, argv):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 3000, "brackets": []}))
+    argv = [a.format(algebra=path) for a in argv]
+    proc = _run_module("--json", *argv, capture_output=True, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 # Lie algebra files that must exit 3.  A dim below 1 that got past the schema

@@ -17,6 +17,7 @@ from tamelab.liealg import rank as _fp_rank
 
 from tamelab.errors import DomainError, SchemaError, ZeroVector
 from tamelab.liealg import (
+    MAX_JACOBI_TRIPLES,
     LieAlgebra,
     SpanTracker,
     abelian_table,
@@ -85,6 +86,16 @@ def test_quaternion_tables_valid():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_sl_m_tables_valid(m):
     assert validate(sl_table(m)) == []
+
+
+# The cap bounds `tamelab lie` inputs (tests/test_cli.py); library calls
+# past it still validate.
+def test_jacobi_cap_admits_sl7_and_every_fixture_and_stops_dim_86():
+    assert math.comb(sl_table(7).dim, 3) <= MAX_JACOBI_TRIPLES
+    for name in list_fixtures():
+        assert math.comb(load_fixture(name).dim, 3) <= MAX_JACOBI_TRIPLES
+    assert math.comb(85, 3) <= MAX_JACOBI_TRIPLES < math.comb(86, 3)
+    assert validate(LieAlgebra.from_brackets(86, {})) == []
 
 
 # ---------------------------------------------------------------------------

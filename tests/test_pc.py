@@ -1,0 +1,209 @@
+"""Induced pc sequences against Dimino enumeration.
+
+Over Z/p^N a group of depth >= 1 is a pc sequence (`pcentral._PcSet`); the
+same generators under `allow_depth_zero` are enumerated by Dimino's loop,
+which `test_pcentral` checks against breadth-first oracles.  Each pc answer
+(order, element set, every P_n, the depth filtration, the uniformity report
+at every window) must equal the enumerated one.
+"""
+
+import functools
+import itertools
+import math
+import random
+
+import pytest
+
+from tamelab.errors import LimitExceeded
+from tamelab.matgrp import int_power, sl_standard_generators
+from tamelab.padic import ScalarRing
+from tamelab.pcentral import _PcSet, _uniformity, closure, pcentral_series
+from test_pcentral import _ORACLE_GROUPS, _random_sl2_subgroup_gens
+
+
+def _cli_generators(m, p, prec, k):
+    """The generators `tamelab pcentral` closes: Gamma_k mod p^prec."""
+    gens = sl_standard_generators(m, p, prec)
+    return [int_power(g, p ** (k - 1)) for g in gens]
+
+
+def _sweep_depths(G):
+    """The element sweep: {a: depth of a} over an enumerated G, each depth
+    read off the gcd of the entries of a - I (I lies in every Gamma_n)."""
+    identity, mod, p = G.identity, G.modulus, G.p
+    depths = {}
+    for a in G.elements:
+        g = math.gcd(*((e - d) % mod for e, d in zip(a, identity)))
+        depth = 0
+        while g and g % p == 0:
+            g, depth = g // p, depth + 1
+        depths[a] = depth if g else float("inf")
+    return depths
+
+
+def _assert_pc_matches_dimino(gens):
+    pc = closure(gens)
+    enum = closure(gens, allow_depth_zero=True)
+    assert isinstance(pc.elements, _PcSet)
+    assert isinstance(enum.elements, frozenset)
+    assert pc.order == enum.order
+    pc_chain, enum_chain = pcentral_series(pc), pcentral_series(enum)
+    assert pc_chain.dims == enum_chain.dims
+    assert pc_chain.level_gens == enum_chain.level_gens
+    assert pc_chain.gens(1) == list(pc.generators)
+    for window in range(len(pc_chain.levels) + 2):
+        want = _uniformity(enum, window, enum_chain)
+        assert _uniformity(pc, window, pc_chain) == want
+    # nothing so far has built the element set
+    assert pc.elements._frozen is None
+    depths = _sweep_depths(enum)
+    for n in range(1, pc.prec + 2):
+        want = frozenset(a for a, depth in depths.items() if depth >= n)
+        assert pc_chain.depth_filtration(n) == want
+    assert enum_chain.depth_filtration(pc.prec + 1) == {enum.identity}
+    for level, want in zip(pc_chain.levels, enum_chain.levels):
+        assert set(level) == want
+    assert pc.elements == enum.elements
+    return pc, enum
+
+
+# (m, p, prec, k) of every `pcentral` argument set whose group has at most
+# 3^12 elements: |Gamma_k / Gamma_prec| = p^((m^2 - 1)(prec - k))
+_CLI_GROUPS = [
+    (m, p, prec, k)
+    for m, p, prec, k in itertools.product((2, 3), (3, 5, 7), range(2, 6), range(1, 4))
+    if p ** ((m * m - 1) * max(prec - k, 0)) <= 3**12
+]
+
+
+
+
+def _shifted_layer(m, p, prec, k):
+    """Whether the group is Gamma_k mod p^(k+1) with k >= 2: like Gamma_1 mod
+    p^2, an elementary abelian group of rank m^2 - 1 in a single layer."""
+    return k >= 2 and prec == k + 1
+
+
+_ENUMERATED = [g for g in _CLI_GROUPS if not _shifted_layer(*g)]
+_SHIFTED = [g for g in _CLI_GROUPS if _shifted_layer(*g)]
+
+
+def test_cli_grid_holds_the_reach_instance_and_skips_larger_groups():
+    assert (2, 3, 5, 1) in _ENUMERATED and (3, 5, 2, 1) in _ENUMERATED
+    assert (3, 5, 3, 2) in _SHIFTED and (3, 5, 4, 3) in _SHIFTED
+    assert (3, 3, 3, 1) not in _CLI_GROUPS and (2, 5, 4, 1) not in _CLI_GROUPS
+
+
+@pytest.mark.parametrize("m, p, prec, k", _ENUMERATED)
+def test_pc_matches_dimino_on_every_pcentral_argument_set(m, p, prec, k):
+    _assert_pc_matches_dimino(_cli_generators(m, p, prec, k))
+
+
+# Gamma_1 mod p^2 is compared with Dimino above, so its pc answers are the
+# oracle for the shifted layers; none of them is enumerated (SL_3 mod 5^k
+# would cost 5^8 elements twice each).
+@pytest.mark.parametrize("m, p, prec, k", _SHIFTED)
+def test_shifted_layers_match_gamma_1_mod_p2_without_enumerating(m, p, prec, k):
+    base = closure(_cli_generators(m, p, 2, 1))
+    base_chain = pcentral_series(base)
+    G = closure(_cli_generators(m, p, prec, k))
+    chain = pcentral_series(G)
+    assert isinstance(G.elements, _PcSet)
+    assert G.order == base.order == p ** (m * m - 1)
+    assert chain.dims == base_chain.dims == [m * m - 1]
+    assert chain.level_gens == [list(G.generators), []]
+    for window in range(len(chain.levels) + 2):
+        assert _uniformity(G, window, chain) == _uniformity(base, window, base_chain)
+    for n in range(1, prec + 2):
+        want = G.elements if n <= k else {G.identity}
+        assert chain.depth_filtration(n) == want
+    assert G.elements._frozen is None
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (_, depth_zero) in _ORACLE_GROUPS.items() if not depth_zero]
+)
+def test_pc_matches_dimino_on_the_oracle_groups(name):
+    _assert_pc_matches_dimino(_ORACLE_GROUPS[name][0]())
+
+
+@pytest.mark.parametrize(
+    "p, prec, seed", [(3, 4, 1), (3, 4, 3), (3, 4, 5), (5, 3, 1), (5, 3, 4)]
+)
+def test_pc_matches_dimino_on_seeded_two_element_subgroups(p, prec, seed):
+    _assert_pc_matches_dimino(_random_sl2_subgroup_gens(p, prec, seed))
+
+
+@functools.cache
+def _ambient(p, prec):
+    """Gamma_1 of SL_2 mod p^prec, enumerated, in sorted order."""
+    gens = sl_standard_generators(2, p, prec)
+    return sorted(closure(gens, allow_depth_zero=True).elements)
+
+
+@pytest.mark.parametrize("p, prec, seed", [(3, 4, 1), (3, 4, 5), (5, 3, 4)])
+def test_sifting_membership_matches_the_enumerated_set(p, prec, seed):
+    gens = _random_sl2_subgroup_gens(p, prec, seed)
+    pc, enum = closure(gens), closure(gens, allow_depth_zero=True)
+    rng = random.Random(seed)
+    for x in rng.sample(_ambient(p, prec), 300):
+        assert (x in pc.elements) == (x in enum.elements)
+    assert pc.elements._frozen is None
+    # a depth-0 matrix and a malformed tuple are no members
+    ring = ScalarRing(p, prec)
+    assert (2, 0, 0, pow(2, -1, ring.modulus)) not in pc.elements
+    assert (1, 0, 0) not in pc.elements
+
+
+def test_sequences_compare_by_sifting_without_enumerating():
+    gens = sl_standard_generators(2, 3, 5)
+    G = closure(gens)
+    H = closure(list(reversed(gens)) + [gens[0] * gens[1]])
+    assert G.elements == H.elements
+    K = closure(gens[:2])
+    assert K.elements != G.elements and K.order < G.order
+    assert G.elements._frozen is H.elements._frozen is K.elements._frozen is None
+
+
+def test_normal_closure_returns_what_the_series_stores():
+    G = closure(sl_standard_generators(2, 3, 5))
+    chain = pcentral_series(G)
+    pairs = list(zip(G.generators, G.generator_inverses))
+    seed = [G.power(y, G.p) for y in G.generators]
+    seed += [G.comm(x, y) for x, _ in pairs for y in G.generators]
+    level, gens = G.normal_closure(seed)
+    assert (level, gens) == (chain.levels[1], chain.level_gens[1])
+    assert len(gens) == 3 and G.subgroup_closure(gens) == level
+
+
+def test_reach_instance_needs_no_element_set():
+    # SL_2 mod 3^5 has 3^12 elements; order, dims and uniformity through the
+    # trusted window come from the ranks alone
+    G = closure(sl_standard_generators(2, 3, 5))
+    chain = pcentral_series(G)
+    report = _uniformity(G, 3, chain)
+    assert G.order == 3**12 and chain.dims == [3, 3, 3, 3]
+    assert report.uniform and report.power_map_bijective == [True] * 3
+    assert G.elements._frozen is None
+
+
+def test_closure_cap_is_decided_from_the_rank():
+    # SL_3 mod 3^3 has 3^16 elements: the cap stops it after 13 insertions
+    gens = sl_standard_generators(3, 3, 3)
+    with pytest.raises(LimitExceeded, match="past 1000000"):
+        closure(gens)
+    assert closure(gens, limit=3**16).order == 3**16
+    with pytest.raises(LimitExceeded, match=f"past {3**16 - 1}"):
+        closure(gens, limit=3**16 - 1)
+
+
+def test_iteration_enumerates_once_and_set_operations_give_frozensets():
+    G = closure(sl_standard_generators(2, 5, 3))
+    elements = G.elements
+    first = set(elements)
+    cached = elements._frozen
+    assert len(first) == G.order == 5**6 and cached == first
+    assert set(elements) == first and elements._frozen is cached
+    rest = elements - {G.identity}
+    assert isinstance(rest, frozenset) and len(rest) == G.order - 1
+    assert hash(elements) == hash(cached)
