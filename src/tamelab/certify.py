@@ -50,7 +50,7 @@ from .errors import (
 from .matgrp import (
     RingMatrix,
     _from_entries,
-    _mul,
+    _int_product,
     _reduce_matrix,
     commutator,
     int_power,
@@ -561,7 +561,7 @@ def _cyclic_direction_certificate_search(directions, exponent_bound: int):
     """Search [g^e, y] = y^(a p^k) over cyclic powers of the given directions."""
     ring, m = directions[0].ring, directions[0].m
     ident = RingMatrix.identity(ring, m)._flat
-    mul = partial(_mul, m=m, mod=ring.modulus)
+    mul = partial(_int_product(m), ring.modulus)
     # g^e and g^-e for 1 <= e < exponent_bound, built one factor at a time
     # and shared by every y
     candidates = []

@@ -17,9 +17,11 @@ row-major tuple of ring-native entries (ints in [0, p^N) over a
 `ScalarRing`, `SeriesElement`s over a `SeriesRing`), and the private loops
 below run on such tuples with + - * only, finishing each entry with
 `% mod`: p^N for scalars, a no-op for series, which reduce themselves.
-An entry of a product of series matrices is one accumulation over its
-row and column (`padic._series_dot`), reduced once.  `RingMatrix` and
-the enumerated groups of `pcentral` share them, `_inverse` included;
+Over Z/p^N a product is one generated product per m (`_int_product`,
+straight-line code built at the first product of that m); over a series
+ring each entry is one accumulation over its row and column
+(`padic._series_dot`), reduced once.  `RingMatrix` and the enumerated
+groups of `pcentral` share them, `_inverse` included;
 `PadicScalar` is the view at the boundary (`rows`, `det`, `trace`, JSON).
 Narrowing (`_reduce_matrix`) and the entry contract of both rings
 (`_Entries`: zero, one, modulus, valuations, view) are written here only.
@@ -30,7 +32,6 @@ The exp/log series is not: `mat_exp`/`mat_log` sum the coefficients that
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
 from .errors import (
     DepthError,
@@ -98,27 +99,28 @@ def _identity(m: int, zero, one) -> tuple:
     return tuple(one if i == j else zero for i in range(m) for j in range(m))
 
 
-def _mul(a: tuple, b: tuple, m: int, mod) -> tuple:
-    if not isinstance(mod, int):
-        # series entries: each entry of the product is one accumulation
-        rows = [a[i : i + m] for i in range(0, m * m, m)]
-        return tuple(_series_dot(r, b[j::m]) for r in rows for j in range(m))
-    if m == 2:
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return (
-            (a0 * b0 + a1 * b2) % mod,
-            (a0 * b1 + a1 * b3) % mod,
-            (a2 * b0 + a3 * b2) % mod,
-            (a2 * b1 + a3 * b3) % mod,
-        )
-    rows = [(a[i], a[i + 1 : i + m]) for i in range(0, m * m, m)]
-    cols = [(b[j], b[j + m :: m]) for j in range(m)]
-    return tuple(
-        sum(map(mul, r_tail, c_tail), r0 * c0) % mod
-        for r0, r_tail in rows
-        for c0, c_tail in cols
+@lru_cache(maxsize=None)
+def _int_product(m: int):
+    """product(mod, a, b) of flat m x m integer tuples, generated for m: unpack
+    both, then one (a0*b0 + ...) % mod per entry (for m = 2, the hand unroll).
+    Built at the first product of each m; the source grows as m^3."""
+    a, b = (", ".join(f"{x}{k}" for k in range(m * m)) for x in "ab")
+    entries = ", ".join(
+        "(" + " + ".join(f"a{i + t} * b{t * m + j}" for t in range(m)) + ") % mod"
+        for i in range(0, m * m, m)
+        for j in range(m)
     )
+    code: dict = {}
+    exec(f"def product(mod, a, b):\n {a}, = a\n {b}, = b\n return ({entries},)", code)
+    return code["product"]
+
+
+def _mul(a: tuple, b: tuple, m: int, mod) -> tuple:
+    if isinstance(mod, int):
+        return _int_product(m)(mod, a, b)
+    # series entries: each entry of the product is one accumulation
+    rows = [a[i : i + m] for i in range(0, m * m, m)]
+    return tuple(_series_dot(r, b[j::m]) for r in rows for j in range(m))
 
 
 def _scale(a: tuple, c, mod) -> tuple:

@@ -153,7 +153,7 @@ class _PcSet(Set):
                 hit = pc._sift(x)
                 if hit is None:
                     continue
-                if len(pc) * p > limit:
+                if pc.order * p > limit:
                     raise LimitExceeded(f"subgroup closure past {limit}")
                 if i == 0:
                     kept.append(s)
@@ -238,8 +238,13 @@ class _PcSet(Set):
             self._frozen = frozenset(words)
         return self._frozen
 
-    def __len__(self) -> int:
+    @property
+    def order(self) -> int:
+        """|H| = p^rank, at any size (`len` stops at sys.maxsize)."""
         return self.ring.p ** sum(len(level) for _, level in self.levels)
+
+    def __len__(self) -> int:
+        return self.order
 
     def __iter__(self):
         return iter(self._elements())
@@ -258,7 +263,7 @@ class _PcSet(Set):
         if isinstance(other, _PcSet):
             return (
                 (self.ring, self.m) == (other.ring, other.m)
-                and len(self) == len(other)
+                and self.order == other.order
                 and all(other._sift(b) is None for b in self.basis())
             )
         return Set.__eq__(self, other)
@@ -314,7 +319,7 @@ class FiniteQuotientGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return _order(self.elements)
 
     @cached_property
     def identity(self) -> tuple:
@@ -454,6 +459,11 @@ class FiniteQuotientGroup:
         return self._dimino(seed, None, normal=True)
 
 
+def _order(elements: Set) -> int:
+    """|elements|: a pc sequence's order, or the size of an enumerated set."""
+    return elements.order if isinstance(elements, _PcSet) else len(elements)
+
+
 def _p_log(n: int, p: int, what: str) -> int:
     """d with p^d = n; NotPGroup (naming n as `what`) when n is no power of p."""
     d = int_valuation(n, p, n.bit_length())
@@ -491,7 +501,7 @@ def closure(
         # the shell's element set is never read: `limit` caps its closure
         shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset())
         elements = shell.subgroup_closure(gens, limit)
-        _p_log(len(elements), ring.p, "order")
+        _p_log(_order(elements), ring.p, "order")
     else:
         elements = _PcSet.closure(ring, m, gens, limit)[0]
     return FiniteQuotientGroup(ring, m, tuple(gens), elements)
@@ -538,24 +548,36 @@ class PCentralChain:
 
 
 def pcentral_series(G: FiniteQuotientGroup) -> PCentralChain:
+    """The chain, each P_(n+1) seeded by y^p and [x, y] (module docstring).
+
+    Those that are I by depth alone are not built, as in `_PcSet.closure`:
+    [x, y] when depth x + depth y >= N, y^p when y's depth d >= 1 has
+    d + 1 >= N (N the precision).
+    """
     levels = [G.elements]
     level_gens = [list(G.generators)]
-    conj = ys = list(zip(G.generators, G.generator_inverses))
-    while len(levels[-1]) > 1:
-        seed = [G.power(y, G.p) for y, _ in ys]
+    last = G.prec
+    conj = ys = [
+        (g, g_inv, G.element_depth(g))
+        for g, g_inv in zip(G.generators, G.generator_inverses)
+    ]
+    while _order(levels[-1]) > 1:
+        seed = [G.power(y, G.p) for y, _, d in ys if d == 0 or d + 1 < last]
         seed += [
             _commutator(x, x_inv, y, y_inv, G.m, G.modulus)
-            for x, x_inv in conj
-            for y, y_inv in ys
+            for x, x_inv, dx in conj
+            for y, y_inv, dy in ys
+            if dx + dy < last
         ]
         nxt, gens = G.normal_closure(seed)
-        ys = list(zip(gens, map(G.inv, gens)))
-        if len(nxt) >= len(levels[-1]):
+        ys = [(y, G.inv(y), G.element_depth(y)) for y in gens]
+        if _order(nxt) >= _order(levels[-1]):
             raise NotPGroup("p-central series failed to descend")
         levels.append(nxt)
         level_gens.append(gens)
     dims = [
-        _p_log(len(a) // len(b), G.p, "layer size") for a, b in zip(levels, levels[1:])
+        _p_log(_order(a) // _order(b), G.p, "layer size")
+        for a, b in zip(levels, levels[1:])
     ]
     return PCentralChain(G, levels, level_gens, dims)
 
@@ -622,10 +644,10 @@ def _uniformity(G: FiniteQuotientGroup, window: int, chain) -> UniformityReport:
     level, onto = chain.level, []
     for n in range(1, max(window, 1) + 1):
         seed = [G.power(y, G.p) for y in chain.gens(n)] + chain.gens(n + 2)
-        onto.append(len(G.subgroup_closure(seed)) == len(level(n + 1)))
+        onto.append(_order(G.subgroup_closure(seed)) == _order(level(n + 1)))
 
     def layer(n):
-        return len(level(n)) // len(level(n + 1))
+        return _order(level(n)) // _order(level(n + 1))
 
     bijective = [onto[n - 1] and layer(n) == layer(n + 1) for n in range(1, window + 1)]
     uniform = onto[0] and all(bijective)

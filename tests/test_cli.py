@@ -309,6 +309,17 @@ def test_closure_limit_env_override(capsys, monkeypatch):
     assert code == 2
 
 
+def test_lifted_cap_answers_past_sys_maxsize(monkeypatch):
+    # SL_5 mod 27 has 3^48 > sys.maxsize elements: order, dims and the
+    # verdict come from the pc ranks, and nothing reads the order by len
+    monkeypatch.setenv("TAMELAB_CLOSURE_LIMIT", str(10**30))
+    argv = ("pcentral", "--m", "5", "--p", "3", "--prec", "3", "--window", "1")
+    proc = _run_module("--json", *argv, capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    data = json.loads(proc.stdout)["data"]
+    assert (data["order"], data["dims"], data["uniform"]) == ("3^48", [24], True)
+
+
 @pytest.mark.parametrize("value", ["0", "-5", "abc", "2.5"])
 def test_closure_limit_env_must_be_a_positive_integer(capsys, monkeypatch, value):
     monkeypatch.setenv("TAMELAB_CLOSURE_LIMIT", value)

@@ -1,6 +1,11 @@
 """Matrix kernels: commutators, powering, exp/log, depth, generators."""
 
+import os
 import random
+import subprocess
+import sys
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +22,14 @@ from tamelab.matgrp import (
     zp_power,
 )
 from tamelab import matgrp
-from tamelab.matgrp import _Entries, _identity, _mul, _reduce_matrix, _scale
+from tamelab.matgrp import (
+    _Entries,
+    _identity,
+    _int_product,
+    _mul,
+    _reduce_matrix,
+    _scale,
+)
 from tamelab.padic import (
     PadicScalar,
     ScalarRing,
@@ -532,6 +544,62 @@ def test_group_inverse_matches_powering_oracle(sl2_mod27):
         inverse = G.inv(a)
         assert inverse == _oracle_tpow_inverse(a, G.m, G.p, G.prec)
         assert G.mul(a, inverse) == G.identity
+
+
+# ---------------------------------------------------------------------------
+# the generated integer product against the slice loop it replaced, kept as
+# an oracle
+
+
+def _oracle_slice_mul(a, b, m, mod):
+    rows = [(a[i], a[i + 1 : i + m]) for i in range(0, m * m, m)]
+    cols = [(b[j], b[j + m :: m]) for j in range(m)]
+    return tuple(
+        sum(map(mul, r_tail, c_tail), r0 * c0) % mod
+        for r0, r_tail in rows
+        for c0, c_tail in cols
+    )
+
+
+@pytest.mark.parametrize("mod", [3**4, 5**3, 7**6, 3**41], ids=str)  # 3^41 > 2^64
+@pytest.mark.parametrize("m", range(1, 10))
+def test_generated_product_matches_slice_oracle(m, mod):
+    rng = random.Random(1000 * m + mod % 1000)
+    for _ in range(10):
+        a, b = (tuple(rng.randrange(mod) for _ in range(m * m)) for _ in range(2))
+        assert _mul(a, b, m, mod) == _oracle_slice_mul(a, b, m, mod)
+    extreme = (mod - 1,) * (m * m)
+    assert _mul(extreme, extreme, m, mod) == _oracle_slice_mul(
+        extreme, extreme, m, mod
+    )
+
+
+@pytest.mark.parametrize("m", [1, 3, 11])
+def test_generated_product_is_built_once_per_m(m):
+    a = _identity(m, 0, 1)
+    kernel = _int_product(m)
+    misses = _int_product.cache_info().misses
+    assert _mul(a, a, m, 5**3) == a
+    assert _int_product(m) is kernel
+    assert _int_product.cache_info().misses == misses
+
+
+def test_importing_the_cli_generates_no_product():
+    src = str(Path(matgrp.__file__).resolve().parent.parent)
+    probe = (
+        "import tamelab.cli\n"
+        "from tamelab.matgrp import _int_product\n"
+        "print(_int_product.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------

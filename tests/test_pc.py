@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -195,6 +196,18 @@ def test_closure_cap_is_decided_from_the_rank():
     assert closure(gens, limit=3**16).order == 3**16
     with pytest.raises(LimitExceeded, match=f"past {3**16 - 1}"):
         closure(gens, limit=3**16 - 1)
+
+
+def test_orders_past_sys_maxsize_come_from_the_ranks():
+    # SL_5 mod 27 has 3^48 elements; `len` would raise OverflowError
+    G = closure(sl_standard_generators(5, 3, 3), limit=10**30)
+    chain = pcentral_series(G)
+    report = _uniformity(G, 1, chain)
+    assert G.order == G.elements.order == 3**48 > sys.maxsize
+    assert chain.dims == [24, 24] and report.uniform
+    with pytest.raises(LimitExceeded, match=f"past {3**48 - 1}"):
+        closure(sl_standard_generators(5, 3, 3), limit=3**48 - 1)
+    assert G.elements._frozen is None
 
 
 def test_iteration_enumerates_once_and_set_operations_give_frozensets():

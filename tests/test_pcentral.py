@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tamelab import pcentral
 from tamelab.errors import (
     DepthError,
     DomainError,
@@ -330,6 +331,28 @@ def test_pcentral_levels_match_oracle_normal_closures(name):
         seed = [G.power(y, G.p) for y in gens]
         seed += [G.comm(x, y) for x in G.generators for y in gens]
         assert _check_normal_closure(G, seed) == (nxt, nxt_gens)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
+def test_series_builds_no_commutator_or_power_that_is_i_by_depth(name, monkeypatch):
+    # [x, y] with depth x + depth y >= N and y^p with depth y + 1 >= N are I
+    G = _oracle_group(name)
+    commutator, power = pcentral._commutator, FiniteQuotientGroup.power
+    built = []
+
+    def recording_commutator(a, a_inv, b, b_inv, m, mod):
+        built.append(G.element_depth(a) + G.element_depth(b))
+        return commutator(a, a_inv, b, b_inv, m, mod)
+
+    def recording_power(self, a, e):
+        if self.element_depth(a) >= 1:
+            built.append(self.element_depth(a) + 1)
+        return power(self, a, e)
+
+    monkeypatch.setattr(pcentral, "_commutator", recording_commutator)
+    monkeypatch.setattr(FiniteQuotientGroup, "power", recording_power)
+    pcentral_series(G)
+    assert max(built, default=0) < G.prec
 
 
 def test_normal_closure_of_single_elements_matches_oracle(sl2_mod81):
