@@ -6,7 +6,7 @@ Library layout:
                Hensel square roots, p-adic log/exp, exponent ratios
 - ``matgrp``   matrices over those rings: commutators, Z_p powering,
                truncated matrix exp/log, congruence depth, generators
-- ``pcentral`` finite quotient enumeration, p-central series, uniformity,
+- ``pcentral`` finite quotients as pc sequences, p-central series, uniformity,
                the commutator-limit Lie bracket
 - ``liealg``   structure-constant Lie algebras over Q: Killing form,
                radical, toral / pluperfect verdicts, inertial certificates

@@ -6,19 +6,16 @@ of `matgrp`, which owns the one packed matrix kernel and the entry contract
 run on that kernel, and an element tuple is exactly the packed form of the
 matching `RingMatrix`.  No matrix loops live here.
 
-A group of depth >= 1 over Z/p^N is held as an induced polycyclic (pc)
-sequence, `_PcSet`: one F_p echelon basis (`liealg.SpanTracker`) of each
-depth layer (h - I)/p^n mod p, each row paired with a group element.
-Order, membership, subgroup and normal closures, the p-central series, the
-depth filtration and the uniformity checks all run on these sequences, in
-about rank^2 multiplies; an element set is built only when one is iterated.
-Groups with a depth-0 generator and groups over series rings are
-enumerated instead, by one Dimino loop: each queued seed element that is
-not yet a member extends the subgroup H built so far by whole right cosets
-H r, so each element is made by one multiply and no membership test; for a
-normal closure each kept element queues its conjugates under the
-generators.  Uniformity is decided on the p-th powers of each level's
-generators, one subgroup closure per level.
+Every group lies in Gamma_1 = ker(GL_m(R) -> GL_m(F_p)), over either ring
+R, and is held as an induced polycyclic (pc) sequence, `_PcSet`: one F_p
+echelon basis (`liealg.SpanTracker`) of each depth layer, the image of
+h - I in M_m(m^n/m^(n+1)), each row paired with a group element.  Order,
+membership, subgroup and normal closures, the p-central series, the depth
+filtration and the uniformity checks all run on these sequences, in about
+rank^2 multiplies; an element set is built only when one is iterated.
+A seed element of depth 0 raises `DepthError`: it has no layer vector.
+Uniformity is decided on the p-th powers of each level's generators, one
+subgroup closure per level.
 
 The p-central series is computed level by level: with Y generating P_n and X
 generating G, P_(n+1) is the normal closure of {y^p} union {[x, y]} over
@@ -33,6 +30,7 @@ import os
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 
 from .errors import (
     DepthError,
@@ -91,11 +89,16 @@ def _commutator(a, a_inv, b, b_inv, m, mod) -> tuple:
 
 
 class _PcSet(Set):
-    """A subgroup H of Gamma_1 = ker(GL_m(Z/p^N) -> GL_m(F_p)), read as a set.
+    """A subgroup H of Gamma_1 = ker(GL_m(R) -> GL_m(F_p)), read as a set.
 
-    H is held as an induced pc sequence: for each depth n < N, a basis of
-    the layer (H cap Gamma_n) / (H cap Gamma_(n+1)), embedded in M_m(F_p)
-    by h -> (h - I)/p^n mod p (a homomorphism, as 2n >= n + 1).  Row i of
+    R is Z/p^N or A/m^N, A = Z_p[[T_1..T_v]] and m = (p, T_1..T_v).  H is
+    held as an induced pc sequence: for each depth n < N, a basis of the layer
+    (H cap Gamma_n) / (H cap Gamma_(n+1)), embedded in the F_p-space
+    M_m(m^n/m^(n+1)) by h -> (h - I) mod m^(n+1) (a homomorphism, as
+    2n >= n + 1).  The layer vector (`_layer`, chosen once from the ring)
+    is (h - I)/p^n mod p over Z/p^N, m^2 digits, and over a series ring the
+    weight-n digits of each entry (`SeriesElement.weight_digits`), m^2
+    times C(n + v, v) digits, one per weight-n monomial p^a T^b.  Row i of
     `levels[n - 1][0]`, a `SpanTracker` in reduced echelon form, is the
     layer vector of the element `levels[n - 1][1][i]`, kept with its
     inverse.  So |H| = p^rank, and h is in H exactly when sifting ends at I:
@@ -111,14 +114,21 @@ class _PcSet(Set):
     takes their parts.
     """
 
-    def __init__(self, ring: ScalarRing, m: int):
-        self.ring, self.m, self.mod = ring, m, ring.modulus
-        self.identity = _identity(m, 0, 1)
-        self.levels = [(SpanTracker(m * m, ring.p), []) for _ in range(1, ring.prec)]
+    def __init__(self, ring: Ring, m: int):
+        ent = _Entries(ring)
+        self.ring, self.m, self.mod = ring, m, ent.mod
+        self.identity = _identity(m, ent.zero, ent.one)
+        if ent.scalar:
+            self._layer, widths = self._digit_layer, [m * m] * (ring.cap - 1)
+        else:
+            v = ring.n_vars
+            self._layer = self._weight_layer
+            widths = [m * m * comb(n + v, v) for n in range(1, ring.cap)]
+        self.levels = [(SpanTracker(w, ring.p), []) for w in widths]
         self._frozen = None
 
     @classmethod
-    def closure(cls, ring: ScalarRing, m: int, seed, limit: int, conjugates=None):
+    def closure(cls, ring: Ring, m: int, seed, limit: int, conjugates=None):
         """(H, kept): H = <seed>, normal under `conjugates` when it is given.
 
         Sifting an element either ends at I or inserts its residual r as a
@@ -137,16 +147,20 @@ class _PcSet(Set):
         depth-n rows, of rank r_n, by the layer map, which is 0 on H_(n+1).
         Every basis element is a word in the insertions and back, so before
         each seed element s, H is the group that the earlier members of
-        `kept` generate, and s joins `kept` when H does not hold it, as in
-        `_dimino`.  With `conjugates`, a map from s to the g s g^-1 over
-        generators g, these join the seed for each kept s, so g H g^-1 <= H.
-        LimitExceeded as soon as p^rank would pass `limit`, before any
-        element set is made.
+        `kept` generate, and s joins `kept` when H does not hold it.  With
+        `conjugates`, a map from s to the g s g^-1 over generators g, these
+        join the seed for each kept s, so g H g^-1 <= H.  DepthError for a
+        seed element of depth 0, which has no layer vector (conjugates keep
+        the depth); LimitExceeded as soon as p^rank would pass `limit`,
+        before any element set is made.
         """
         pc = cls(ring, m)
-        p, last, mod = ring.p, ring.prec, pc.mod
+        p, last, mod = ring.p, ring.cap, pc.mod
         inserted, kept = [], []
         queue = list(seed)
+        ent = _Entries(ring)
+        if any(_depth(s, m, ent) < 1 for s in queue):
+            raise DepthError("seed element not congruent to I mod m")
         for s in queue:  # with `conjugates`, queue grows while it is walked
             work = [s]
             for i, x in enumerate(work):  # so does work, closing H before the next s
@@ -171,10 +185,14 @@ class _PcSet(Set):
                 inserted.append((b, b_inv, n))
         return pc, kept
 
-    def _layer(self, x: tuple, n: int) -> list:
+    def _digit_layer(self, x: tuple, n: int) -> list:
         """(x - I)/p^n mod p, for x congruent to I mod p^n."""
         q, p = self.ring.p**n, self.ring.p
         return [(e - d) // q % p for e, d in zip(x, self.identity)]
+
+    def _weight_layer(self, x: tuple, n: int) -> list:
+        """The weight-n digits of each entry of x - I, for x in Gamma_n."""
+        return [c for e, d in zip(x, self.identity) for c in (e - d).weight_digits(n)]
 
     def _sift(self, x: tuple):
         """None when x sifts to I, else (n, r, vec): x reduced to r of depth
@@ -266,7 +284,10 @@ class _PcSet(Set):
                 and self.order == other.order
                 and all(other._sift(b) is None for b in self.basis())
             )
-        return Set.__eq__(self, other)
+        if not isinstance(other, Set):
+            return NotImplemented
+        # sizes first, never `len` of H, which overflows past sys.maxsize
+        return len(other) == self.order and all(x in other for x in self)
 
     def __hash__(self) -> int:
         return hash(self._elements())
@@ -280,26 +301,24 @@ class _PcSet(Set):
 
 
 # ---------------------------------------------------------------------------
-# enumerated groups
+# groups
 
 
 @dataclass(frozen=True)
 class FiniteQuotientGroup:
-    """A finite p-group of matrices over Z/p^N or A/m^M with its element set.
+    """A finite p-group in Gamma_1 over Z/p^N or A/m^M with its element set.
 
-    Invariant: `generators` generate `elements`.  `closure`, the only
-    constructor, makes `elements` the subgroup the generators produce, so
-    an orbit under conjugation by the generators is a full conjugacy class,
-    and a normal closure under them is normal in G.  `elements` is a
-    `_PcSet` for a group of depth >= 1 over Z/p^N, whose subgroup and
-    normal closures are pc sequences too, and an enumerated frozenset
-    otherwise.
+    Invariant: `generators` generate `elements`, a `_PcSet`.  `closure`,
+    the only constructor, makes `elements` the subgroup the generators
+    produce, so an orbit under conjugation by the generators is a full
+    conjugacy class, and a normal closure under them is normal in G.  Its
+    subgroup and normal closures are pc sequences too.
     """
 
     ring: Ring
     m: int
     generators: tuple
-    elements: Set
+    elements: _PcSet
 
     @property
     def p(self) -> int:
@@ -319,7 +338,7 @@ class FiniteQuotientGroup:
 
     @property
     def order(self) -> int:
-        return _order(self.elements)
+        return self.elements.order
 
     @cached_property
     def identity(self) -> tuple:
@@ -382,86 +401,21 @@ class FiniteQuotientGroup:
             raise PrecisionMismatch("matrix ring differs from group ring")
         return g._flat
 
-    def _dimino(self, seed, limit: int | None, normal: bool):
-        """(elements, kept): the closure of `seed` by Dimino's coset extension.
-
-        The seed queue is walked in order; an element s outside the subgroup
-        H built so far is kept, and <H, s> is filled in by whole right cosets
-        H r, each costing |H| multiplies and no membership tests.  New
-        representatives r g come from the representatives r and the kept g;
-        the union is closed under right multiplication by them, so (being
-        finite) it is the group.  Each kept element multiplies the order by
-        at least p, so at most log_p |result| are kept.  With `normal`, each
-        kept element's generator conjugates join the queue: the result N is
-        generated by the kept elements and holds their generator conjugates,
-        so g N g^-1 <= N for the generators g, which generate G.  N is thus
-        normal, and it lies in every normal subgroup holding the seed.
-        `limit` defaults to |G|, which no subgroup exceeds.
-        """
-        limit = self.order if limit is None else limit
-        elements = [self.identity]
-        members = set(elements)
-        kept = []
-        queue = list(seed)
-        for s in queue:  # with `normal`, queue grows while it is walked
-            if s in members:
-                continue
-            kept.append(s)
-            if normal:
-                queue.extend(self._conjugates(s))
-            sub = elements[:]
-            reps = []
-
-            def add_coset(r):
-                if len(elements) + len(sub) > limit:
-                    raise LimitExceeded(f"subgroup closure past {limit}")
-                coset = [self.mul(h, r) for h in sub]
-                elements.extend(coset)
-                members.update(coset)
-                reps.append(r)
-
-            add_coset(s)
-            for r in reps:  # reps grows while it is walked
-                for g in kept:
-                    t = self.mul(r, g)
-                    if t not in members:
-                        add_coset(t)
-        return frozenset(members), kept
-
-    def _pc_seed(self, seed: list) -> bool:
-        """Whether closures of `seed` are pc sequences: G is one, seed in Gamma_1."""
-        return isinstance(self.elements, _PcSet) and all(
-            self.element_depth(s) >= 1 for s in seed
-        )
-
-    def subgroup_closure(self, seed, limit: int | None = None) -> Set:
-        """Elements generated by `seed` (see `_PcSet.closure` and `_dimino`).
+    def subgroup_closure(self, seed, limit: int | None = None) -> _PcSet:
+        """The subgroup `seed` generates (see `_PcSet.closure`).
 
         `limit` defaults to |G|.
         """
-        seed = list(seed)
-        if self._pc_seed(seed):
-            limit = self.order if limit is None else limit
-            return _PcSet.closure(self.ring, self.m, seed, limit)[0]
-        return self._dimino(seed, limit, normal=False)[0]
+        limit = self.order if limit is None else limit
+        return _PcSet.closure(self.ring, self.m, seed, limit)[0]
 
     def normal_closure(self, seed):
         """(elements, generating set) of the normal closure of `seed` in G.
 
-        The set is the kept elements of `_PcSet.closure` or `_dimino`, at
-        most log_p |elements|.
+        The set is the kept elements of `_PcSet.closure`, at most
+        log_p |elements|.
         """
-        seed = list(seed)
-        if self._pc_seed(seed):
-            return _PcSet.closure(
-                self.ring, self.m, seed, self.order, self._conjugates
-            )
-        return self._dimino(seed, None, normal=True)
-
-
-def _order(elements: Set) -> int:
-    """|elements|: a pc sequence's order, or the size of an enumerated set."""
-    return elements.order if isinstance(elements, _PcSet) else len(elements)
+        return _PcSet.closure(self.ring, self.m, seed, self.order, self._conjugates)
 
 
 def _p_log(n: int, p: int, what: str) -> int:
@@ -473,38 +427,21 @@ def _p_log(n: int, p: int, what: str) -> int:
 
 
 def closure(
-    generators: list[RingMatrix],
-    limit: int | None = None,
-    allow_depth_zero: bool = False,
+    generators: list[RingMatrix], limit: int | None = None
 ) -> FiniteQuotientGroup:
     """The group the generators produce mod p^N or mod m^M, of order <= `limit`.
 
-    Generators must be congruent to I mod m = (p, T_1..T_n) unless
-    `allow_depth_zero` opts out (needed for p-groups, like semidirect
-    products with a nontrivial mod-p action, that admit no congruence-kernel
-    model).  Over Z/p^N without that opt-out the group is a pc sequence;
-    otherwise it is enumerated, and its order must be a power of p.
+    Generators must be congruent to I mod m = (p, T_1..T_n), DepthError
+    otherwise; over either ring the group is a pc sequence.
     """
     if not generators:
         raise ValueError("need at least one generator")
     limit = closure_limit() if limit is None else limit
     ring, m = generators[0].ring, generators[0].m
-    gens = []
-    for g in generators:
-        if g.ring != ring or g.m != m:
-            raise PrecisionMismatch("generators live in different rings")
-        if not allow_depth_zero and congruence_depth(g) < 1:
-            raise DepthError("generator not congruent to I mod p")
-        gens.append(g._flat)
-
-    if allow_depth_zero or not isinstance(ring, ScalarRing):
-        # the shell's element set is never read: `limit` caps its closure
-        shell = FiniteQuotientGroup(ring, m, tuple(gens), frozenset())
-        elements = shell.subgroup_closure(gens, limit)
-        _p_log(_order(elements), ring.p, "order")
-    else:
-        elements = _PcSet.closure(ring, m, gens, limit)[0]
-    return FiniteQuotientGroup(ring, m, tuple(gens), elements)
+    if any(g.ring != ring or g.m != m for g in generators):
+        raise PrecisionMismatch("generators live in different rings")
+    gens = tuple(g._flat for g in generators)
+    return FiniteQuotientGroup(ring, m, gens, _PcSet.closure(ring, m, gens, limit)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +453,17 @@ class PCentralChain:
     """P_1 >= P_2 >= ... >= {1} with per-level generating sets and dims."""
 
     group: FiniteQuotientGroup
-    levels: list[Set]
+    levels: list[_PcSet]
     level_gens: list[list]
     dims: list[int] = field(default_factory=list)
 
-    def level(self, n: int) -> Set:
+    def level(self, n: int) -> _PcSet:
         """P_n, defined as the trivial group past the computed chain."""
         if n < 1:
             raise ValueError("levels are indexed from 1")
         if n <= len(self.levels):
             return self.levels[n - 1]
-        return frozenset([self.group.identity])
+        return _PcSet(self.group.ring, self.group.m)
 
     def gens(self, n: int) -> list:
         """A generating set of P_n, empty past the computed chain."""
@@ -534,25 +471,18 @@ class PCentralChain:
             raise ValueError("levels are indexed from 1")
         return list(self.level_gens[n - 1]) if n <= len(self.level_gens) else []
 
-    def depth_filtration(self, n: int) -> Set:
-        """Elements of G congruent to I mod p^n; the dictionary's other side.
-
-        On a pc sequence this is its part at depth >= n; an enumerated G is
-        swept, reading depths capped at the precision (so I is kept).
-        """
-        G = self.group
-        if isinstance(G.elements, _PcSet):
-            return G.elements.at_depth(n)
-        n = min(n, G.prec)
-        return frozenset(a for a in G.elements if G.element_depth(a) >= n)
+    def depth_filtration(self, n: int) -> _PcSet:
+        """Elements of G congruent to I mod m^n, the dictionary's other side:
+        G's pc sequence from depth n on."""
+        return self.group.elements.at_depth(n)
 
 
 def pcentral_series(G: FiniteQuotientGroup) -> PCentralChain:
     """The chain, each P_(n+1) seeded by y^p and [x, y] (module docstring).
 
     Those that are I by depth alone are not built, as in `_PcSet.closure`:
-    [x, y] when depth x + depth y >= N, y^p when y's depth d >= 1 has
-    d + 1 >= N (N the precision).
+    [x, y] when depth x + depth y >= N, y^p when y's depth d has d + 1 >= N
+    (N the precision).
     """
     levels = [G.elements]
     level_gens = [list(G.generators)]
@@ -561,8 +491,8 @@ def pcentral_series(G: FiniteQuotientGroup) -> PCentralChain:
         (g, g_inv, G.element_depth(g))
         for g, g_inv in zip(G.generators, G.generator_inverses)
     ]
-    while _order(levels[-1]) > 1:
-        seed = [G.power(y, G.p) for y, _, d in ys if d == 0 or d + 1 < last]
+    while levels[-1].order > 1:
+        seed = [G.power(y, G.p) for y, _, d in ys if d + 1 < last]
         seed += [
             _commutator(x, x_inv, y, y_inv, G.m, G.modulus)
             for x, x_inv, dx in conj
@@ -571,12 +501,12 @@ def pcentral_series(G: FiniteQuotientGroup) -> PCentralChain:
         ]
         nxt, gens = G.normal_closure(seed)
         ys = [(y, G.inv(y), G.element_depth(y)) for y in gens]
-        if _order(nxt) >= _order(levels[-1]):
+        if nxt.order >= levels[-1].order:
             raise NotPGroup("p-central series failed to descend")
         levels.append(nxt)
         level_gens.append(gens)
     dims = [
-        _p_log(_order(a) // _order(b), G.p, "layer size")
+        _p_log(a.order // b.order, G.p, "layer size")
         for a, b in zip(levels, levels[1:])
     ]
     return PCentralChain(G, levels, level_gens, dims)
@@ -644,10 +574,10 @@ def _uniformity(G: FiniteQuotientGroup, window: int, chain) -> UniformityReport:
     level, onto = chain.level, []
     for n in range(1, max(window, 1) + 1):
         seed = [G.power(y, G.p) for y in chain.gens(n)] + chain.gens(n + 2)
-        onto.append(_order(G.subgroup_closure(seed)) == _order(level(n + 1)))
+        onto.append(G.subgroup_closure(seed).order == level(n + 1).order)
 
     def layer(n):
-        return _order(level(n)) // _order(level(n + 1))
+        return level(n).order // level(n + 1).order
 
     bijective = [onto[n - 1] and layer(n) == layer(n + 1) for n in range(1, window + 1)]
     uniform = onto[0] and all(bijective)

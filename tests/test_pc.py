@@ -1,10 +1,11 @@
 """Induced pc sequences against Dimino enumeration.
 
-Over Z/p^N a group of depth >= 1 is a pc sequence (`pcentral._PcSet`); the
-same generators under `allow_depth_zero` are enumerated by Dimino's loop,
-which `test_pcentral` checks against breadth-first oracles.  Each pc answer
-(order, element set, every P_n, the depth filtration, the uniformity report
-at every window) must equal the enumerated one.
+Over Z/p^N and over truncated series rings alike, a group is a pc sequence
+(`pcentral._PcSet`); the same generators are enumerated by Dimino's loop
+(`test_pcentral.enumerated_closure`), which `test_pcentral` checks against
+breadth-first oracles.  Each pc answer (order, element set, every P_n, the
+depth filtration, the uniformity report at every window) must equal the
+enumerated one.
 """
 
 import functools
@@ -17,9 +18,10 @@ import pytest
 
 from tamelab.errors import LimitExceeded
 from tamelab.matgrp import int_power, sl_standard_generators
-from tamelab.padic import ScalarRing
+from tamelab.padic import ScalarRing, SeriesRing
 from tamelab.pcentral import _PcSet, _uniformity, closure, pcentral_series
-from test_pcentral import _ORACLE_GROUPS, _random_sl2_subgroup_gens
+from test_entries import gamma1_generators
+from test_pcentral import _ORACLE_GROUPS, _random_sl2_subgroup_gens, enumerated_closure
 
 
 def _cli_generators(m, p, prec, k):
@@ -30,11 +32,17 @@ def _cli_generators(m, p, prec, k):
 
 def _sweep_depths(G):
     """The element sweep: {a: depth of a} over an enumerated G, each depth
-    read off the gcd of the entries of a - I (I lies in every Gamma_n)."""
+    read off the gcd of the entries of a - I over Z/p^N, and off the least
+    m-adic depth of an entry over a series ring (I lies in every Gamma_n)."""
     identity, mod, p = G.identity, G.modulus, G.p
     depths = {}
     for a in G.elements:
-        g = math.gcd(*((e - d) % mod for e, d in zip(a, identity)))
+        diffs = [e - d for e, d in zip(a, identity)]
+        if not isinstance(mod, int):
+            nonzero = [x.m_adic_depth() for x in diffs if not x.is_zero()]
+            depths[a] = min(nonzero, default=float("inf"))
+            continue
+        g = math.gcd(*(x % mod for x in diffs))
         depth = 0
         while g and g % p == 0:
             g, depth = g // p, depth + 1
@@ -44,7 +52,7 @@ def _sweep_depths(G):
 
 def _assert_pc_matches_dimino(gens):
     pc = closure(gens)
-    enum = closure(gens, allow_depth_zero=True)
+    enum = enumerated_closure(gens)
     assert isinstance(pc.elements, _PcSet)
     assert isinstance(enum.elements, frozenset)
     assert pc.order == enum.order
@@ -61,7 +69,6 @@ def _assert_pc_matches_dimino(gens):
     for n in range(1, pc.prec + 2):
         want = frozenset(a for a, depth in depths.items() if depth >= n)
         assert pc_chain.depth_filtration(n) == want
-    assert enum_chain.depth_filtration(pc.prec + 1) == {enum.identity}
     for level, want in zip(pc_chain.levels, enum_chain.levels):
         assert set(level) == want
     assert pc.elements == enum.elements
@@ -135,17 +142,46 @@ def test_pc_matches_dimino_on_seeded_two_element_subgroups(p, prec, seed):
     _assert_pc_matches_dimino(_random_sl2_subgroup_gens(p, prec, seed))
 
 
+# Gamma_1 of SL_2 over Z_p[[T_1..T_v]]/m^2: one layer of weight-1 digits,
+# of orders 3^6, 3^9 and 5^6
+@pytest.mark.parametrize(
+    "ring", [SeriesRing(3, 1, 2), SeriesRing(3, 2, 2), SeriesRing(5, 1, 2)], ids=repr
+)
+def test_pc_matches_dimino_on_series_rings(ring):
+    pc, _ = _assert_pc_matches_dimino(gamma1_generators(ring))
+    assert pc.order == ring.p ** (3 * (ring.n_vars + 1))
+
+
+def _gamma_order(ring, n):
+    """log_p |Gamma_n / Gamma_M| in SL_2 over Z_p[[T_1..T_v]]/m^M: a layer of
+    weight k has dimension 3 C(k + v, v), one per trace-0 entry and monomial."""
+    v = ring.n_vars
+    return 3 * sum(math.comb(k + v, v) for k in range(n, ring.trunc))
+
+
+@pytest.mark.parametrize("ring", [SeriesRing(3, 1, 4), SeriesRing(3, 2, 3)], ids=repr)
+def test_series_reach_needs_no_element_set(ring):
+    # both have order 3^27: enumeration would need 7.6 * 10^12 elements
+    G = closure(gamma1_generators(ring), limit=3**27)
+    chain = pcentral_series(G)
+    assert G.order == 3 ** _gamma_order(ring, 1) == 3**27
+    for n in range(1, ring.trunc + 2):
+        assert chain.depth_filtration(n).order == 3 ** _gamma_order(ring, n)
+    assert sum(chain.dims) == 27
+    assert G.elements._frozen is None
+
+
 @functools.cache
 def _ambient(p, prec):
     """Gamma_1 of SL_2 mod p^prec, enumerated, in sorted order."""
     gens = sl_standard_generators(2, p, prec)
-    return sorted(closure(gens, allow_depth_zero=True).elements)
+    return sorted(enumerated_closure(gens).elements)
 
 
 @pytest.mark.parametrize("p, prec, seed", [(3, 4, 1), (3, 4, 5), (5, 3, 4)])
 def test_sifting_membership_matches_the_enumerated_set(p, prec, seed):
     gens = _random_sl2_subgroup_gens(p, prec, seed)
-    pc, enum = closure(gens), closure(gens, allow_depth_zero=True)
+    pc, enum = closure(gens), enumerated_closure(gens)
     rng = random.Random(seed)
     for x in rng.sample(_ambient(p, prec), 300):
         assert (x in pc.elements) == (x in enum.elements)
@@ -198,10 +234,16 @@ def test_closure_cap_is_decided_from_the_rank():
         closure(gens, limit=3**16 - 1)
 
 
+@functools.cache
+def _sl5_mod27():
+    """SL_5 mod 27 and its chain: 3^48 elements, past sys.maxsize."""
+    G = closure(sl_standard_generators(5, 3, 3), limit=10**30)
+    return G, pcentral_series(G)
+
+
 def test_orders_past_sys_maxsize_come_from_the_ranks():
     # SL_5 mod 27 has 3^48 elements; `len` would raise OverflowError
-    G = closure(sl_standard_generators(5, 3, 3), limit=10**30)
-    chain = pcentral_series(G)
+    G, chain = _sl5_mod27()
     report = _uniformity(G, 1, chain)
     assert G.order == G.elements.order == 3**48 > sys.maxsize
     assert chain.dims == [24, 24] and report.uniform
@@ -220,3 +262,16 @@ def test_iteration_enumerates_once_and_set_operations_give_frozensets():
     rest = elements - {G.identity}
     assert isinstance(rest, frozenset) and len(rest) == G.order - 1
     assert hash(elements) == hash(cached)
+
+
+def test_comparisons_past_sys_maxsize_never_take_len():
+    # `len` of a 3^48 set raises OverflowError; levels past the chain are
+    # trivial pc sequences, and a pc set checks another set's size first
+    G, chain = _sl5_mod27()
+    k = len(chain.levels) + 1
+    assert isinstance(chain.level(k), _PcSet) and chain.level(k).order == 1
+    assert chain.level(k) == chain.level(k + 1) == chain.levels[-1]
+    assert chain.level(k) == frozenset([G.identity])
+    assert (G.elements == frozenset([G.identity])) is False
+    assert G.elements != frozenset([G.identity])
+    assert G.elements._frozen is None

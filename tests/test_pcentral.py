@@ -1,4 +1,9 @@
-"""Enumeration, p-central series, uniformity, and the commutator-limit bracket."""
+"""Closures, p-central series, uniformity, and the commutator-limit bracket.
+
+Dimino's coset-extension loop lives here as the oracle (`EnumeratedGroup`,
+`enumerated_closure`): it closes groups of any depth by enumeration, while
+the library holds every group as a pc sequence.
+"""
 
 import functools
 import random
@@ -31,6 +36,86 @@ from tamelab.pcentral import (
     uniformity_check,
 )
 from test_entries import gamma1_generators
+
+
+class _EnumeratedSet(frozenset):
+    """An enumerated element set, with the `order` a pc sequence has."""
+
+    @property
+    def order(self) -> int:
+        return len(self)
+
+
+class EnumeratedGroup(FiniteQuotientGroup):
+    """A group whose closures enumerate by Dimino's loop: the oracle for the
+    pc answers, and the one way to close a group with a depth-0 generator.
+    `pcentral_series` and `_uniformity` run on it unchanged."""
+
+    def _dimino(self, seed, limit: int | None, normal: bool):
+        """(elements, kept): the closure of `seed` by Dimino's coset extension.
+
+        The seed queue is walked in order; an element s outside the subgroup
+        H built so far is kept, and <H, s> is filled in by whole right cosets
+        H r, each costing |H| multiplies and no membership tests.  New
+        representatives r g come from the representatives r and the kept g;
+        the union is closed under right multiplication by them, so (being
+        finite) it is the group.  Each kept element multiplies the order by
+        at least p, so at most log_p |result| are kept.  With `normal`, each
+        kept element's generator conjugates join the queue: the result N is
+        generated by the kept elements and holds their generator conjugates,
+        so g N g^-1 <= N for the generators g, which generate G.  N is thus
+        normal, and it lies in every normal subgroup holding the seed.
+        `limit` defaults to |G|, which no subgroup exceeds.
+        """
+        limit = self.order if limit is None else limit
+        elements = [self.identity]
+        members = set(elements)
+        kept = []
+        queue = list(seed)
+        for s in queue:  # with `normal`, queue grows while it is walked
+            if s in members:
+                continue
+            kept.append(s)
+            if normal:
+                queue.extend(self._conjugates(s))
+            sub = elements[:]
+            reps = []
+
+            def add_coset(r):
+                if len(elements) + len(sub) > limit:
+                    raise LimitExceeded(f"subgroup closure past {limit}")
+                coset = [self.mul(h, r) for h in sub]
+                elements.extend(coset)
+                members.update(coset)
+                reps.append(r)
+
+            add_coset(s)
+            for r in reps:  # reps grows while it is walked
+                for g in kept:
+                    t = self.mul(r, g)
+                    if t not in members:
+                        add_coset(t)
+        return frozenset(members), kept
+
+    def subgroup_closure(self, seed, limit: int | None = None):
+        return _EnumeratedSet(self._dimino(seed, limit, normal=False)[0])
+
+    def normal_closure(self, seed):
+        elements, kept = self._dimino(seed, None, normal=True)
+        return _EnumeratedSet(elements), kept
+
+
+def enumerated_closure(generators, limit=None):
+    """`closure` by Dimino, for generators of any depth; NotPGroup unless the
+    order is a power of p."""
+    limit = closure_limit() if limit is None else limit
+    ring, m = generators[0].ring, generators[0].m
+    gens = tuple(g._flat for g in generators)
+    # the shell's element set is never read: `limit` caps its closure
+    shell = EnumeratedGroup(ring, m, gens, _EnumeratedSet())
+    elements = shell.subgroup_closure(gens, limit)
+    _p_log(elements.order, ring.p, "order")
+    return EnumeratedGroup(ring, m, gens, elements)
 
 
 def unipotent(ring, entry, where="upper"):
@@ -88,11 +173,23 @@ def test_closure_rejects_depth_zero_by_default():
         closure([g])
 
 
-def test_closure_not_p_group():
-    ring = ScalarRing(3, 2)
-    g = RingMatrix.from_int_rows(ring, [[2, 0], [0, 5]])  # order 6
-    with pytest.raises(NotPGroup):
-        closure([g], allow_depth_zero=True)
+def test_closures_in_a_pc_group_reject_depth_zero_seeds(sl2_mod81):
+    # -I and [[1, 1], [0, 1]] have no layer vector: sifting them would misread
+    # (e - d) // p and return a wrong group, so no pc closure takes them
+    ring = ScalarRing(3, 4)
+    minus_i = RingMatrix.from_int_rows(ring, [[-1, 0], [0, -1]])
+    for g in (minus_i, unipotent(ring, 1)):
+        seed = [sl2_mod81.generators[0], g._flat]
+        with pytest.raises(DepthError, match="not congruent to I mod m"):
+            sl2_mod81.subgroup_closure(seed)
+        with pytest.raises(DepthError, match="not congruent to I mod m"):
+            sl2_mod81.normal_closure(seed)
+        with pytest.raises(DepthError):
+            closure([g])
+    # the oracle closes them: <-I> has order 2, no power of 3
+    with pytest.raises(NotPGroup, match="order 2 is not a power of 3"):
+        enumerated_closure([minus_i])
+    assert enumerated_closure([unipotent(ring, 1)]).order == 81
 
 
 def test_p_log_reads_exponents_and_rejects_other_orders():
@@ -191,7 +288,7 @@ def test_semidirect_action_group_not_uniform():
     ring = ScalarRing(3, 3)
     t = RingMatrix.from_int_rows(ring, [[0, -1, 0], [1, -1, 0], [0, 0, 1]])
     a1 = RingMatrix.from_int_rows(ring, [[1, 0, 3], [0, 1, 0], [0, 0, 1]])
-    G = closure([t, a1], allow_depth_zero=True)
+    G = enumerated_closure([t, a1])
     assert G.order == 3 * 81
     chain = pcentral_series(G)
     assert chain.dims[0] == 2 and chain.dims[1] == 1
@@ -284,7 +381,7 @@ def _elementary_abelian_gens():
     ]
 
 
-# name -> (generator maker, allow_depth_zero)
+# name -> (generator maker, whether a generator has depth 0)
 _ORACLE_GROUPS = {
     "sl2-3^2": (lambda: sl_standard_generators(2, 3, 2), False),
     "sl2-3^3": (lambda: sl_standard_generators(2, 3, 3), False),
@@ -296,9 +393,14 @@ _ORACLE_GROUPS = {
 }
 
 
+def _close(gens, depth_zero, limit=None):
+    """The pc closure, or the enumerated one when a generator has depth 0."""
+    return (enumerated_closure if depth_zero else closure)(gens, limit)
+
+
 def _oracle_group(name):
-    make, allow_depth_zero = _ORACLE_GROUPS[name]
-    return closure(make(), allow_depth_zero=allow_depth_zero)
+    make, depth_zero = _ORACLE_GROUPS[name]
+    return _close(make(), depth_zero)
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
@@ -439,7 +541,7 @@ def _random_sl2_subgroup_gens(p, prec, seed):
     return [RingMatrix._packed(ring, 2, rng.choice(elements)) for _ in range(2)]
 
 
-# name -> (generator maker, allow_depth_zero, G/G^p abelian per the oracle)
+# name -> (generator maker, depth-0 generator, G/G^p abelian per the oracle)
 _UNIFORMITY_CORPUS = {
     **{
         name: (make, depth_zero, name != "semidirect")
@@ -458,8 +560,8 @@ _UNIFORMITY_CORPUS = {
 
 @pytest.mark.parametrize("name", list(_UNIFORMITY_CORPUS))
 def test_generator_rule_matches_oracle_at_every_window(name):
-    make, allow_depth_zero, frattini_abelian = _UNIFORMITY_CORPUS[name]
-    G = closure(make(), allow_depth_zero=allow_depth_zero)
+    make, depth_zero, frattini_abelian = _UNIFORMITY_CORPUS[name]
+    G = _close(make(), depth_zero)
     chain = pcentral_series(G)
     # the oracle decides Frattini and each level apart from the window, so
     # one run at the top window gives the report of every smaller window
@@ -503,12 +605,12 @@ def test_level_generators_generate_each_level_and_stop_with_the_chain(name):
 
 @pytest.mark.parametrize("name", ["sl2-3^4", "sl3-3^2", "semidirect"])
 def test_limit_boundary_matches_oracle(name):
-    make, allow_depth_zero = _ORACLE_GROUPS[name]
+    make, depth_zero = _ORACLE_GROUPS[name]
     gens = make()
-    G = closure(gens, allow_depth_zero=allow_depth_zero)
-    assert closure(gens, limit=G.order, allow_depth_zero=allow_depth_zero) == G
+    G = _close(gens, depth_zero)
+    assert _close(gens, depth_zero, limit=G.order) == G
     with pytest.raises(LimitExceeded):
-        closure(gens, limit=G.order - 1, allow_depth_zero=allow_depth_zero)
+        _close(gens, depth_zero, limit=G.order - 1)
     assert _oracle_subgroup_closure(G, G.generators, G.order) == G.elements
     with pytest.raises(LimitExceeded):
         _oracle_subgroup_closure(G, G.generators, G.order - 1)
