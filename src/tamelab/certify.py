@@ -17,15 +17,18 @@ pair (x, s) serves the standard certificate and the witness family, one
 (c, s) both symmetric conjugators, and each quaternion suite builds its
 lattice and exponentials once and reduces them to the suite's precision.
 
-Both certificate searches, the exhaustive one in enumerated groups and the
-bounded cyclic-direction one in the quaternion lattice, run one scan on
-flat tuples.  Since [x, y] = y^h is x y x^-1 = y^(h+1), the scan looks up
-each candidate's conjugate x y x^-1, two multiplies, in y's power table
-shifted by one and restricted to the admissible exponents.  The exhaustive
-search first walks the conjugacy class of y as an orbit under the group's
-generators: a class that misses the table is an exhaustive "no", at
-|class(y)| |generators| conjugations instead of a scan of G; otherwise the
-scan over G in sorted order picks the witness.
+Both certificate searches, the exhaustive one in a finite quotient and the
+bounded cyclic-direction one in the quaternion lattice, work on flat tuples
+and one table.  Since [x, y] = y^h is x y x^-1 = y^(h+1), a conjugate of y
+is looked up in y's power table shifted by one and restricted to the
+admissible exponents.  The cyclic-direction search looks up each
+candidate's conjugate, two multiplies.  The exhaustive search walks the
+conjugacy class of y once, as a breadth-first orbit under the group's
+generators that records each conjugate's generator path: a class that
+misses the table is an exhaustive "no", at |class(y)| |generators|
+conjugations, and otherwise the path to the first class element in the
+table, multiplied out, is the witness x.  Neither answer builds G's
+element set.
 """
 
 from __future__ import annotations
@@ -524,7 +527,7 @@ def _quaternion_coordinates(bracket: RingMatrix, basis, p: int):
 
 
 # ---------------------------------------------------------------------------
-# certificate scans: quaternion directions and enumerated groups
+# certificate searches: quaternion directions and finite quotients
 
 
 def _conjugate_table(y, identity, mul, p, k_max, cap=None):
@@ -544,19 +547,6 @@ def _conjugate_table(y, identity, mul, p, k_max, cap=None):
     return table
 
 
-def _scan_certificate(y, table, mul, candidates):
-    """First (x, hit) with x y x^-1 in `table`, that is [x, y] = y^hit.
-
-    Elements are flat tuples multiplied by `mul`; `candidates` yields pairs
-    (x, x^-1) in the caller's order; `table` is y's `_conjugate_table`.
-    """
-    for x, x_inv in candidates:
-        hit = table.get(mul(mul(x, y), x_inv))
-        if hit is not None:
-            return x, hit
-    return None
-
-
 def _cyclic_direction_certificate_search(directions, exponent_bound: int):
     """Search [g^e, y] = y^(a p^k) over cyclic powers of the given directions."""
     ring, m = directions[0].ring, directions[0].m
@@ -573,12 +563,12 @@ def _cyclic_direction_certificate_search(directions, exponent_bound: int):
             candidates.append((base, base_inv))
 
     for y in directions:
-        cap = exponent_bound * ring.p
-        table = _conjugate_table(y._flat, ident, mul, ring.p, ring.prec, cap)
-        found = _scan_certificate(y._flat, table, mul, candidates)
-        if found is not None:
-            x, hit = found
-            return {"y": y, "x": RingMatrix._packed(ring, m, x), "exponent": hit}
+        y_t, cap = y._flat, exponent_bound * ring.p
+        table = _conjugate_table(y_t, ident, mul, ring.p, ring.prec, cap)
+        for x, x_inv in candidates:
+            hit = table.get(mul(mul(x, y_t), x_inv))
+            if hit is not None:
+                return {"y": y, "x": RingMatrix._packed(ring, m, x), "exponent": hit}
     return None
 
 
@@ -594,25 +584,35 @@ def brute_search_certificate(
     `FiniteQuotientGroup` invariant): the orbit is closed under each
     generator, hence under the group they generate, which is all of G.  When
     the orbit closes without meeting the table the answer is an exhaustive
-    "no", without a scan of G.  Otherwise x runs over G in sorted order and
-    the first x with x y x^-1 in the table is the witness.  Torsion-degenerate
-    certificates (exponent annihilating y) are excluded; at finite modulus
-    they exist for every element and carry no information.
+    "no".  Otherwise the walk stops at the first class element z in the
+    table, and x is the product of the generators along z's path from y
+    (`conjugacy_class`), len(path) multiplies: x y x^-1 = z, the witness.
+    Neither answer builds G's element set.  Torsion-degenerate certificates
+    (exponent annihilating y) are excluded; at finite modulus they exist for
+    every element and carry no information.
     """
-    if not isinstance(G.ring, ScalarRing):  # the scan orders G's elements
+    # series-ring certificates wait for one re-checkable witness format
+    # (ROADMAP item 8)
+    if not isinstance(G.ring, ScalarRing):
         raise PrecisionMismatch("certificate search needs a scalar ring")
     y_t = y if isinstance(y, tuple) else G.to_tuple(y)
     if y_t == G.identity:
         raise ZeroVector("y must differ from the identity")
     if y_t not in G.elements:
-        raise DomainError("y is not an element of the enumerated group")
+        raise DomainError("y is not an element of the group")
     # a valuation is read only up to the group's precision
     k_max = min(k_max, G.prec)
     table = _conjugate_table(y_t, G.identity, G.mul, G.p, k_max)
-    if not table or not any(z in table for z in G.conjugacy_class(y_t)):
+    if not table:
         return None
-    candidates = ((x, G.inv(x)) for x in G.sorted_elements)
-    x_t, hit = _scan_certificate(y_t, table, G.mul, candidates)
+    found = next(((z, path) for z, path in G.conjugacy_class(y_t) if z in table), None)
+    if found is None:
+        return None
+    z, path = found
+    x_t = G.identity
+    for i in path:
+        x_t = G.mul(G.generators[i], x_t)
+    hit = table[z]
     k = int_valuation(hit, G.p, k_max)
     cert = GroupInertialCertificate(
         G.to_matrix(y_t),
@@ -621,5 +621,5 @@ def brute_search_certificate(
         k,
     )
     if not verify_certificate(cert):
-        raise GuardFailed("scanned certificate fails its identity")
+        raise GuardFailed("searched certificate fails its identity")
     return cert

@@ -345,11 +345,6 @@ class FiniteQuotientGroup:
         return _identity(self.m, self._ent.zero, self._ent.one)
 
     @cached_property
-    def sorted_elements(self) -> tuple:
-        """The elements in tuple order, sorted once per group."""
-        return tuple(sorted(self.elements))
-
-    @cached_property
     def generator_inverses(self) -> tuple:
         return tuple(self.inv(g) for g in self.generators)
 
@@ -375,19 +370,23 @@ class FiniteQuotientGroup:
         ]
 
     def conjugacy_class(self, a: tuple):
-        """Yield the conjugates of a, a first, each once.
+        """Yield (z, path) for the conjugates z of a, a first, each once.
 
         A breadth-first orbit under the generator conjugations.  The orbit
         is closed under the generators, hence (G being finite and generated
-        by them) under all of G, so it is the whole class.
+        by them) under all of G, so it is the whole class.  `path` is the
+        tuple of generator indices from a to z: x = g_path[-1] ... g_path[0]
+        gives x a x^-1 = z.  Only the indices are kept, so the walk costs
+        no multiply beyond the conjugations.
         """
-        seen = {a}
+        paths = {a: ()}
         orbit = [a]
         for z in orbit:  # orbit grows while it is walked
-            yield z
-            for c in self._conjugates(z):
-                if c not in seen:
-                    seen.add(c)
+            path = paths[z]
+            yield z, path
+            for i, c in enumerate(self._conjugates(z)):
+                if c not in paths:
+                    paths[c] = path + (i,)
                     orbit.append(c)
 
     def element_depth(self, a: tuple) -> int:
@@ -401,13 +400,9 @@ class FiniteQuotientGroup:
             raise PrecisionMismatch("matrix ring differs from group ring")
         return g._flat
 
-    def subgroup_closure(self, seed, limit: int | None = None) -> _PcSet:
-        """The subgroup `seed` generates (see `_PcSet.closure`).
-
-        `limit` defaults to |G|.
-        """
-        limit = self.order if limit is None else limit
-        return _PcSet.closure(self.ring, self.m, seed, limit)[0]
+    def subgroup_closure(self, seed) -> _PcSet:
+        """The subgroup `seed` generates (see `_PcSet.closure`), at most |G|."""
+        return _PcSet.closure(self.ring, self.m, seed, self.order)[0]
 
     def normal_closure(self, seed):
         """(elements, generating set) of the normal closure of `seed` in G.

@@ -504,7 +504,23 @@ def _oracle_cyclic_direction_certificate_search(directions, exponent_bound):
     return None
 
 
+def _oracle_orbit(G, y_t):
+    """y's class as (z, x, depth) in breadth-first order under the generator
+    conjugations, each z with its full conjugator x = g x_parent, x y x^-1 = z."""
+    conjugators = {y_t: (G.identity, 0)}
+    orbit = [y_t]
+    for z in orbit:
+        x_t, depth = conjugators[z]
+        for g in G.generators:
+            c = G.mul(G.mul(g, z), G.inv(g))
+            if c not in conjugators:
+                conjugators[c] = (G.mul(g, x_t), depth + 1)
+                orbit.append(c)
+    return [(z, *conjugators[z]) for z in orbit]
+
+
 def _oracle_brute_search_certificate(G, y_t, k_max):
+    """The first x in orbit order whose commutator with y is y^(a p^k)."""
     powers = {}
     acc = y_t
     e = 1
@@ -513,7 +529,7 @@ def _oracle_brute_search_certificate(G, y_t, k_max):
         acc = G.mul(acc, y_t)
         e += 1
     y_inv = G.inv(y_t)
-    for x_t in sorted(G.elements):
+    for _, x_t, _ in _oracle_orbit(G, y_t):
         com = G.mul(G.mul(x_t, y_t), G.mul(G.inv(x_t), y_inv))
         if com == G.identity or com not in powers:
             continue
@@ -645,7 +661,7 @@ def test_brute_search_returns_oracle_certificate_on_sl2_mod81(sl2_mod81, k_max):
     # a unipotent (a certificate exists) and two split diagonals (none does),
     # each conjugated into general position
     G = sl2_mod81
-    g = G.sorted_elements[5000]
+    g = sorted(G.elements)[5000]
     cores = [(1, 6, 0, 1), _split_diagonal(4, 81), _split_diagonal(7, 81)]
     found = [_assert_same_certificate(G, _conjugate(G, g, c), k_max) for c in cores]
     assert found == [True, False, False]
@@ -654,16 +670,19 @@ def test_brute_search_returns_oracle_certificate_on_sl2_mod81(sl2_mod81, k_max):
 def test_conjugacy_class_is_the_orbit_under_all_of_g(sl2_mod27):
     G = sl2_mod27
     for y in random.Random(3).sample(sorted(G.elements), 5):
-        orbit = list(G.conjugacy_class(y))
-        assert orbit[0] == y and len(orbit) == len(set(orbit))
+        walk = list(G.conjugacy_class(y))
+        orbit = [z for z, _ in walk]
+        assert walk[0] == (y, ()) and len(orbit) == len(set(orbit))
         assert set(orbit) == {_conjugate(G, x, y) for x in G.elements}
+        for z, path in walk:
+            # x = g_path[-1] ... g_path[0] conjugates y to z
+            x = G.identity
+            for i in path:
+                x = G.mul(G.generators[i], x)
+            assert _conjugate(G, x, y) == z
 
 
-def test_brute_search_no_costs_the_orbit_not_the_group(sl2_mod81, monkeypatch):
-    G = sl2_mod81
-    y = _conjugate(G, G.sorted_elements[7000], _split_diagonal(10, 81))
-    size = len({_conjugate(G, x, y) for x in G.elements})
-    order = next(e for e in range(1, G.order + 1) if G.power(y, e) == G.identity)
+def _counting_group_ops(monkeypatch):
     muls, invs = [], []
     mul, inv = pcentral.FiniteQuotientGroup.mul, pcentral.FiniteQuotientGroup.inv
 
@@ -677,6 +696,15 @@ def test_brute_search_no_costs_the_orbit_not_the_group(sl2_mod81, monkeypatch):
 
     monkeypatch.setattr(pcentral.FiniteQuotientGroup, "mul", counting_mul)
     monkeypatch.setattr(pcentral.FiniteQuotientGroup, "inv", counting_inv)
+    return muls, invs
+
+
+def test_brute_search_no_costs_the_orbit_not_the_group(sl2_mod81, monkeypatch):
+    G = sl2_mod81
+    y = _conjugate(G, sorted(G.elements)[7000], _split_diagonal(10, 81))
+    size = len({_conjugate(G, x, y) for x in G.elements})
+    order = next(e for e in range(1, G.order + 1) if G.power(y, e) == G.identity)
+    muls, invs = _counting_group_ops(monkeypatch)
     assert brute_search_certificate(G, y, k_max=3) is None
     # the power table, then two multiplies per conjugate and generator; at
     # most the generators are inverted
@@ -684,21 +712,35 @@ def test_brute_search_no_costs_the_orbit_not_the_group(sl2_mod81, monkeypatch):
     assert len(invs) <= len(G.generators)
 
 
-def test_brute_search_sorts_the_group_elements_once(monkeypatch):
-    # a fresh group, so no earlier search has sorted it yet
+def test_brute_search_builds_no_element_set_and_pays_the_path_on_yes(monkeypatch):
+    # a fresh group, whose element set nothing has built yet
     G = closure(sl_standard_generators(2, 3, 3))
-    sorts = []
+    g, h = G.generators[:2]
+    yes = _conjugate(G, h, g)
+    no = _conjugate(G, h, _split_diagonal(10, 27))
+    order = next(e for e in range(1, G.order + 1) if G.power(yes, e) == G.identity)
+    oracle = _oracle_brute_search_certificate(G, yes, 2)
+    walk = _oracle_orbit(G, yes)
+    prefix, depth = next((i + 1, d) for i, (_, x, d) in enumerate(walk) if x == oracle[0])
+    muls, invs = _counting_group_ops(monkeypatch)
+    cert = brute_search_certificate(G, yes, k_max=2)
+    assert cert.x == G.to_matrix(oracle[0])
+    # the power table, two multiplies per generator on the orbit prefix the
+    # walk conjugated, then one multiply per step of the found path
+    assert len(muls) <= order + 2 * prefix * len(G.generators) + depth
+    assert len(invs) <= len(G.generators)
+    assert brute_search_certificate(G, no, k_max=2) is None
+    assert G.elements._frozen is None
 
-    def counting_sorted(items, *args, **kwargs):
-        if items is G.elements:
-            sorts.append(1)
-        return sorted(items, *args, **kwargs)
 
-    for module in (certify, pcentral):
-        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
-    for y in G.generators[:2]:
-        brute_search_certificate(G, y, k_max=2)
-    assert len(sorts) <= 1
+def test_brute_search_on_sl3_mod_27_builds_no_element_set():
+    # order 3^16: the element set would hold 43M tuples
+    G = closure(sl_standard_generators(3, 3, 3), limit=3**16)
+    assert G.order == 3**16
+    for y in G.generators[:3]:
+        cert = brute_search_certificate(G, y, k_max=2)
+        assert cert is not None and verify_certificate(cert)
+    assert G.elements._frozen is None
 
 
 # ---------------------------------------------------------------------------

@@ -495,8 +495,8 @@ def test_closures_of_seeds_outside_a_smaller_group_exceed_its_order(sl2_mod81):
         H.subgroup_closure(seed)
     with pytest.raises(LimitExceeded, match="past 27"):
         H.normal_closure(seed)
-    # an explicit limit still overrides the default bound
-    assert H.subgroup_closure(seed, 3**9) == sl2_mod81.elements
+    # the bound is |G|, which a generating seed meets exactly
+    assert sl2_mod81.subgroup_closure(seed) == sl2_mod81.elements
 
 
 @pytest.fixture(scope="module")
@@ -614,8 +614,6 @@ def test_limit_boundary_matches_oracle(name):
     assert _oracle_subgroup_closure(G, G.generators, G.order) == G.elements
     with pytest.raises(LimitExceeded):
         _oracle_subgroup_closure(G, G.generators, G.order - 1)
-    with pytest.raises(LimitExceeded):
-        G.subgroup_closure(G.generators, G.order - 1)
 
 
 @pytest.mark.parametrize("window", [0, -1])
