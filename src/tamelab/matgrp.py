@@ -19,8 +19,8 @@ below run on such tuples with + - * only, finishing each entry with
 `% mod`: p^N for scalars, a no-op for series, which reduce themselves.
 Over Z/p^N a product is one generated product per m (`_int_product`,
 straight-line code built at the first product of that m); over a series
-ring each entry is one accumulation over its row and column
-(`padic._series_dot`), reduced once.  `RingMatrix` and the enumerated
+ring, on each pair of integer blocks of sum_beta T^beta C_beta whose degrees
+sum below the truncation (`_block_mul`).  `RingMatrix` and the enumerated
 groups of `pcentral` share them, `_inverse` included;
 `PadicScalar` is the view at the boundary (`rows`, `det`, `trace`, JSON).
 Narrowing (`_reduce_matrix`) and the entry contract of both rings
@@ -32,6 +32,7 @@ The exp/log series is not: `mat_exp`/`mat_log` sum the coefficients that
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .errors import (
     DepthError,
@@ -45,8 +46,9 @@ from .padic import (
     PadicScalar,
     ScalarRing,
     SeriesRing,
+    _Layout,
+    _reduced,
     _series_coefficients,
-    _series_dot,
     int_valuation,
     ring_from_header,
 )
@@ -60,7 +62,7 @@ class _Entries:
 
     One instance per ring (the class is cached).  Series elements reduce
     themselves, so over a series ring `mod` is this object, and `e % mod`
-    returns e unchanged.
+    returns e unchanged; its `layout` holds the ring's monomials.
     """
 
     def __init__(self, ring: Ring):
@@ -68,6 +70,7 @@ class _Entries:
         self.scalar = isinstance(ring, ScalarRing)
         self.mod = ring.modulus if self.scalar else self
         self.zero, self.one = (0, 1) if self.scalar else (ring.zero(), ring.one())
+        self.layout = None if self.scalar else _Layout(ring)
 
     def __rmod__(self, e):
         return e
@@ -115,12 +118,49 @@ def _int_product(m: int):
     return code["product"]
 
 
+def _blocks(a: tuple) -> dict:
+    """A series matrix as sum_beta T^beta C_beta: monomial index -> the flat
+    integer block C_beta (a list), zero blocks left out."""
+    blocks = {}
+    for k, e in enumerate(a):
+        for i, c in e._terms.items():
+            if i not in blocks:
+                blocks[i] = [0] * len(a)
+            blocks[i][k] = c
+    return blocks
+
+
+def _block_entries(blocks: dict, m: int, layout: _Layout) -> tuple:
+    """The flat series matrix with these (reduced) blocks."""
+    keys, cols = [*blocks], zip(*blocks.values()) if blocks else [()] * (m * m)
+    return tuple(
+        _reduced(layout.ring, layout, {i: c for i, c in zip(keys, col) if c})
+        for col in cols
+    )
+
+
+def _block_mul(x: dict, y: dict, m: int, layout: _Layout) -> dict:
+    """The blocks of a product: C_b1 C_b2 added into block b1 + b2 when its
+    degree is below the truncation, each block reduced mod its modulus."""
+    product, mods, acc = _int_product(m), layout.mods, {}
+    for i, a in x.items():
+        row = layout[i]
+        for j, b in y.items():
+            if j < len(row):
+                k = row[j]
+                c = product(mods[k], a, b)
+                acc[k] = [*map(add, acc[k], c)] if k in acc else c
+    for k, c in acc.items():
+        if type(c) is list:  # a sum of products (one product is a reduced tuple)
+            acc[k] = [e % mods[k] for e in c]
+    return {k: c for k, c in acc.items() if any(c)}
+
+
 def _mul(a: tuple, b: tuple, m: int, mod) -> tuple:
     if isinstance(mod, int):
         return _int_product(m)(mod, a, b)
-    # series entries: each entry of the product is one accumulation
-    rows = [a[i : i + m] for i in range(0, m * m, m)]
-    return tuple(_series_dot(r, b[j::m]) for r in rows for j in range(m))
+    layout = mod.layout
+    return _block_entries(_block_mul(_blocks(a), _blocks(b), m, layout), m, layout)
 
 
 def _scale(a: tuple, c, mod) -> tuple:
@@ -128,13 +168,16 @@ def _scale(a: tuple, c, mod) -> tuple:
 
 
 def _pow(a: tuple, e: int, m: int, mod) -> tuple:
-    """a^e for e >= 1 by square-and-multiply from the leading bit of e."""
-    acc = a
+    """a^e for e >= 1 by square-and-multiply from the leading bit of e; over
+    a series ring on blocks, converted once each way."""
+    series = e > 1 and not isinstance(mod, int)
+    mul, x, mod = (_block_mul, _blocks(a), mod.layout) if series else (_mul, a, mod)
+    acc = x
     for bit in bin(e)[3:]:
-        acc = _mul(acc, acc, m, mod)
+        acc = mul(acc, acc, m, mod)
         if bit == "1":
-            acc = _mul(acc, a, m, mod)
-    return acc
+            acc = mul(acc, x, m, mod)
+    return _block_entries(acc, m, mod) if series else acc
 
 
 def _det(a: tuple, m: int, mod, one):

@@ -525,7 +525,16 @@ class SeriesElement:
 
     def __mul__(self, other):
         self._check(other)
-        return _series_dot((self,), (other,))
+        layout, acc = self._layout, {}
+        right = other._terms.items()
+        for i, c1 in self._terms.items():
+            row = layout[i]
+            size = len(row)
+            for j, c2 in right:
+                if j < size:
+                    k = row[j]
+                    acc[k] = acc.get(k, 0) + c1 * c2
+        return _element(self.ring, layout, acc)
 
     def _valuations(self) -> list:
         """(degree, p-adic valuation) of each term."""
@@ -632,16 +641,9 @@ def _element(ring: SeriesRing, layout: _Layout, raw: dict) -> SeriesElement:
     return x
 
 
-def _series_dot(xs, ys) -> SeriesElement:
-    """sum(x * y for x, y in zip(xs, ys)) over one ring, unchecked, reduced once."""
-    layout, acc = xs[0]._layout, {}
-    for x, y in zip(xs, ys):
-        right = y._terms.items()
-        for i, c1 in x._terms.items():
-            row = layout[i]
-            size = len(row)
-            for j, c2 in right:
-                if j < size:
-                    k = row[j]
-                    acc[k] = acc.get(k, 0) + c1 * c2
-    return _element(xs[0].ring, layout, acc)
+def _reduced(ring: SeriesRing, layout: _Layout, terms: dict) -> SeriesElement:
+    """The element with terms (index -> nonzero reduced residue); unchecked."""
+    x = object.__new__(SeriesElement)
+    x.ring, x._layout, x._terms = ring, layout, terms
+    return x
+

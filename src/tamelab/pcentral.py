@@ -29,8 +29,9 @@ from __future__ import annotations
 import os
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partialmethod
 from math import comb
+from operator import eq, ge, gt, le, lt
 
 from .errors import (
     DepthError,
@@ -262,6 +263,7 @@ class _PcSet(Set):
         return self.ring.p ** sum(len(level) for _, level in self.levels)
 
     def __len__(self) -> int:
+        """|H|, which `len` cannot return past sys.maxsize: callers read `order`."""
         return self.order
 
     def __iter__(self):
@@ -277,17 +279,24 @@ class _PcSet(Set):
             and self._sift(x) is None
         )
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _PcSet):
-            return (
-                (self.ring, self.m) == (other.ring, other.m)
-                and self.order == other.order
-                and all(other._sift(b) is None for b in self.basis())
-            )
+    def _compare(self, op, other, flip=False):
+        """op(|H|, |other|) and H within other (other within H if flip), with
+        orders first and never `len` of H; two sequences over one ring compare
+        by testing one's basis in the other."""
         if not isinstance(other, Set):
             return NotImplemented
-        # sizes first, never `len` of H, which overflows past sys.maxsize
-        return len(other) == self.order and all(x in other for x in self)
+        inner, outer = (other, self) if flip else (self, other)
+        if not isinstance(other, _PcSet):
+            return op(self.order, len(other)) and all(x in outer for x in inner)
+        if (self.ring, self.m) != (other.ring, other.m):
+            return False
+        return op(self.order, other.order) and all(b in outer for b in inner.basis())
+
+    __le__ = partialmethod(_compare, le)
+    __lt__ = partialmethod(_compare, lt)
+    __eq__ = partialmethod(_compare, eq)
+    __ge__ = partialmethod(_compare, ge, flip=True)
+    __gt__ = partialmethod(_compare, gt, flip=True)
 
     def __hash__(self) -> int:
         return hash(self._elements())

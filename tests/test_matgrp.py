@@ -1,5 +1,6 @@
 """Matrix kernels: commutators, powering, exp/log, depth, generators."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -27,6 +28,7 @@ from tamelab.matgrp import (
     _identity,
     _int_product,
     _mul,
+    _pow,
     _reduce_matrix,
     _scale,
 )
@@ -35,6 +37,8 @@ from tamelab.padic import (
     ScalarRing,
     SeriesElement,
     SeriesRing,
+    _Layout,
+    _element,
     _exp_cutoff,
     _log_cutoff,
     int_valuation,
@@ -600,6 +604,86 @@ def test_importing_the_cli_generates_no_product():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+# ---------------------------------------------------------------------------
+# the series block product against the row-column accumulation it replaced,
+# kept as an oracle
+
+
+def _oracle_series_dot(xs, ys):
+    """sum(x * y for x, y in zip(xs, ys)), accumulated over the product table
+    and reduced once."""
+    layout, acc = xs[0]._layout, {}
+    for x, y in zip(xs, ys):
+        for i, c1 in x._terms.items():
+            row = layout[i]
+            for j, c2 in y._terms.items():
+                if j < len(row):
+                    acc[row[j]] = acc.get(row[j], 0) + c1 * c2
+    return _element(xs[0].ring, layout, acc)
+
+
+def _oracle_series_mul(a, b, m):
+    rows = [a[i : i + m] for i in range(0, m * m, m)]
+    return tuple(_oracle_series_dot(r, b[j::m]) for r in rows for j in range(m))
+
+
+def _oracle_series_pow(a, e, m):
+    """a^e from oracle products, squaring from the low bit of e (`_pow` starts
+    at the leading bit)."""
+    acc = None
+    while e:
+        if e & 1:
+            acc = a if acc is None else _oracle_series_mul(acc, a, m)
+        e >>= 1
+        if e:
+            a = _oracle_series_mul(a, a, m)
+    return acc
+
+
+def _random_series_matrix(rng, ring, m, density):
+    layout = _Layout(ring)
+    return tuple(
+        _element(ring, layout, {
+            i: rng.randrange(mod) for i, mod in enumerate(layout.mods)
+            if rng.random() < density
+        })
+        for _ in range(m * m)
+    )
+
+
+@pytest.mark.parametrize("trunc", range(1, 6))
+@pytest.mark.parametrize("n_vars", range(4))
+def test_series_block_product_and_power_match_the_oracle(n_vars, trunc):
+    rng = random.Random(100 * n_vars + trunc)
+    for p in (3, 5, 7):
+        ring = SeriesRing(p, n_vars, trunc)
+        mod = _Entries(ring).mod
+        for m in range(1, 6):
+            for density in (0.2, 1.0):  # sparse and dense entries
+                a, b = (_random_series_matrix(rng, ring, m, density) for _ in "ab")
+                assert _mul(a, b, m, mod) == _oracle_series_mul(a, b, m)
+                for e in (1, 2, 3, (p - 1) ** 2):
+                    assert _pow(a, e, m, mod) == _oracle_series_pow(a, e, m)
+    assert _pow(a, 1, m, mod) is a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_series_block_product_on_extreme_matrices(m, p):
+    ring = SeriesRing(p, 2, 4)
+    ent, layout = _Entries(ring), _Layout(ring)
+    top = _element(ring, layout, {i: mod - 1 for i, mod in enumerate(layout.mods)})
+    extreme, zero = (top,) * (m * m), (ent.zero,) * (m * m)
+    one = _identity(m, ent.zero, ent.one)
+    for a, b in itertools.product((extreme, zero, one), repeat=2):
+        assert _mul(a, b, m, ent.mod) == _oracle_series_mul(a, b, m)
+    assert _mul(extreme, one, m, ent.mod) == extreme
+    assert _mul(zero, extreme, m, ent.mod) == zero
+    for a in (extreme, zero, one):
+        for e in (1, 2, 3, (p - 1) ** 2, (p**2 - 1) ** 2):
+            assert _pow(a, e, m, ent.mod) == _oracle_series_pow(a, e, m)
 
 
 # ---------------------------------------------------------------------------

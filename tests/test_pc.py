@@ -11,6 +11,7 @@ enumerated one.
 import functools
 import itertools
 import math
+import operator
 import random
 import sys
 
@@ -275,3 +276,27 @@ def test_comparisons_past_sys_maxsize_never_take_len():
     assert (G.elements == frozenset([G.identity])) is False
     assert G.elements != frozenset([G.identity])
     assert G.elements._frozen is None
+
+
+def test_order_comparisons_past_sys_maxsize_never_take_len():
+    # the `Set` mixins would take `len`, which raises OverflowError at 3^48
+    G, chain = _sl5_mod27()
+    H, trivial = chain.levels[1], frozenset([G.identity])
+    assert H <= G.elements and G.elements >= trivial and trivial < G.elements
+    assert H < G.elements and G.elements > H and G.elements >= H
+    assert not G.elements <= H and not H >= G.elements and not G.elements < G.elements
+    assert trivial <= G.elements and not G.elements <= trivial
+    assert not trivial > G.elements and not trivial >= G.elements
+    assert G.elements._frozen is None
+    with pytest.raises(OverflowError):
+        len(G.elements)  # callers read `order`
+
+
+def test_order_comparisons_agree_with_frozensets():
+    G = closure(sl_standard_generators(2, 3, 3))
+    sets = [*pcentral_series(G).levels, frozenset([G.identity])]
+    sets += [frozenset(s) for s in sets] + [frozenset(list(G.elements)[:5])]
+    ops = [operator.le, operator.lt, operator.ge, operator.gt, operator.eq]
+    for a, b in itertools.product(sets, repeat=2):
+        for op in ops:
+            assert op(a, b) == op(frozenset(a), frozenset(b)), (op, a, b)
