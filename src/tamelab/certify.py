@@ -55,6 +55,7 @@ from .matgrp import (
     _from_entries,
     _int_product,
     _reduce_matrix,
+    _weight_digits,
     commutator,
     int_power,
     mat_exp,
@@ -288,7 +289,7 @@ def slm_series_suite(
     independent rank computation over F_p.
 
     A direction w is read as the weight-k digits of the entries of w - I
-    (`SeriesElement.weight_digits`).  Each harvested w - I is trace zero,
+    (`matgrp._weight_digits`).  Each harvested w - I is trace zero,
     so its digits lie in gr_k, the |monomials| (m^2 - 1)-dimensional space
     of blocks with trace zero, one block per monomial; any coordinates of
     gr_k (`liealg.sl_table`'s basis among them) give the same rank.
@@ -315,7 +316,7 @@ def slm_series_suite(
     harvested = []
 
     def digits(w: RingMatrix) -> list:
-        return [d for e in (w - identity)._flat for d in e.weight_digits(k)]
+        return _weight_digits(w._flat, m, k, w._ent)
 
     # diag[(j, i)] is the inverse of diag[(i, j)] and D is symmetric in
     # (i, j), so one inversion per unordered pair builds every conjugator

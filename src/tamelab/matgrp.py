@@ -12,31 +12,33 @@ The commutator convention is load-bearing: it is the one under which the
 diagonal/unipotent relations of the SL_2 construction hold with exponent q-1 on the nose, and
 flipping it flips exponent signs everywhere downstream.
 
-This module owns the one packed matrix kernel.  A matrix is a flat
-row-major tuple of ring-native entries (ints in [0, p^N) over a
-`ScalarRing`, `SeriesElement`s over a `SeriesRing`), and the private loops
-below run on such tuples with + - * only, finishing each entry with
-`% mod`: p^N for scalars, a no-op for series, which reduce themselves.
-Over Z/p^N a product is one generated product per m (`_int_product`,
-straight-line code built at the first product of that m); over a series
-ring, on each pair of integer blocks of sum_beta T^beta C_beta whose degrees
-sum below the truncation (`_block_mul`).  `RingMatrix` and the enumerated
-groups of `pcentral` share them, `_inverse` included;
-`PadicScalar` is the view at the boundary (`rows`, `det`, `trace`, JSON).
-Narrowing (`_reduce_matrix`) and the entry contract of both rings
-(`_Entries`: zero, one, modulus, valuations, view) are written here only.
-The exp/log series is not: `mat_exp`/`mat_log` sum the coefficients that
+This module owns the one packed matrix kernel.  Over Z/p^N a matrix is a
+flat row-major tuple of ints in [0, p^N); over A/m^M it is the matrix
+sum_beta T^beta C_beta itself: (beta, C_beta) pairs sorted by the index of
+beta in the ring's `_Layout`, each block a flat integer tuple reduced mod
+p^(M - deg beta), zero blocks left out, so equal matrices have equal forms.
+Every product, power, sum, inverse, depth and comparison of `RingMatrix`
+and of the pc groups of `pcentral` runs on these forms: a product is one
+generated integer product per m (`_int_product`) per pair of blocks whose
+degrees sum below the truncation, and `_inverse` lifts the inverse of the
+constant block by Newton steps.  `PadicScalar` and `SeriesElement` are the
+entry views at the boundary (constructor, `rows`, `det`, `trace`, JSON).
+Narrowing (`_reduce_matrix`), the weight-n digits (`_weight_digits`) and
+the entry contract of both rings (`_Entries`) are written here only.  The
+exp/log series is not: `mat_exp`/`mat_log` sum the coefficients that
 `padic` specifies for its scalar `pexp`/`plog`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from math import gcd
 from operator import add
 
 from .errors import (
     DepthError,
-    NonUnit,
+    GuardFailed,
     NonUnitDeterminant,
     PrecisionMismatch,
     SchemaError,
@@ -60,42 +62,56 @@ Ring = ScalarRing | SeriesRing
 class _Entries:
     """How a matrix over `ring` packs its entries, and the view back.
 
-    One instance per ring (the class is cached).  Series elements reduce
-    themselves, so over a series ring `mod` is this object, and `e % mod`
-    returns e unchanged; its `layout` holds the ring's monomials.
+    One instance per ring (the class is cached).  `mod` reduces the flat
+    form: p^N over Z/p^N, and over a series ring the ring's `_Layout`,
+    whose `mods` reduce each block.  `blocks` reads either form as (monomial
+    index, block) pairs, a scalar matrix being one block of degree 0.
     """
 
     def __init__(self, ring: Ring):
         self.ring = ring
         self.scalar = isinstance(ring, ScalarRing)
-        self.mod = ring.modulus if self.scalar else self
-        self.zero, self.one = (0, 1) if self.scalar else (ring.zero(), ring.one())
-        self.layout = None if self.scalar else _Layout(ring)
+        self.mod = ring.modulus if self.scalar else _Layout(ring)
+        self.degs = [0] if self.scalar else self.mod.degs
 
-    def __rmod__(self, e):
-        return e
+    def blocks(self, flat: tuple) -> tuple:
+        return ((0, flat),) if self.scalar else flat
 
-    def pack(self, e):
+    @lru_cache(maxsize=None)
+    def identity(self, m: int) -> tuple:
+        one = _identity(m, 0, 1)
+        return one if self.scalar else ((0, one),)
+
+    def zeros(self, m: int) -> tuple:
+        return (0,) * (m * m) if self.scalar else ()
+
+    def cell(self, e):
+        """The packed form of one entry, checked to lie in this ring: its
+        residue over Z/p^N, its terms (index -> residue) over a series ring."""
         if getattr(e, "ring", None) != self.ring:
             raise PrecisionMismatch("entries live in different rings")
-        return e.value if self.scalar else e
+        return e.value if self.scalar else e._terms
 
-    def view(self, e):
-        return PadicScalar(self.ring.p, self.ring.prec, e) if self.scalar else e
-
-    def depth(self, e) -> int:
-        """The m-adic depth of e (its p-adic valuation over Z/p^N)."""
+    def pack(self, cells: list) -> tuple:
+        """The flat form of m*m cells, row-major: ints, or over a series ring
+        term dicts, reduced here."""
         if self.scalar:
-            return int_valuation(e % self.mod, self.ring.p, self.ring.prec)
-        return e.m_adic_depth()
+            return tuple(c % self.mod for c in cells)
+        keys = {i for terms in cells for i in terms}
+        blocks = {i: [terms.get(i, 0) for terms in cells] for i in keys}
+        return _sorted_blocks(blocks, self.mod.mods)
 
-    def content(self, e) -> int:
-        """The least p-adic valuation of a coefficient of e."""
-        return self.depth(e) if self.scalar else e.p_content()
+    def view(self, flat: tuple, m: int) -> list:
+        """The m*m entries of `flat`, row-major, as ring elements."""
+        ring = self.ring
+        if self.scalar:
+            return [PadicScalar(ring.p, ring.prec, e) for e in flat]
+        cols = range(m * m)
+        return [_reduced(ring, self.mod, {i: c[k] for i, c in flat if c[k]}) for k in cols]
 
 
 # ---------------------------------------------------------------------------
-# the kernel: loops over flat row-major tuples of size m*m
+# the kernel: loops over flat forms of m x m matrices
 
 
 def _identity(m: int, zero, one) -> tuple:
@@ -118,70 +134,63 @@ def _int_product(m: int):
     return code["product"]
 
 
-def _blocks(a: tuple) -> dict:
-    """A series matrix as sum_beta T^beta C_beta: monomial index -> the flat
-    integer block C_beta (a list), zero blocks left out."""
-    blocks = {}
-    for k, e in enumerate(a):
-        for i, c in e._terms.items():
-            if i not in blocks:
-                blocks[i] = [0] * len(a)
-            blocks[i][k] = c
-    return blocks
-
-
-def _block_entries(blocks: dict, m: int, layout: _Layout) -> tuple:
-    """The flat series matrix with these (reduced) blocks."""
-    keys, cols = [*blocks], zip(*blocks.values()) if blocks else [()] * (m * m)
-    return tuple(
-        _reduced(layout.ring, layout, {i: c for i, c in zip(keys, col) if c})
-        for col in cols
-    )
-
-
-def _block_mul(x: dict, y: dict, m: int, layout: _Layout) -> dict:
-    """The blocks of a product: C_b1 C_b2 added into block b1 + b2 when its
-    degree is below the truncation, each block reduced mod its modulus."""
-    product, mods, acc = _int_product(m), layout.mods, {}
-    for i, a in x.items():
-        row = layout[i]
-        for j, b in y.items():
-            if j < len(row):
-                k = row[j]
-                c = product(mods[k], a, b)
-                acc[k] = [*map(add, acc[k], c)] if k in acc else c
-    for k, c in acc.items():
-        if type(c) is list:  # a sum of products (one product is a reduced tuple)
-            acc[k] = [e % mods[k] for e in c]
-    return {k: c for k, c in acc.items() if any(c)}
+def _sorted_blocks(acc: dict, mods: list) -> tuple:
+    """The series form of acc (index -> block): sorted, each list (a sum)
+    reduced mod its modulus, zero blocks dropped; tuples come reduced."""
+    out = []
+    for k in sorted(acc):
+        c = acc[k]
+        if type(c) is list:
+            q = mods[k]
+            c = tuple([e % q for e in c])
+        if any(c):
+            out.append((k, c))
+    return tuple(out)
 
 
 def _mul(a: tuple, b: tuple, m: int, mod) -> tuple:
+    """a b; over a series ring C_b1 C_b2 is added into block b1 + b2 when its
+    degree is below the truncation."""
+    product = _int_product(m)
     if isinstance(mod, int):
-        return _int_product(m)(mod, a, b)
-    layout = mod.layout
-    return _block_entries(_block_mul(_blocks(a), _blocks(b), m, layout), m, layout)
+        return product(mod, a, b)
+    mods, acc = mod.mods, {}
+    for i, x in a:
+        row = mod[i]
+        size = len(row)
+        for j, y in b:
+            if j >= size:  # b is sorted by degree: the rest vanish too
+                break
+            k = row[j]
+            c = product(mods[k], x, y)
+            acc[k] = [*map(add, acc[k], c)] if k in acc else c
+    return _sorted_blocks(acc, mods)
 
 
-def _scale(a: tuple, c, mod) -> tuple:
-    return tuple(c * e % mod for e in a)
+def _add(a: tuple, b: tuple, mod, c: int = 1) -> tuple:
+    """a + c b for an integer c."""
+    if isinstance(mod, int):
+        return tuple((x + c * y) % mod for x, y in zip(a, b))
+    acc = dict(a)
+    for k, y in b:
+        x = acc.get(k)
+        acc[k] = [u + c * v for u, v in zip(x, y)] if x else [c * v for v in y]
+    return _sorted_blocks(acc, mod.mods)
 
 
 def _pow(a: tuple, e: int, m: int, mod) -> tuple:
-    """a^e for e >= 1 by square-and-multiply from the leading bit of e; over
-    a series ring on blocks, converted once each way."""
-    series = e > 1 and not isinstance(mod, int)
-    mul, x, mod = (_block_mul, _blocks(a), mod.layout) if series else (_mul, a, mod)
-    acc = x
+    """a^e for e >= 1 by square-and-multiply from the leading bit of e."""
+    acc = a
     for bit in bin(e)[3:]:
-        acc = mul(acc, acc, m, mod)
+        acc = _mul(acc, acc, m, mod)
         if bit == "1":
-            acc = mul(acc, x, m, mod)
-    return _block_entries(acc, m, mod) if series else acc
+            acc = _mul(acc, a, m, mod)
+    return acc
 
 
-def _det(a: tuple, m: int, mod, one):
-    """Division-free determinant: row-by-row expansion as a DP over used columns."""
+def _det(a: list, m: int, one):
+    """Division-free determinant of row-major ring elements (which reduce
+    themselves): row-by-row expansion as a DP over used columns."""
     dp = {0: one}
     for k in range(m):
         row = a[k * m : (k + 1) * m]
@@ -196,39 +205,86 @@ def _det(a: tuple, m: int, mod, one):
                 new = mask | bit
                 nxt[new] = nxt[new] + term if new in nxt else term
                 odd = not odd
-        dp = {mask: val % mod for mask, val in nxt.items()}
+        dp = nxt
     return dp[(1 << m) - 1]
 
 
-def _inverse(a: tuple, m: int, ent: _Entries) -> tuple:
-    """a^-1, adj a scaled by det(a)^-1; NonUnitDeterminant unless det a is a unit."""
-    mod, one = ent.mod, ent.one
+def _block_inverse(c: tuple, m: int, q: int, p: int) -> tuple | None:
+    """c^-1 mod q = p^k for a flat integer block, None when c is singular mod
+    p: the closed form for m = 2, Gauss-Jordan on unit pivots otherwise."""
     if m == 2:
-        a0, a1, a2, a3 = a
-        det, adj = (a0 * a3 - a1 * a2) % mod, (a3, -a1 % mod, -a2 % mod, a0)
-    else:
-        det, adj = _det(a, m, mod, one), []
-        for i in range(m):
-            for j in range(m):
-                minor = tuple(
-                    a[r * m + c] for r in range(m) if r != j for c in range(m) if c != i
-                )
-                cof = _det(minor, m - 1, mod, one)
-                adj.append(-cof % mod if (i + j) % 2 else cof)
-    try:
-        det_inv = pow(det, -1, mod) if ent.scalar else det.inv()
-    except (ValueError, NonUnit):
-        raise NonUnitDeterminant(f"determinant {ent.view(det)!r} is not a unit")
-    return _scale(adj, det_inv, mod)
+        c0, c1, c2, c3 = c
+        det = (c0 * c3 - c1 * c2) % q
+        if det % p == 0:
+            return None
+        d = pow(det, -1, q)
+        return (c3 * d % q, -c1 * d % q, -c2 * d % q, c0 * d % q)
+    rows = [[*c[r * m : r * m + m], *(int(r == j) for j in range(m))] for r in range(m)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col] % p), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        s = pow(rows[col][col], -1, q)
+        top = rows[col] = [v * s % q for v in rows[col]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != col:
+                rows[r] = [(u - f * v) % q for u, v in zip(row, top)]
+    return tuple(v for row in rows for v in row[m:])
+
+
+def _inverse(a: tuple, m: int, ent: _Entries) -> tuple:
+    """a^-1 by Newton lifting from the inverse of the constant block mod p^cap.
+
+    Each step X <- X + X(I - aX) squares the residual I - aX, whose blocks
+    start at degree >= 1, so it returns after no step over Z/p^N and at
+    most ceil(log2 M) over A/m^M, and only once aX = I (GuardFailed past
+    that bound).  NonUnitDeterminant (naming det a) when the constant block
+    is singular mod p.
+    """
+    mod, one = ent.mod, ent.identity(m)
+    blocks = ent.blocks(a)
+    c0 = blocks[0][1] if blocks and blocks[0][0] == 0 else (0,) * (m * m)
+    q = mod if ent.scalar else mod.mods[0]
+    x = _block_inverse(c0, m, q, ent.ring.p)
+    if x is None:
+        det = _det(ent.view(a, m), m, ent.ring.one())
+        raise NonUnitDeterminant(f"determinant {det!r} is not a unit")
+    x = x if ent.scalar else ((0, x),)
+    for _ in range(ent.ring.cap.bit_length() + 1):  # ceil(log2 M) steps, checked
+        ax = _mul(a, x, m, mod)
+        if ax == one:
+            return x
+        x = _add(x, _mul(x, _add(one, ax, mod, -1), m, mod), mod)
+    raise GuardFailed("Newton lifting did not reach the inverse")
+
+
+def _valuations(a: tuple, ent: _Entries) -> list:
+    """(degree, least p-adic valuation) of each block of a; a zero block
+    (only a scalar matrix has one) reports the precision cap."""
+    p, cap, degs = ent.ring.p, ent.ring.cap, ent.degs
+    return [(degs[i], int_valuation(gcd(*c), p, cap)) for i, c in ent.blocks(a)]
 
 
 def _depth(a: tuple, m: int, ent: _Entries) -> int:
     """Largest k <= the precision cap with a congruent to I mod m^k."""
-    out = ent.ring.cap
-    for k, e in enumerate(a):
-        out = min(out, ent.depth(e - ent.one if k % (m + 1) == 0 else e))
-        if out == 0:
-            return 0
+    diff = _add(a, ent.identity(m), ent.mod, -1)
+    return min((d + v for d, v in _valuations(diff, ent)), default=ent.ring.cap)
+
+
+def _weight_digits(a: tuple, m: int, n: int, ent: _Entries) -> list:
+    """The image of a - I in M_m(m^n/m^(n+1)) for a in Gamma_n over a series
+    ring: entry by entry (row-major), per monomial T^beta of degree d <= n
+    in layout order, its coefficient over p^(n - d), mod p."""
+    p, degs = ent.ring.p, ent.degs
+    width = bisect_right(degs, n)
+    out = [0] * (m * m * width)
+    for t, block in _add(a, ent.identity(m), ent.mod, -1):
+        if t >= width:
+            break
+        q = p ** (n - degs[t])
+        out[t::width] = [c // q % p for c in block]
     return out
 
 
@@ -246,11 +302,11 @@ class RingMatrix:
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
         self.ring, self.m, self._ent = ring, len(rows), _Entries(ring)
-        self._flat = tuple(self._ent.pack(e) for row in rows for e in row)
+        self._flat = self._ent.pack([self._ent.cell(e) for row in rows for e in row])
 
     @classmethod
     def _packed(cls, ring: Ring, m: int, flat: tuple) -> "RingMatrix":
-        """Wrap a flat tuple of reduced, ring-native entries without checks."""
+        """Wrap a flat form (reduced, canonical) without checks."""
         g = object.__new__(cls)
         g.ring, g.m, g._ent, g._flat = ring, m, _Entries(ring), flat
         return g
@@ -262,21 +318,18 @@ class RingMatrix:
 
     @property
     def rows(self) -> tuple:
-        view, m = self._ent.view, self.m
-        return tuple(
-            tuple(view(e) for e in self._flat[i : i + m]) for i in range(0, m * m, m)
-        )
+        entries, m = self._ent.view(self._flat, self.m), self.m
+        return tuple(tuple(entries[i : i + m]) for i in range(0, m * m, m))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, ring: Ring, m: int) -> "RingMatrix":
-        ent = _Entries(ring)
-        return cls._packed(ring, m, _identity(m, ent.zero, ent.one))
+        return cls._packed(ring, m, _Entries(ring).identity(m))
 
     @classmethod
     def zeros(cls, ring: Ring, m: int) -> "RingMatrix":
-        return cls._packed(ring, m, (_Entries(ring).zero,) * (m * m))
+        return cls._packed(ring, m, _Entries(ring).zeros(m))
 
     @classmethod
     def from_int_rows(cls, ring: Ring, rows) -> "RingMatrix":
@@ -296,28 +349,26 @@ class RingMatrix:
 
     def __add__(self, other):
         self._check(other)
-        mod = self._ent.mod
-        return self._like(tuple((x + y) % mod for x, y in zip(self._flat, other._flat)))
+        return self._like(_add(self._flat, other._flat, self._ent.mod))
 
     def __sub__(self, other):
         self._check(other)
-        mod = self._ent.mod
-        return self._like(tuple((x - y) % mod for x, y in zip(self._flat, other._flat)))
+        return self._like(_add(self._flat, other._flat, self._ent.mod, -1))
 
     def __neg__(self):
-        mod = self._ent.mod
-        return self._like(tuple(-x % mod for x in self._flat))
+        return self._like(_add(self._ent.zeros(self.m), self._flat, self._ent.mod, -1))
 
     def scale(self, c) -> "RingMatrix":
-        return self._like(_scale(self._flat, self._ent.pack(c), self._ent.mod))
+        """c times this matrix, c a ring element: (c I) times it."""
+        c_id = _from_entries(self.ring, self.m, {}, c)._flat
+        return self._like(_mul(c_id, self._flat, self.m, self._ent.mod))
 
     def trace(self):
-        flat, step = self._flat, self.m + 1
-        return self._ent.view(sum(flat[step::step], flat[0]) % self._ent.mod)
+        entries = self._ent.view(self._flat, self.m)
+        return sum(entries[self.m + 1 :: self.m + 1], entries[0])
 
     def det(self):
-        ent = self._ent
-        return ent.view(_det(self._flat, self.m, ent.mod, ent.one))
+        return _det(self._ent.view(self._flat, self.m), self.m, self.ring.one())
 
     def inverse(self) -> "RingMatrix":
         return self._like(_inverse(self._flat, self.m, self._ent))
@@ -376,7 +427,11 @@ def _reduce_matrix(g: RingMatrix, cap: int, shift: int = 1) -> RingMatrix:
         flat = tuple(v // shift % ring.modulus for v in g._flat)
     else:
         ring = SeriesRing(ring.p, ring.n_vars, cap)
-        flat = tuple(e._retag(ring, shift) for e in g._flat)
+        # graded-lex order is prefix-stable: later indices have degree >= cap
+        mods = _Layout(ring).mods
+        flat = _sorted_blocks(
+            {i: [v // shift for v in c] for i, c in g._flat if i < len(mods)}, mods
+        )
     return RingMatrix._packed(ring, g.m, flat)
 
 
@@ -428,7 +483,8 @@ def zp_power(g: RingMatrix, alpha: PadicScalar) -> RingMatrix:
 
 
 def _content(g: RingMatrix) -> int:
-    return min(map(g._ent.content, g._flat))
+    """The least p-adic valuation of a coefficient of g."""
+    return min((v for _, v in _valuations(g._flat, g._ent)), default=g.ring.cap)
 
 
 def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
@@ -436,14 +492,11 @@ def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
     headroom, coeffs = _series_coefficients(kind, ring.p, ring.cap)
     wide = _reduce_matrix(x, ring.cap + headroom)
     ent = wide._ent
-    mod = ent.mod
-    coeffs = [ent.pack(wide.ring.from_int(c)) for c in coeffs]
-
-    power = _identity(m, ent.zero, ent.one)
-    acc = _scale(power, coeffs[0], mod)
+    mod, power = ent.mod, ent.identity(m)
+    acc = _add(ent.zeros(m), power, mod, coeffs[0])
     for c in coeffs[1:]:
         power = _mul(power, wide._flat, m, mod)
-        acc = tuple((s + c * t) % mod for s, t in zip(acc, power))
+        acc = _add(acc, power, mod, c)
     return _reduce_matrix(wide._like(acc), ring.cap, ring.p**headroom)
 
 
@@ -467,13 +520,20 @@ def mat_log(g: RingMatrix) -> RingMatrix:
 # first congruence subgroup of SL_m
 
 
-def _from_entries(ring: Ring, m: int, entries: dict, diagonal: int = 1) -> RingMatrix:
-    """diagonal * I with entries[(i, j)] (ints or ring elements) overwritten."""
+def _from_entries(ring: Ring, m: int, entries: dict, diagonal=1) -> RingMatrix:
+    """diagonal * I with entries[(i, j)] overwritten (ints or ring elements)."""
     ent = _Entries(ring)
-    flat = list(_identity(m, ent.zero, ent.pack(ring.from_int(diagonal))))
+
+    def cell(e):  # an int stands for its image in the ring
+        if not isinstance(e, int):
+            return ent.cell(e)
+        return e if ent.scalar else {0: e} if e else {}
+
+    cells = [cell(0)] * (m * m)
+    cells[:: m + 1] = [cell(diagonal)] * m
     for (i, j), e in entries.items():
-        flat[i * m + j] = ent.pack(ring.from_int(e) if isinstance(e, int) else e)
-    return RingMatrix._packed(ring, m, tuple(flat))
+        cells[i * m + j] = cell(e)
+    return RingMatrix._packed(ring, m, ent.pack(cells))
 
 
 def sl_standard_generators(m: int, p: int, prec: int = 4) -> list[RingMatrix]:

@@ -26,7 +26,7 @@ alone reads one back.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
@@ -490,13 +490,6 @@ class SeriesElement:
         mods, self.ring, self._layout = layout.mods, ring, layout
         self._terms = {i: c % mods[i] for i, c in raw.items() if c % mods[i]}
 
-    def _retag(self, ring: SeriesRing, shift: int = 1) -> "SeriesElement":
-        """This element divided by `shift` in a wider or narrower truncation."""
-        layout = _Layout(ring)
-        size = len(layout.monos)  # later indices have degree >= ring.trunc
-        terms = self._terms.items()
-        return _element(ring, layout, {i: c // shift for i, c in terms if i < size})
-
     def _check(self, other: "SeriesElement"):
         if not isinstance(other, SeriesElement):
             raise TypeError(f"expected SeriesElement, got {type(other).__name__}")
@@ -547,13 +540,6 @@ class SeriesElement:
     def m_adic_depth(self) -> int:
         """Largest k with the element in m^k, capped at the truncation order."""
         return min((d + v for d, v in self._valuations()), default=self.ring.trunc)
-
-    def weight_digits(self, k: int) -> list:
-        """The image of this element of m^k in m^k/m^(k+1), k < M: per monomial
-        T^beta of degree d <= k, its coefficient over p^(k - d), mod p."""
-        p, degs, terms = self.ring.p, self._layout.degs, self._terms
-        return [terms.get(t, 0) // p ** (k - d) % p
-                for t, d in enumerate(degs[: bisect_right(degs, k)])]
 
     def p_content(self) -> int:
         """Minimal coefficient valuation; infinite (capped) for the zero element."""

@@ -48,11 +48,11 @@ from .matgrp import (
     RingMatrix,
     _depth,
     _Entries,
-    _identity,
     _inverse,
     _mul,
     _pow,
     _reduce_matrix,
+    _weight_digits,
     commutator,
     congruence_depth,
     int_power,
@@ -98,7 +98,7 @@ class _PcSet(Set):
     M_m(m^n/m^(n+1)) by h -> (h - I) mod m^(n+1) (a homomorphism, as
     2n >= n + 1).  The layer vector (`_layer`, chosen once from the ring)
     is (h - I)/p^n mod p over Z/p^N, m^2 digits, and over a series ring the
-    weight-n digits of each entry (`SeriesElement.weight_digits`), m^2
+    weight-n digits of each entry (`matgrp._weight_digits`), m^2
     times C(n + v, v) digits, one per weight-n monomial p^a T^b.  Row i of
     `levels[n - 1][0]`, a `SpanTracker` in reduced echelon form, is the
     layer vector of the element `levels[n - 1][1][i]`, kept with its
@@ -116,9 +116,9 @@ class _PcSet(Set):
     """
 
     def __init__(self, ring: Ring, m: int):
-        ent = _Entries(ring)
+        ent = self._ent = _Entries(ring)
         self.ring, self.m, self.mod = ring, m, ent.mod
-        self.identity = _identity(m, ent.zero, ent.one)
+        self.identity = ent.identity(m)
         if ent.scalar:
             self._layer, widths = self._digit_layer, [m * m] * (ring.cap - 1)
         else:
@@ -193,7 +193,7 @@ class _PcSet(Set):
 
     def _weight_layer(self, x: tuple, n: int) -> list:
         """The weight-n digits of each entry of x - I, for x in Gamma_n."""
-        return [c for e, d in zip(x, self.identity) for c in (e - d).weight_digits(n)]
+        return _weight_digits(x, self.m, n, self._ent)
 
     def _sift(self, x: tuple):
         """None when x sifts to I, else (n, r, vec): x reduced to r of depth
@@ -218,7 +218,7 @@ class _PcSet(Set):
         tracker, basis = self.levels[n - 1]
         c = next(i for i, v in enumerate(vec) if v)
         s = pow(vec[c], -1, p)
-        r_inv = _inverse(r, m, _Entries(self.ring))
+        r_inv = _inverse(r, m, self._ent)
         b, b_inv = r, r_inv
         if s != 1:
             b, b_inv = _pow(r, s, m, mod), _pow(r_inv, s, m, mod)
@@ -274,8 +274,8 @@ class _PcSet(Set):
             return x in self._frozen
         return (
             isinstance(x, tuple)
-            and len(x) == self.m * self.m
-            and _depth(x, self.m, _Entries(self.ring)) >= 1
+            and all(len(b) == self.m * self.m for _, b in self._ent.blocks(x))
+            and _depth(x, self.m, self._ent) >= 1
             and self._sift(x) is None
         )
 
@@ -351,7 +351,7 @@ class FiniteQuotientGroup:
 
     @cached_property
     def identity(self) -> tuple:
-        return _identity(self.m, self._ent.zero, self._ent.one)
+        return self._ent.identity(self.m)
 
     @cached_property
     def generator_inverses(self) -> tuple:

@@ -12,8 +12,8 @@ import pytest
 from tamelab.certify import _weight_monomials, brute_search_certificate, slm_series_suite
 from tamelab.errors import NonUnitDeterminant, PrecisionMismatch
 from tamelab.liealg import rank
-from tamelab.matgrp import RingMatrix, _from_entries, sl_standard_generators
-from tamelab.padic import ScalarRing, SeriesRing, int_valuation
+from tamelab.matgrp import RingMatrix, _from_entries, _weight_digits, sl_standard_generators
+from tamelab.padic import ScalarRing, SeriesRing, _Layout, int_valuation
 from tamelab.pcentral import closure, pcentral_series
 
 
@@ -123,13 +123,28 @@ def test_certificate_search_refuses_a_series_group():
 # graded-layer digits
 
 
+def _oracle_weight_digits(e, k):
+    """The weight-k digits of one series entry, read off its coefficients:
+    per monomial of degree d <= k in layout order, over p^(k - d), mod p."""
+    ring = e.ring
+    monos = [b for b in _Layout(ring).monos if sum(b) <= k]
+    return [e.coeffs.get(b, 0) // ring.p ** (k - sum(b)) % ring.p for b in monos]
+
+
+def _digits_of_entry(x, k):
+    """`_weight_digits` of the 1 x 1 matrix I + x."""
+    g = RingMatrix(x.ring, [[x.ring.one() + x]])
+    return _weight_digits(g._flat, 1, k, g._ent)
+
+
 def test_weight_digits_read_the_packed_coefficients():
     ring = SeriesRing(3, 1, 4)
     x = ring.from_terms({(0,): 18, (1,): 6, (2,): 5, (3,): 1})
     # 18 = 2 * 9, 6 = 2 * 3, 5 = 2 mod 3; T^3 lies in m^3
-    assert x.weight_digits(2) == [2, 2, 2]
+    assert _digits_of_entry(x, 2) == _oracle_weight_digits(x, 2) == [2, 2, 2]
     # 27 and 3 T^2 lie in m^3
-    assert ring.from_terms({(0,): 27, (1,): 3, (2,): 3}).weight_digits(2) == [0, 1, 0]
+    y = ring.from_terms({(0,): 27, (1,): 3, (2,): 3})
+    assert _digits_of_entry(y, 2) == _oracle_weight_digits(y, 2) == [0, 1, 0]
 
 
 def _sl_basis_coords(w, k, monomials, m):
@@ -188,7 +203,10 @@ def test_weight_digit_rank_matches_the_sl_basis_oracle(m, k, n_vars, trunc, p):
                 _from_entries(ring, m, {(j, i): mu}),
                 identity + n_mat.scale(mu),
             ):
-                new.append([d for e in (w - identity)._flat for d in e.weight_digits(k)])
+                digits = _weight_digits(w._flat, m, k, w._ent)
+                entries = [e for row in (w - identity).rows for e in row]
+                assert digits == [d for e in entries for d in _oracle_weight_digits(e, k)]
+                new.append(digits)
                 old.append(_sl_basis_coords(w, k, monomials, m))
     gr_dim = len(monomials) * (m * m - 1)
     assert rank(new, p) == rank(old, p) == gr_dim

@@ -1,7 +1,9 @@
 """Matrix kernels: commutators, powering, exp/log, depth, generators."""
 
 import itertools
+import operator
 import os
+import re
 import random
 import subprocess
 import sys
@@ -24,13 +26,13 @@ from tamelab.matgrp import (
 )
 from tamelab import matgrp
 from tamelab.matgrp import (
+    _content,
     _Entries,
     _identity,
     _int_product,
     _mul,
     _pow,
     _reduce_matrix,
-    _scale,
 )
 from tamelab.padic import (
     PadicScalar,
@@ -369,10 +371,10 @@ def test_scalar_matrix_json_roundtrip():
 # ---------------------------------------------------------------------------
 # the object-entry kernel the packed one replaced, kept as test oracles
 #
-# These are the earlier RingMatrix multiply, determinant, adjugate and
-# Gauss-Jordan inverses on nested lists of PadicScalar / SeriesElement
-# objects, and the earlier group inverse that powered an int tuple by
-# p^(N+m) - 1.
+# These are the earlier RingMatrix multiply, determinant and Gauss-Jordan
+# inverse on nested lists of PadicScalar / SeriesElement objects, the
+# cofactor inverse that Newton lifting replaced, on the same objects, and
+# the earlier group inverse that powered an int tuple by p^(N+m) - 1.
 
 
 def _oracle_mul(a, b):
@@ -410,22 +412,28 @@ def _oracle_det(a, one):
     return dp[(1 << m) - 1]
 
 
-def _oracle_adjugate_inverse(a, one):
-    m = len(a)
-    dinv = _oracle_det(a, one).inv()
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            minor = [
-                [e for c, e in enumerate(r) if c != i] for k, r in enumerate(a) if k != j
-            ]
-            c = _oracle_det(minor, one) if m > 1 else one
-            if (i + j) % 2 == 1:
-                c = -c
-            row.append(c * dinv)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _oracle_inverse(g):
+    """The cofactor inverse that Newton lifting replaced, on entry objects:
+    adj g scaled by det(g)^-1, the adjugate in closed form for m = 2, and
+    NonUnitDeterminant naming det g when it is no unit."""
+    ring, m = g.ring, g.m
+    a = [e for row in g.rows for e in row]
+    det = a[0] * a[3] - a[1] * a[2] if m == 2 else _oracle_det(g.rows, ring.one())
+    if not det.is_unit():
+        raise NonUnitDeterminant(f"determinant {det!r} is not a unit")
+    if m == 2:
+        adj = [a[3], -a[1], -a[2], a[0]]
+    else:
+        adj = []
+        for i in range(m):
+            for j in range(m):
+                minor = [
+                    [a[r * m + c] for c in range(m) if c != i] for r in range(m) if r != j
+                ]
+                cof = _oracle_det(minor, ring.one())
+                adj.append(-cof if (i + j) % 2 else cof)
+    d = det.inv()
+    return RingMatrix(ring, [[adj[i * m + j] * d for j in range(m)] for i in range(m)])
 
 
 def _oracle_gauss_jordan_inverse(a, zero, one):
@@ -485,9 +493,9 @@ def _check_against_oracles(a, b, ring):
         with pytest.raises(NonUnitDeterminant):
             _oracle_gauss_jordan_inverse(a.rows, zero, one)
         return
-    inverse = a.inverse().rows
-    assert inverse == _oracle_adjugate_inverse(a.rows, one)
-    assert inverse == _oracle_gauss_jordan_inverse(a.rows, zero, one)
+    inverse = a.inverse()
+    assert inverse == _oracle_inverse(a)
+    assert inverse.rows == _oracle_gauss_jordan_inverse(a.rows, zero, one)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -625,8 +633,9 @@ def _oracle_series_dot(xs, ys):
 
 
 def _oracle_series_mul(a, b, m):
+    """The product of row-major entry lists, as a row-major list."""
     rows = [a[i : i + m] for i in range(0, m * m, m)]
-    return tuple(_oracle_series_dot(r, b[j::m]) for r in rows for j in range(m))
+    return [_oracle_series_dot(r, b[j::m]) for r in rows for j in range(m)]
 
 
 def _oracle_series_pow(a, e, m):
@@ -643,14 +652,29 @@ def _oracle_series_pow(a, e, m):
 
 
 def _random_series_matrix(rng, ring, m, density):
+    """m * m random series entries, row-major."""
     layout = _Layout(ring)
-    return tuple(
+    return [
         _element(ring, layout, {
             i: rng.randrange(mod) for i, mod in enumerate(layout.mods)
             if rng.random() < density
         })
         for _ in range(m * m)
-    )
+    ]
+
+
+def _flat_of(ent, entries):
+    """The flat form of row-major ring elements."""
+    return ent.pack([ent.cell(e) for e in entries])
+
+
+def _extreme_entries(ring, m):
+    """Row-major entries of the matrix with every coefficient at its modulus
+    minus one, of the zero matrix and of I."""
+    layout = _Layout(ring)
+    top = _element(ring, layout, {i: mod - 1 for i, mod in enumerate(layout.mods)})
+    zero, one = ring.zero(), ring.one()
+    return [top] * (m * m), [zero] * (m * m), list(_identity(m, zero, one))
 
 
 @pytest.mark.parametrize("trunc", range(1, 6))
@@ -659,31 +683,233 @@ def test_series_block_product_and_power_match_the_oracle(n_vars, trunc):
     rng = random.Random(100 * n_vars + trunc)
     for p in (3, 5, 7):
         ring = SeriesRing(p, n_vars, trunc)
-        mod = _Entries(ring).mod
+        ent = _Entries(ring)
+        mod = ent.mod
         for m in range(1, 6):
             for density in (0.2, 1.0):  # sparse and dense entries
                 a, b = (_random_series_matrix(rng, ring, m, density) for _ in "ab")
-                assert _mul(a, b, m, mod) == _oracle_series_mul(a, b, m)
+                x, y = _flat_of(ent, a), _flat_of(ent, b)
+                assert ent.view(_mul(x, y, m, mod), m) == _oracle_series_mul(a, b, m)
                 for e in (1, 2, 3, (p - 1) ** 2):
-                    assert _pow(a, e, m, mod) == _oracle_series_pow(a, e, m)
-    assert _pow(a, 1, m, mod) is a
+                    assert ent.view(_pow(x, e, m, mod), m) == _oracle_series_pow(a, e, m)
+    assert _pow(x, 1, m, mod) is x
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_series_block_product_on_extreme_matrices(m, p):
     ring = SeriesRing(p, 2, 4)
-    ent, layout = _Entries(ring), _Layout(ring)
-    top = _element(ring, layout, {i: mod - 1 for i, mod in enumerate(layout.mods)})
-    extreme, zero = (top,) * (m * m), (ent.zero,) * (m * m)
-    one = _identity(m, ent.zero, ent.one)
+    ent = _Entries(ring)
+    extreme, zero, one = _extreme_entries(ring, m)
     for a, b in itertools.product((extreme, zero, one), repeat=2):
-        assert _mul(a, b, m, ent.mod) == _oracle_series_mul(a, b, m)
-    assert _mul(extreme, one, m, ent.mod) == extreme
-    assert _mul(zero, extreme, m, ent.mod) == zero
+        product = _mul(_flat_of(ent, a), _flat_of(ent, b), m, ent.mod)
+        assert ent.view(product, m) == _oracle_series_mul(a, b, m)
+    assert _mul(_flat_of(ent, extreme), ent.identity(m), m, ent.mod) == _flat_of(ent, extreme)
+    assert _mul(ent.zeros(m), _flat_of(ent, extreme), m, ent.mod) == ent.zeros(m) == ()
     for a in (extreme, zero, one):
         for e in (1, 2, 3, (p - 1) ** 2, (p**2 - 1) ** 2):
-            assert _pow(a, e, m, ent.mod) == _oracle_series_pow(a, e, m)
+            power = _pow(_flat_of(ent, a), e, m, ent.mod)
+            assert ent.view(power, m) == _oracle_series_pow(a, e, m)
+
+
+# ---------------------------------------------------------------------------
+# the block form of series matrices and the Newton inverse against oracles
+# on SeriesElement / PadicScalar entries
+
+
+def _check_inverse(g):
+    """g.inverse() equals the cofactor oracle, or both raise one message."""
+    try:
+        want = _oracle_inverse(g)
+    except NonUnitDeterminant as exc:
+        with pytest.raises(NonUnitDeterminant) as info:
+            g.inverse()
+        assert str(info.value) == str(exc)
+        return False
+    assert g.inverse() == want
+    return True
+
+
+def _entrywise(f, *mats):
+    return tuple(tuple(map(f, *rows)) for rows in zip(*(g.rows for g in mats)))
+
+
+def _oracle_reduce(x, ring, shift=1):
+    """The entry x divided by shift, re-read in ring (dropping what is past
+    its truncation)."""
+    return ring.from_terms({e: c // shift for e, c in x.coeffs.items()})
+
+
+def _check_block_form(a, b, c):
+    """Every operation on a, b (and the ring element c) against its oracle on
+    the entries."""
+    ring, m, p = a.ring, a.m, a.ring.p
+    rows = a.rows
+    twin = RingMatrix(ring, rows)
+    assert twin == a and hash(twin) == hash(a) and twin._flat == a._flat
+    assert (a == b) == (rows == b.rows)
+    assert (a + b).rows == _entrywise(operator.add, a, b)
+    assert (a - b).rows == _entrywise(operator.sub, a, b)
+    assert (-a).rows == _entrywise(operator.neg, a)
+    assert a.scale(c).rows == _entrywise(lambda x: c * x, a)
+    assert (a * b).rows == _oracle_mul(rows, b.rows)
+    square = _oracle_mul(rows, rows)
+    assert int_power(a, 2).rows == square
+    assert int_power(a, 3).rows == _oracle_mul(square, rows)
+    assert a.trace() == sum((rows[i][i] for i in range(1, m)), rows[0][0])
+    delta = _entrywise(operator.sub, a, ident(ring, m))
+    assert congruence_depth(a) == min(x.m_adic_depth() for r in delta for x in r)
+    assert _content(a) == min(x.p_content() for r in rows for x in r)
+    payload = a.to_json()
+    assert payload["entries"] == [x.to_json() for r in rows for x in r]
+    assert RingMatrix.from_json(payload) == a
+    trunc = ring.trunc
+    for cap in {max(1, trunc - 1), trunc + 2}:  # narrow and widen
+        new = SeriesRing(p, ring.n_vars, cap)
+        assert _reduce_matrix(a, cap).rows == _entrywise(
+            lambda x: _oracle_reduce(x, new), a
+        )
+    shifted = a.scale(ring.from_int(p))
+    assert _reduce_matrix(shifted, trunc, p).rows == _entrywise(
+        lambda x: _oracle_reduce(x, ring, p), shifted
+    )
+
+
+def _random_rows(rng, ring, m, density, unit):
+    """Random entries with a random constant coefficient, each other
+    coefficient present with the given density; with unit, I plus p times
+    them, which is invertible."""
+    layout, p = _Layout(ring), ring.p
+
+    def entry(diagonal):
+        terms = {
+            i: rng.randrange(mod) for i, mod in enumerate(layout.mods)
+            if i == 0 or rng.random() < density
+        }
+        if unit:
+            terms = {i: p * c + (i == 0 and diagonal) for i, c in terms.items()}
+        return _element(ring, layout, terms)
+
+    return [[entry(i == j) for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("trunc", range(1, 6))
+@pytest.mark.parametrize("n_vars", range(4))
+def test_series_block_form_matches_entry_oracles(n_vars, trunc):
+    rng = random.Random(1000 + 10 * n_vars + trunc)
+    for p in (3, 5, 7):
+        ring = SeriesRing(p, n_vars, trunc)
+        c = ring.from_terms({(0,) * n_vars: rng.randrange(p**trunc)})
+        if n_vars:
+            c = c + ring.variable(n_vars - 1)
+        for m in range(1, 6):
+            density = 0.5 if m < 4 else 0.25
+            a, b, u = (
+                RingMatrix(ring, _random_rows(rng, ring, m, density, unit))
+                for unit in (False, False, True)
+            )
+            _check_block_form(a, b, c)
+            _check_block_form(u, a, c)
+            assert _check_inverse(u)  # I plus p times a matrix
+            _check_inverse(a)
+            extreme, zero, one = (
+                RingMatrix(ring, [r[i : i + m] for i in range(0, m * m, m)])
+                for r in _extreme_entries(ring, m)
+            )
+            assert zero._flat == () and one == ident(ring, m)
+            for x, y in itertools.product((extreme, zero, one), repeat=2):
+                _check_block_form(x, y, c)
+            assert _check_inverse(extreme) == (m == 1)
+            assert not _check_inverse(zero)
+            assert _check_inverse(one)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_scalar_inverse_matches_the_cofactor_oracle(p, m):
+    # random matrices, half of them singular for small p, and units near I
+    ring = ScalarRing(p, 6 if m < 8 else 3)
+    rng = random.Random(10 * p + m)
+    units = 0
+    for trial in range(12 if m < 6 else 2):
+        rows = [
+            [
+                (i == j) + p * rng.randrange(p**5) if trial % 2
+                else rng.randrange(ring.modulus)
+                for j in range(m)
+            ]
+            for i in range(m)
+        ]
+        units += _check_inverse(RingMatrix.from_int_rows(ring, rows))
+    assert units >= (6 if m < 6 else 1)
+    top = RingMatrix.from_int_rows(ring, [[ring.modulus - 1] * m] * m)
+    assert _check_inverse(top) == (m == 1)
+    assert not _check_inverse(RingMatrix.zeros(ring, m))
+    assert _check_inverse(ident(ring, m))
+
+
+def test_series_inverse_of_size_eight_matches_the_cofactor_oracle():
+    rng = random.Random(8)
+    ring = SeriesRing(3, 1, 3)
+    g = RingMatrix(ring, _random_rows(rng, ring, 8, 0.5, True))
+    assert _check_inverse(g)
+    assert g * g.inverse() == ident(ring, 8) == g.inverse() * g
+    rows = _random_rows(rng, ring, 8, 0.5, True)
+    rows[7] = rows[0]
+    assert not _check_inverse(RingMatrix(ring, rows))
+
+
+def test_singular_inverses_name_the_determinant():
+    scalar = RingMatrix.from_int_rows(ScalarRing(3, 3), [[3, 0], [0, 3]])
+    ring = SeriesRing(3, 1, 3)
+    t = ring.variable(0)
+    series = RingMatrix(ring, [[t, ring.one()], [ring.zero(), ring.one() + t]])
+    three = matgrp._from_entries(ring, 3, {(2, 2): t})
+    for g, det in (
+        (scalar, "PadicScalar(p=3, N=3, 9)"),
+        (series, "SeriesElement(1*T1 + 1*T1^2)"),
+        (three, "SeriesElement(1*T1)"),
+    ):
+        with pytest.raises(NonUnitDeterminant, match=re.escape(f"determinant {det} ")):
+            g.inverse()
+        _check_inverse(g)
+
+
+def test_newton_inverse_lifts_at_most_log2_trunc_times(monkeypatch):
+    # each Newton step costs two products after the residual check
+    ring = SeriesRing(3, 1, 8)
+    rng = random.Random(3)
+    g = RingMatrix(ring, _random_rows(rng, ring, 3, 1.0, True))
+    calls = []
+
+    def counting_mul(*args):
+        calls.append(1)
+        return _mul(*args)
+
+    monkeypatch.setattr(matgrp, "_mul", counting_mul)
+    inverse = g.inverse()
+    monkeypatch.undo()
+    assert inverse == _oracle_inverse(g)
+    assert 1 < len(calls) <= 1 + 2 * 3  # ceil(log2 8) = 3 steps
+    calls.clear()
+    monkeypatch.setattr(matgrp, "_mul", counting_mul)
+    ident(ScalarRing(3, 4), 3).inverse()
+    assert len(calls) == 1  # the exact seed: one residual check
+
+
+def test_reduce_matrix_widens_and_narrows_like_the_coefficient_dicts():
+    rng = random.Random(5)
+    ring, wide = SeriesRing(3, 2, 4), SeriesRing(3, 2, 7)
+    monos = _Layout(wide).monos
+    for _ in range(20):
+        raw = {e: rng.randrange(-(3**8), 3**8) for e in monos}
+        x = RingMatrix(ring, [[SeriesElement(ring, raw)]])
+        assert _reduce_matrix(x, 7).rows[0][0].coeffs == x.rows[0][0].coeffs
+        assert _reduce_matrix(_reduce_matrix(x, 7), 4) == x
+        w = RingMatrix(wide, [[SeriesElement(wide, raw)]])
+        assert _reduce_matrix(w, 4, 27).rows[0][0] == _oracle_reduce(
+            w.rows[0][0], ring, 27
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -738,21 +964,23 @@ def _oracle_series_sum(x, kind):
     else:
         cutoff = _log_cutoff(p, cap)
         headroom = max(int_valuation(i, p, cap) for i in range(1, cutoff + 1))
+    # the sum runs on entry objects, widened by the headroom
     if isinstance(ring, SeriesRing):
         wide = SeriesRing(p, ring.n_vars, ring.trunc + headroom)
-        base = tuple(SeriesElement(wide, e.coeffs) for e in x._flat)
+        base = [[SeriesElement(wide, e.coeffs) for e in row] for row in x.rows]
     else:
         wide = ScalarRing(p, cap + headroom)
-        base = x._flat
-    ent = _Entries(wide)
-    mod = ent.mod
+        base = [[wide.from_int(e.value) for e in row] for row in x.rows]
 
-    power = _identity(m, ent.zero, ent.one)
+    def scaled(rows, c):
+        return [[wide.from_int(c) * e for e in row] for row in rows]
+
+    power = [[wide.from_int(int(i == j)) for j in range(m)] for i in range(m)]
     start = p**headroom if kind == "exp" else 0
-    acc = _scale(power, ent.pack(wide.from_int(start)), mod)
+    acc = scaled(power, start)
     fact = 1
     for i in range(1, cutoff + 1):
-        power = _mul(power, base, m, mod)
+        power = _oracle_mul(power, base)
         if kind == "exp":
             fact *= i
             e = _oracle_factorial_valuation(i, p)
@@ -761,18 +989,19 @@ def _oracle_series_sum(x, kind):
             e = int_valuation(i, p, cap + headroom)
             unit, sign = i // p**e, 1 if i % 2 == 1 else -1
         coeff = sign * p ** (headroom - e) * pow(unit, -1, p**cap)
-        term = _scale(power, ent.pack(wide.from_int(coeff)), mod)
-        acc = tuple((s + t) % mod for s, t in zip(acc, term))
+        term = scaled(power, coeff)
+        acc = [[s + t for s, t in zip(r, q)] for r, q in zip(acc, term)]
 
     shift = p**headroom
     if isinstance(ring, SeriesRing):
-        flat = tuple(
-            SeriesElement(ring, {exps: c // shift for exps, c in e.coeffs.items()})
-            for e in acc
-        )
+        rows = [
+            [SeriesElement(ring, {exps: c // shift for exps, c in e.coeffs.items()})
+             for e in row]
+            for row in acc
+        ]
     else:
-        flat = tuple(v // shift for v in acc)
-    return RingMatrix._packed(ring, m, flat)
+        rows = [[ring.from_int(e.value // shift) for e in row] for row in acc]
+    return RingMatrix(ring, rows)
 
 
 def _check_exp_log(x):
@@ -794,8 +1023,14 @@ def test_mat_exp_log_match_series_oracle_on_scalar_matrices(p, m):
             _check_exp_log(RingMatrix.from_int_rows(ring, rows))
 
 
+_EXP_LOG_RINGS = [
+    SeriesRing(3, 2, 4), SeriesRing(5, 1, 3), SeriesRing(3, 0, 4), SeriesRing(5, 3, 3),
+    SeriesRing(7, 2, 5),
+]
+
+
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("ring", [SeriesRing(3, 2, 4), SeriesRing(5, 1, 3)])
+@pytest.mark.parametrize("ring", _EXP_LOG_RINGS)
 def test_mat_exp_log_match_series_oracle_on_series_matrices(ring, m):
     rng = random.Random(m * ring.p)
     p, trunc = ring.p, ring.trunc

@@ -557,20 +557,6 @@ def test_layout_is_graded_lex_and_prefix_stable(n_vars, trunc):
         assert wider.monos[: len(layout.monos)] == layout.monos
 
 
-def test_retag_widens_and_narrows_like_the_coefficient_dicts():
-    rng = random.Random(5)
-    ring, wide = SeriesRing(3, 2, 4), SeriesRing(3, 2, 7)
-    for _ in range(20):
-        raw = {e: rng.randrange(-(3**8), 3**8) for e in _all_monomials(2, 6)}
-        x = SeriesElement(ring, raw)
-        assert x._retag(wide).coeffs == x.coeffs
-        assert x._retag(wide)._retag(ring) == x
-        w = SeriesElement(wide, raw)
-        assert w._retag(ring, 27).coeffs == _oracle_reduce(
-            ring, {e: c // 27 for e, c in w.coeffs.items()}
-        )
-
-
 def test_equal_rings_share_eq_and_hash():
     first, second = SeriesRing(5, 2, 3), SeriesRing(5, 2, 3)
     assert first is not second

@@ -38,11 +38,13 @@ def _sweep_depths(G):
     identity, mod, p = G.identity, G.modulus, G.p
     depths = {}
     for a in G.elements:
-        diffs = [e - d for e, d in zip(a, identity)]
         if not isinstance(mod, int):
+            rows_a, rows_i = (G.to_matrix(x).rows for x in (a, identity))
+            diffs = [e - d for r, s in zip(rows_a, rows_i) for e, d in zip(r, s)]
             nonzero = [x.m_adic_depth() for x in diffs if not x.is_zero()]
             depths[a] = min(nonzero, default=float("inf"))
             continue
+        diffs = [e - d for e, d in zip(a, identity)]
         g = math.gcd(*(x % mod for x in diffs))
         depth = 0
         while g and g % p == 0:
