@@ -73,6 +73,7 @@ class _Entries:
         self.scalar = isinstance(ring, ScalarRing)
         self.mod = ring.modulus if self.scalar else _Layout(ring)
         self.degs = [0] if self.scalar else self.mod.degs
+        self.tag = (ring.p, ring.prec) if self.scalar else ring
 
     def blocks(self, flat: tuple) -> tuple:
         return ((0, flat),) if self.scalar else flat
@@ -86,9 +87,10 @@ class _Entries:
         return (0,) * (m * m) if self.scalar else ()
 
     def cell(self, e):
-        """The packed form of one entry, checked to lie in this ring: its
-        residue over Z/p^N, its terms (index -> residue) over a series ring."""
-        if getattr(e, "ring", None) != self.ring:
+        """The packed form of one entry, its ring checked by `tag` (a scalar's
+        is (p, prec); none is built): its residue, or a series entry's terms."""
+        tag = (e.p, e.prec) if isinstance(e, PadicScalar) else getattr(e, "ring", None)
+        if tag != self.tag:
             raise PrecisionMismatch("entries live in different rings")
         return e.value if self.scalar else e._terms
 

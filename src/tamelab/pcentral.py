@@ -12,7 +12,7 @@ echelon basis (`liealg.SpanTracker`) of each depth layer, the image of
 h - I in M_m(m^n/m^(n+1)), each row paired with a group element.  Order,
 membership, subgroup and normal closures, the p-central series, the depth
 filtration and the uniformity checks all run on these sequences, in about
-rank^2 multiplies; an element set is built only when one is iterated.
+rank^2 multiplies; only iteration builds an element set, under the cap.
 A seed element of depth 0 raises `DepthError`: it has no layer vector.
 Uniformity is decided on the p-th powers of each level's generators, one
 subgroup closure per level.
@@ -27,7 +27,7 @@ the image of P_(n+1) vanishes; the reverse inclusion is immediate.)
 from __future__ import annotations
 
 import os
-from collections.abc import Set
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partialmethod
 from math import comb
@@ -89,8 +89,8 @@ def _commutator(a, a_inv, b, b_inv, m, mod) -> tuple:
     return _mul(_mul(a, b, m, mod), _mul(a_inv, b_inv, m, mod), m, mod)
 
 
-class _PcSet(Set):
-    """A subgroup H of Gamma_1 = ker(GL_m(R) -> GL_m(F_p)), read as a set.
+class _PcSet:
+    """A subgroup H of Gamma_1 = ker(GL_m(R) -> GL_m(F_p)), as a pc sequence.
 
     R is Z/p^N or A/m^N, A = Z_p[[T_1..T_v]] and m = (p, T_1..T_v).  H is
     held as an induced pc sequence: for each depth n < N, a basis of the layer
@@ -107,11 +107,12 @@ class _PcSet(Set):
     row i's pivot, which clears the layer, and go down a level.  H cap
     Gamma_n is the part of the sequence at depth >= n (`at_depth`).
 
-    Iterating builds the element set once, as the normal words (the basis
-    elements in order, each to an exponent below p), and caches it as a
-    frozenset; `in` is then a lookup in it.  Two sequences over one ring
-    compare by sifting one's basis in the other.  `closure` builds them
-    (its docstring proves the sequence is one of <seed>), and `at_depth`
+    `order` reads p^rank, and so does `len` up to sys.maxsize (LimitExceeded
+    past it).  Only iteration builds the element set, the normal words (basis
+    elements in order, exponents below p), once and under the closure cap,
+    and `in` is then a lookup in it; no set operator or hash builds one.  Two
+    sequences over one ring compare by sifting one's basis in the other.
+    `closure` builds them (proving the sequence is one of <seed>); `at_depth`
     takes their parts.
     """
 
@@ -247,12 +248,13 @@ class _PcSet(Set):
 
     def _elements(self) -> frozenset:
         if self._frozen is None:
+            cap = min(closure_limit(), sys.maxsize)
+            if self.order > cap:
+                raise LimitExceeded(f"element set past {cap}")
             m, mod = self.m, self.mod
             words = [self.identity]
             for b in reversed(self.basis()):
-                powers = [b]
-                for _ in range(2, self.ring.p):
-                    powers.append(_mul(powers[-1], b, m, mod))
+                powers = [_pow(b, e, m, mod) for e in range(1, self.ring.p)]
                 words += [_mul(c, w, m, mod) for c in powers for w in words]
             self._frozen = frozenset(words)
         return self._frozen
@@ -263,18 +265,20 @@ class _PcSet(Set):
         return self.ring.p ** sum(len(level) for _, level in self.levels)
 
     def __len__(self) -> int:
-        """|H|, which `len` cannot return past sys.maxsize: callers read `order`."""
+        if self.order > sys.maxsize:
+            raise LimitExceeded(f"len past {sys.maxsize}: read order")
         return self.order
 
     def __iter__(self):
         return iter(self._elements())
 
     def __contains__(self, x) -> bool:
+        if not isinstance(x, tuple):
+            return False
         if self._frozen is not None:
             return x in self._frozen
         return (
-            isinstance(x, tuple)
-            and all(len(b) == self.m * self.m for _, b in self._ent.blocks(x))
+            all(len(b) == self.m * self.m for _, b in self._ent.blocks(x))
             and _depth(x, self.m, self._ent) >= 1
             and self._sift(x) is None
         )
@@ -283,7 +287,7 @@ class _PcSet(Set):
         """op(|H|, |other|) and H within other (other within H if flip), with
         orders first and never `len` of H; two sequences over one ring compare
         by testing one's basis in the other."""
-        if not isinstance(other, Set):
+        if not isinstance(other, (set, frozenset, _PcSet)):
             return NotImplemented
         inner, outer = (other, self) if flip else (self, other)
         if not isinstance(other, _PcSet):
@@ -298,15 +302,8 @@ class _PcSet(Set):
     __ge__ = partialmethod(_compare, ge, flip=True)
     __gt__ = partialmethod(_compare, gt, flip=True)
 
-    def __hash__(self) -> int:
-        return hash(self._elements())
-
     def __repr__(self) -> str:
         return f"_PcSet({self.ring!r}, m={self.m}, basis={self.basis()!r})"
-
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset:
-        return frozenset(it)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +312,7 @@ class _PcSet(Set):
 
 @dataclass(frozen=True)
 class FiniteQuotientGroup:
-    """A finite p-group in Gamma_1 over Z/p^N or A/m^M with its element set.
+    """A finite p-group in Gamma_1 over Z/p^N or A/m^M, held as a pc sequence.
 
     Invariant: `generators` generate `elements`, a `_PcSet`.  `closure`,
     the only constructor, makes `elements` the subgroup the generators

@@ -108,6 +108,20 @@ def test_nonunit_determinant_raises_in_both_inverses(ring):
         G.inv(g._flat)
 
 
+@pytest.mark.parametrize("ring", [ScalarRing(3, 3), SeriesRing(3, 1, 3)])
+def test_entries_from_another_ring_are_refused(ring):
+    # each entry's ring is checked, a scalar's from (p, prec) alone
+    one = ring.one()
+    assert RingMatrix(ring, [[one, one], [one, one]]).ring == ring
+    foreign = [R.one() for R in (ScalarRing(3, 4), ScalarRing(5, 3), SeriesRing(3, 1, 4))]
+    for e in foreign + [SeriesRing(3, 2, 3).one(), 1, None]:
+        with pytest.raises(PrecisionMismatch):
+            RingMatrix(ring, [[one, e], [e, one]])
+    for e in foreign:
+        with pytest.raises(PrecisionMismatch):
+            _from_entries(ring, 2, {(0, 1): e})
+
+
 def test_certificate_search_refuses_a_series_group():
     # the scan orders G, and series entries have no order
     ring = SeriesRing(3, 1, 3)

@@ -14,6 +14,7 @@ import math
 import operator
 import random
 import sys
+import time
 
 import pytest
 
@@ -189,10 +190,13 @@ def test_sifting_membership_matches_the_enumerated_set(p, prec, seed):
     for x in rng.sample(_ambient(p, prec), 300):
         assert (x in pc.elements) == (x in enum.elements)
     assert pc.elements._frozen is None
-    # a depth-0 matrix and a malformed tuple are no members
+    # a depth-0 matrix, a malformed tuple and a list are no members, before
+    # and after iteration caches the element set
     ring = ScalarRing(p, prec)
-    assert (2, 0, 0, pow(2, -1, ring.modulus)) not in pc.elements
-    assert (1, 0, 0) not in pc.elements
+    strangers = [(2, 0, 0, pow(2, -1, ring.modulus)), (1, 0, 0), list(pc.identity)]
+    assert not any(x in pc.elements for x in strangers)
+    assert set(pc.elements) == enum.elements and pc.elements._frozen is not None
+    assert not any(x in pc.elements for x in strangers)
 
 
 def test_sequences_compare_by_sifting_without_enumerating():
@@ -245,7 +249,7 @@ def _sl5_mod27():
 
 
 def test_orders_past_sys_maxsize_come_from_the_ranks():
-    # SL_5 mod 27 has 3^48 elements; `len` would raise OverflowError
+    # SL_5 mod 27 has 3^48 elements; `len` would raise LimitExceeded
     G, chain = _sl5_mod27()
     report = _uniformity(G, 1, chain)
     assert G.order == G.elements.order == 3**48 > sys.maxsize
@@ -262,13 +266,12 @@ def test_iteration_enumerates_once_and_set_operations_give_frozensets():
     cached = elements._frozen
     assert len(first) == G.order == 5**6 and cached == first
     assert set(elements) == first and elements._frozen is cached
-    rest = elements - {G.identity}
+    rest = frozenset(elements) - {G.identity}
     assert isinstance(rest, frozenset) and len(rest) == G.order - 1
-    assert hash(elements) == hash(cached)
 
 
 def test_comparisons_past_sys_maxsize_never_take_len():
-    # `len` of a 3^48 set raises OverflowError; levels past the chain are
+    # `len` of a 3^48 set raises LimitExceeded; levels past the chain are
     # trivial pc sequences, and a pc set checks another set's size first
     G, chain = _sl5_mod27()
     k = len(chain.levels) + 1
@@ -281,7 +284,7 @@ def test_comparisons_past_sys_maxsize_never_take_len():
 
 
 def test_order_comparisons_past_sys_maxsize_never_take_len():
-    # the `Set` mixins would take `len`, which raises OverflowError at 3^48
+    # `len` of a 3^48 set raises LimitExceeded, so comparisons read orders
     G, chain = _sl5_mod27()
     H, trivial = chain.levels[1], frozenset([G.identity])
     assert H <= G.elements and G.elements >= trivial and trivial < G.elements
@@ -290,15 +293,52 @@ def test_order_comparisons_past_sys_maxsize_never_take_len():
     assert trivial <= G.elements and not G.elements <= trivial
     assert not trivial > G.elements and not trivial >= G.elements
     assert G.elements._frozen is None
-    with pytest.raises(OverflowError):
+    with pytest.raises(LimitExceeded, match="read order"):
         len(G.elements)  # callers read `order`
 
 
+def test_past_sys_maxsize_nothing_builds_the_element_set():
+    # iteration and `len` stop at the cap before any word is formed, and the
+    # set operators and hashing, which would build all 3^48 elements, are gone
+    G, _ = _sl5_mod27()
+    elements, trivial = G.elements, frozenset([G.identity])
+    start = time.perf_counter()
+    for call in (iter, len, set):
+        with pytest.raises(LimitExceeded):
+            call(elements)
+    for op in (operator.or_, operator.sub, operator.xor, operator.and_):
+        for a, b in ((elements, trivial), (trivial, elements)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(AttributeError):
+        elements.isdisjoint(trivial)
+    for x in (elements, G):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+    assert time.perf_counter() - start < 1
+    assert elements._frozen is None
+
+
 def test_order_comparisons_agree_with_frozensets():
+    # against a set or frozenset a pc set answers as a frozenset would;
+    # against a list it refuses the same orderings and is never equal
     G = closure(sl_standard_generators(2, 3, 3))
-    sets = [*pcentral_series(G).levels, frozenset([G.identity])]
+    levels = pcentral_series(G).levels
+    sets = [*levels, frozenset([G.identity])]
     sets += [frozenset(s) for s in sets] + [frozenset(list(G.elements)[:5])]
+    sets += [set(s) for s in levels] + [list(G.elements)[:5]]
     ops = [operator.le, operator.lt, operator.ge, operator.gt, operator.eq]
+
+    def outcome(op, a, b):
+        try:
+            return op(a, b)
+        except TypeError:
+            return TypeError
+
+    def plain(x):
+        return x if isinstance(x, list) else frozenset(x)
+
     for a, b in itertools.product(sets, repeat=2):
         for op in ops:
-            assert op(a, b) == op(frozenset(a), frozenset(b)), (op, a, b)
+            assert outcome(op, a, b) == outcome(op, plain(a), plain(b)), (op, a, b)
+    assert all((level == sets[-1]) is False for level in levels)
