@@ -3,10 +3,10 @@
 Implements the classification pipeline: perfectness, Killing form and
 Cartan radical, adjoint semisimplicity, the inertial-element linear solver
 (an element y is inertial iff y lies in the image of ad_y), spanning
-harvests of inertial elements, and the three-valued toral / pluperfect
-verdicts.  Universal toral-ness is not decidable by sampling, so sampled
-all-pass results are reported as evidence, never upgraded to certainty;
-the only exact toral verdict is the abelian case.
+harvests of inertial elements closed under exp(ad y), and the three-valued
+toral / pluperfect verdicts.  Universal toral-ness is not decidable by
+sampling, so sampled all-pass results are reported as evidence, never
+upgraded to certainty; the only exact toral verdict is the abelian case.
 
 Work over Q runs on ints: a sparse integer structure-constant table, and
 `SpanTracker`, the one exact elimination kernel, fraction-free over Q or
@@ -605,54 +605,81 @@ def _mining_probes(L: LieAlgebra):
         yield [a - b for a, b in zip(u, v)]
 
 
+def _exp_ad(cols: list, scale: int, v: Vector) -> Vector:
+    """sum_k ad_g^k v / k! for a nilpotent ad_g = N / scale, N by sparse columns."""
+    term, den = _numerators(v)
+    out = list(v)
+    for k in range(1, len(out) + 1):
+        term = _row_times(term, cols)
+        if not any(term):
+            return tuple(out)
+        den *= k * scale
+        out = [a + Fraction(t, den) for a, t in zip(out, term)]
+    raise GuardFailed("ad_y of a certificate is not nilpotent")
+
+
+def _closure_images(L: LieAlgebra, certificates: list):
+    """(phi c.x, phi c.y, c.lam), phi = exp(ad g.y), for g, c in the growing list."""
+    for g in certificates:
+        nums, d = _numerators(g.y)
+        ad, scale = L._ad_numerators(nums), d * L.den
+        cols = [[(r, a) for r, a in enumerate(col) if a] for col in zip(*ad)]
+        for c in certificates:
+            phi_y, phi_x = (_exp_ad(cols, scale, v) for v in (c.y, c.x))
+            cert = InertialLieCertificate(phi_y, phi_x, c.lam)
+            if not cert.holds_in(L):
+                raise GuardFailed("exp(ad y) image fails [x, y] = lambda y")
+            yield cert
+
+
+def _mined_certificates(L: LieAlgebra):
+    """Eigenvectors of ad_x for rational nonzero eigenvalues, x a mining probe."""
+    for x in _mining_probes(L):
+        ad = L._ad_numerators(x)
+        if not any(map(any, ad)):
+            continue  # ad_x = 0 has only the eigenvalue 0
+        for root in filter(None, rational_roots(minimal_polynomial(ad))):
+            num, den = root.numerator, root.denominator
+            shifted = [
+                [den * a - num if r == c else den * a for c, a in enumerate(row)]
+                for r, row in enumerate(ad)
+            ]
+            for y in nullspace(shifted):
+                cert = InertialLieCertificate(y, _vec(x), root / L.den)
+                if not cert.holds_in(L):
+                    raise GuardFailed("mined eigenvector fails [x, y] = lambda y")
+                yield cert
+
+
 def inertial_span(
     L: LieAlgebra, extra_samples: int = 20, seed: int = 0
 ) -> InertialSpanResult:
     """Harvest inertial elements and test whether they span L.
 
-    Harvest routes: the linear solver over basis vectors and random
-    combinations, and eigenvector mining (rational nonzero eigenvalues of
-    ad_x for deterministic probe vectors x).  "Certified" means the listed
-    certificates are exact and their y's span L.
+    Routes, in turn, until the y's span L: the solver over basis vectors;
+    the closure under exp(ad y); eigenvector mining over probes x with
+    ad_x != 0; the solver over seeded random vectors.  "Certified" means
+    the listed certificates are exact and their y's span L.
+
+    The closure maps each harvested c by phi = exp(ad y), [x, y] = lambda y
+    harvested.  ad_x is a derivation, so (ad_x - mu - lambda)^n [y, v] =
+    [y, (ad_x - mu)^n v]: ad_y maps each generalized eigenspace L_mu of ad_x
+    into L_(mu+lambda).  As lambda != 0, ad_y is nilpotent and phi is an
+    automorphism of L over Q: (phi c.x, phi c.y, c.lam) is a certificate.
     """
     tracker = SpanTracker(L.dim)
     certificates = []
-
-    def harvest(cert):
+    rng = random.Random(seed)
+    for cert in itertools.chain(
+        (inertial_solve(L, L.basis_vector(i)) for i in range(L.dim)),
+        _closure_images(L, certificates),
+        _mined_certificates(L),
+        (inertial_solve(L, _random_vector(rng, L.dim)) for _ in range(extra_samples)),
+    ):
         if cert is not None and tracker.add(cert.y):
             certificates.append(cert)
-
-    for i in range(L.dim):
-        harvest(inertial_solve(L, L.basis_vector(i)))
         if tracker.full:
             break
-
-    if not tracker.full:
-        for x in _mining_probes(L):
-            ad = L._ad_numerators(x)
-            for root in rational_roots(minimal_polynomial(ad)):
-                if root == 0:
-                    continue
-                lam = root / L.den
-                num, den = root.numerator, root.denominator
-                shifted = [
-                    [den * a - num if r == c else den * a for c, a in enumerate(row)]
-                    for r, row in enumerate(ad)
-                ]
-                for y in nullspace(shifted):
-                    cert = InertialLieCertificate(y, _vec(x), lam)
-                    if not cert.holds_in(L):
-                        raise GuardFailed("mined eigenvector fails [x, y] = lambda y")
-                    harvest(cert)
-            if tracker.full:
-                break
-
-    rng = random.Random(seed)
-    for _ in range(extra_samples):
-        if tracker.full:
-            break
-        harvest(inertial_solve(L, _random_vector(rng, L.dim)))
-
     status = "certified" if tracker.full else "inconclusive"
     return InertialSpanResult(status, certificates, tracker.rank, seed)
 

@@ -276,7 +276,10 @@ class _PcSet:
         if not isinstance(x, tuple):
             return False
         if self._frozen is not None:
-            return x in self._frozen
+            try:
+                return x in self._frozen
+            except TypeError:  # a tuple holding an unhashable item
+                return False
         return (
             all(len(b) == self.m * self.m for _, b in self._ent.blocks(x))
             and _depth(x, self.m, self._ent) >= 1

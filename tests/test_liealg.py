@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from tamelab import liealg as liealg_module
 from tamelab.liealg import rank as _fp_rank
 
-from tamelab.errors import DomainError, SchemaError, ZeroVector
+from tamelab.errors import DomainError, GuardFailed, SchemaError, ZeroVector
 from tamelab.liealg import (
     MAX_JACOBI_TRIPLES,
     LieAlgebra,
@@ -314,6 +315,129 @@ def test_inertial_span_sl_m_certified(m):
     assert result.span_dim == m * m - 1
     for cert in result.certificates:
         assert cert.holds_in(L)
+
+
+def _span_without_closure(L, extra_samples=20, seed=0):
+    """(status, rank) of the harvest with no exp(ad y) closure: basis solves,
+    eigenvectors of ad_x over Q for every mining probe x, then seeded random
+    solves, each until the y's span L."""
+    tracker = SpanTracker(L.dim)
+
+    def harvest(y):
+        if y is not None and not tracker.full:
+            tracker.add(y)
+
+    for i in range(L.dim):
+        cert = inertial_solve(L, L.basis_vector(i))
+        harvest(cert.y if cert else None)
+    for x in liealg_module._mining_probes(L):
+        if tracker.full:
+            break
+        ad = L.ad(x)
+        for root in rational_roots(minimal_polynomial(ad)):
+            shifted = [[a - root * (r == c) for c, a in enumerate(row)]
+                       for r, row in enumerate(ad)]
+            for y in nullspace(shifted) if root else []:
+                assert L.bracket(x, y) == tuple(root * c for c in y)
+                harvest(y)
+    rng = random.Random(seed)
+    for _ in range(extra_samples):
+        y = liealg_module._random_vector(rng, L.dim)
+        harvest(y if inertial_solve(L, y) else None)
+    return ("certified" if tracker.full else "inconclusive"), tracker.rank
+
+
+def _algebra_from(dim, bracket):
+    """The algebra with [e_i, e_j] = bracket(i, j) for i < j."""
+    pairs = itertools.combinations(range(dim), 2)
+    return LieAlgebra.from_brackets(dim, {(i, j): bracket(i, j) for i, j in pairs})
+
+
+def _unimodular_basis_change(L, seed):
+    """L in the basis given by the columns of a seeded unimodular integer matrix."""
+    rng, d = random.Random(seed), L.dim
+    P = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2)
+        f = rng.choice([-2, -1, 1, 2])
+        P[i] = [a + f * b for a, b in zip(P[i], P[j])]
+    cols = [tuple(F(row[j]) for row in P) for j in range(d)]
+    return _algebra_from(d, lambda i, j: solve(P, L.bracket(cols[i], cols[j])))
+
+
+def _direct_sum(A, B):
+    def bracket(i, j):
+        if j < A.dim:
+            return A.bracket(A.basis_vector(i), A.basis_vector(j)) + (0,) * B.dim
+        if i >= A.dim:
+            u, v = B.basis_vector(i - A.dim), B.basis_vector(j - A.dim)
+            return (0,) * A.dim + B.bracket(u, v)
+        return (0,) * (A.dim + B.dim)
+
+    return _algebra_from(A.dim + B.dim, bracket)
+
+
+BASIS_CHANGED = {
+    "sl2": sl2_table, "sl3": partial(sl_table, 3), "solvable2": solvable2_table,
+}
+SPAN_CASES = {
+    **{name: partial(load_fixture, name) for name in list_fixtures()},
+    **{f"sl{m}": partial(sl_table, m) for m in range(2, 6)},
+    **{
+        f"{name}-basis{seed}": lambda table=table, seed=seed: _unimodular_basis_change(
+            table(), seed
+        )
+        for name, table in BASIS_CHANGED.items()
+        for seed in (1, 2)
+    },
+    "sl2+solvable2": lambda: _direct_sum(sl2_table(), solvable2_table()),
+    "sl2+abelian2": lambda: _direct_sum(sl2_table(), abelian_table(2)),
+}
+# where the closure must reach exactly the span of the path without it
+SAME_SPAN = {*list_fixtures(), "sl2", "sl3", "sl4", "sl5"}
+
+
+@pytest.mark.parametrize("case", sorted(SPAN_CASES))
+def test_inertial_span_reaches_the_span_of_the_path_without_closure(case):
+    L = SPAN_CASES[case]()
+    assert validate(L) == []
+    result = inertial_span(L)
+    status, span_rank = _span_without_closure(L)
+    assert result.span_dim >= span_rank
+    if case in SAME_SPAN:
+        assert (result.status, result.span_dim) == (status, span_rank)
+    assert all(cert.holds_in(L) for cert in result.certificates)
+    ys = [cert.y for cert in result.certificates]
+    assert len(ys) == result.span_dim == rank(ys)
+    if result.status == "certified":
+        assert rank(ys) == L.dim
+
+
+@pytest.mark.parametrize(
+    "table", [partial(sl_table, m) for m in range(2, 7)] + [partial(abelian_table, 6)],
+    ids=[f"sl{m}" for m in range(2, 7)] + ["abelian6"],
+)
+def test_sl_m_and_abelian_spans_need_no_minimal_polynomial(monkeypatch, table):
+    calls, real = [], liealg_module.minimal_polynomial
+    monkeypatch.setattr(
+        liealg_module, "minimal_polynomial", lambda mat: calls.append(1) or real(mat)
+    )
+    inertial_span(table())
+    assert calls == []
+
+
+def test_a_forged_closure_image_raises(monkeypatch):
+    monkeypatch.setattr(
+        liealg_module, "_exp_ad", lambda cols, scale, v: tuple(2 * a for a in v)
+    )
+    with pytest.raises(GuardFailed):
+        inertial_span(sl2_table())
+
+
+def test_exp_ad_refuses_a_series_that_does_not_stop():
+    identity = [[(0, 1)], [(1, 1)]]
+    with pytest.raises(GuardFailed):
+        liealg_module._exp_ad(identity, 1, (F(1), F(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1118,37 @@ def test_sympy_cross_check_rref_and_minimal_polynomial():
 
 # ---------------------------------------------------------------------------
 # exactness guards survive python -O
+
+
+def test_closure_guards_and_minimal_polynomial_count_hold_under_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from tamelab import liealg
+        from tamelab.errors import GuardFailed
+
+        real, calls = liealg.minimal_polynomial, []
+        liealg.minimal_polynomial = lambda mat: calls.append(1) or real(mat)
+        spans = [liealg.inertial_span(L).span_dim
+                 for L in (liealg.sl_table(4), liealg.abelian_table(6))]
+        print("spans", spans, "minimal polynomials", len(calls))
+        liealg._exp_ad = lambda cols, scale, v: tuple(2 * a for a in v)
+        try:
+            liealg.inertial_span(liealg.sl2_table())
+        except GuardFailed:
+            print("guard raised", sys.flags.optimize)
+        """
+    )
+    src = str(Path(liealg_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "spans [15, 0] minimal polynomials 0", "guard raised 1"
+    ]
 
 
 def test_inertial_solve_guard_runs_under_python_O():

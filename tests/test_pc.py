@@ -190,10 +190,12 @@ def test_sifting_membership_matches_the_enumerated_set(p, prec, seed):
     for x in rng.sample(_ambient(p, prec), 300):
         assert (x in pc.elements) == (x in enum.elements)
     assert pc.elements._frozen is None
-    # a depth-0 matrix, a malformed tuple and a list are no members, before
+    # a depth-0 matrix, malformed tuples and a list are no members, before
     # and after iteration caches the element set
     ring = ScalarRing(p, prec)
-    strangers = [(2, 0, 0, pow(2, -1, ring.modulus)), (1, 0, 0), list(pc.identity)]
+    strangers = [
+        (2, 0, 0, pow(2, -1, ring.modulus)), (1, 0, 0), list(pc.identity), (1, [2]),
+    ]
     assert not any(x in pc.elements for x in strangers)
     assert set(pc.elements) == enum.elements and pc.elements._frozen is not None
     assert not any(x in pc.elements for x in strangers)
