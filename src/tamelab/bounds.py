@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .errors import InvalidSignature, SchemaError, json_int
+from .errors import InvalidSignature, SchemaError, json_int, json_list
 
 _DIGITS = 40
 
@@ -164,7 +164,7 @@ class SplittingBoundInput:
                 Fraction(disc),
                 json_int(obj["r1"]),
                 json_int(obj["r2"]),
-                tuple(map(json_int, obj.get("prime_norms", []))),
+                tuple(map(json_int, json_list(obj.get("prime_norms", [])))),
                 grh,
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

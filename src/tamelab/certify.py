@@ -315,9 +315,6 @@ def slm_series_suite(
     identity = RingMatrix.identity(ring, m)
     harvested = []
 
-    def digits(w: RingMatrix) -> list:
-        return _weight_digits(w._flat, m, k, w._ent)
-
     # diag[(j, i)] is the inverse of diag[(i, j)] and D is symmetric in
     # (i, j), so one inversion per unordered pair builds every conjugator
     diag, dual = {}, {}
@@ -364,7 +361,9 @@ def slm_series_suite(
                 d_mat * w * d_inv == int_power(w, exponent),
             )
             if i < j:
-                harvested += [digits(upper), digits(lower), digits(w)]
+                harvested += [
+                    _weight_digits(g._flat, m, k, g._ent) for g in (upper, lower, w)
+                ]
 
     spanned = rank(harvested, p) == gr_dim
     report.add("gr_k-span", spanned, f"rank target {gr_dim}")

@@ -102,3 +102,11 @@ def json_int(value) -> int:
     if type(value) is int or isinstance(value, str):
         return int(value)
     raise SchemaError(f"expected an integer or a string of one, got {value!r}")
+
+
+def json_list(value) -> list:
+    """A JSON array; a string or an object, which iteration would read as its
+    characters or keys, raises SchemaError."""
+    if type(value) is list:
+        return value
+    raise SchemaError(f"expected a list, got {value!r}")

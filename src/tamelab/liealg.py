@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DomainError, GuardFailed, SchemaError, ZeroVector
+from .errors import DomainError, GuardFailed, SchemaError, ZeroVector, json_list
 
 Vector = tuple
 Matrix = tuple
@@ -367,10 +367,10 @@ class LieAlgebra:
     def from_json(cls, obj) -> "LieAlgebra":
         try:
             dim, brackets = obj["dim"], {}
-            for i, j, coeffs in obj["brackets"]:
+            for i, j, coeffs in json_list(obj["brackets"]):
                 if (i, j) in brackets:
                     raise SchemaError(f"bracket ({i}, {j}) is listed twice")
-                brackets[i, j] = list(coeffs)
+                brackets[i, j] = json_list(coeffs)
             # bool is an int subclass, and int() would truncate a float
             if any(type(n) is not int for n in (dim, *itertools.chain(*brackets))):
                 raise SchemaError("dim and bracket indices must be integers")
@@ -618,15 +618,18 @@ def _exp_ad(cols: list, scale: int, v: Vector) -> Vector:
     raise GuardFailed("ad_y of a certificate is not nilpotent")
 
 
-def _closure_images(L: LieAlgebra, certificates: list):
-    """(phi c.x, phi c.y, c.lam), phi = exp(ad g.y), for g, c in the growing list."""
+def _closure_images(L: LieAlgebra, certificates: list, tracker: SpanTracker):
+    """(phi c.x, phi c.y, c.lam), phi = exp(ad g.y), for g, c in the growing
+    list; phi c.x is built and checked only when `tracker` misses phi c.y."""
     for g in certificates:
         nums, d = _numerators(g.y)
         ad, scale = L._ad_numerators(nums), d * L.den
         cols = [[(r, a) for r, a in enumerate(col) if a] for col in zip(*ad)]
         for c in certificates:
-            phi_y, phi_x = (_exp_ad(cols, scale, v) for v in (c.y, c.x))
-            cert = InertialLieCertificate(phi_y, phi_x, c.lam)
+            phi_y = _exp_ad(cols, scale, c.y)
+            if tracker.contains(phi_y):
+                continue
+            cert = InertialLieCertificate(phi_y, _exp_ad(cols, scale, c.x), c.lam)
             if not cert.holds_in(L):
                 raise GuardFailed("exp(ad y) image fails [x, y] = lambda y")
             yield cert
@@ -672,7 +675,7 @@ def inertial_span(
     rng = random.Random(seed)
     for cert in itertools.chain(
         (inertial_solve(L, L.basis_vector(i)) for i in range(L.dim)),
-        _closure_images(L, certificates),
+        _closure_images(L, certificates, tracker),
         _mined_certificates(L),
         (inertial_solve(L, _random_vector(rng, L.dim)) for _ in range(extra_samples)),
     ):

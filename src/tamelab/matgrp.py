@@ -276,13 +276,16 @@ def _depth(a: tuple, m: int, ent: _Entries) -> int:
 
 
 def _weight_digits(a: tuple, m: int, n: int, ent: _Entries) -> list:
-    """The image of a - I in M_m(m^n/m^(n+1)) for a in Gamma_n over a series
-    ring: entry by entry (row-major), per monomial T^beta of degree d <= n
-    in layout order, its coefficient over p^(n - d), mod p."""
+    """The image of a - I in M_m(m^n/m^(n+1)) for a in Gamma_n, n >= 1, over
+    either ring (Z/p^N as one degree-0 block): entry by entry (row-major),
+    per monomial T^beta of degree d <= n in layout order, its coefficient
+    over p^(n - d), mod p.  Read off a itself: a - I differs from a only in
+    the constant diagonal c = 1 + k p^n, and c // p^n = k = (c - 1) // p^n
+    as p^n > 1."""
     p, degs = ent.ring.p, ent.degs
     width = bisect_right(degs, n)
     out = [0] * (m * m * width)
-    for t, block in _add(a, ent.identity(m), ent.mod, -1):
+    for t, block in ent.blocks(a):
         if t >= width:
             break
         q = p ** (n - degs[t])
@@ -378,14 +381,14 @@ class RingMatrix:
     # -- comparisons and serialization ----------------------------------
 
     def __eq__(self, other):
+        # the size too: over a series ring every zero matrix packs to ()
         return (
             isinstance(other, RingMatrix)
-            and self.ring == other.ring
-            and self._flat == other._flat
+            and (self.ring, self.m, self._flat) == (other.ring, other.m, other._flat)
         )
 
     def __hash__(self):
-        return hash((self.ring, self._flat))
+        return hash((self.ring, self.m, self._flat))
 
     def __repr__(self):
         body = "; ".join(

@@ -41,6 +41,7 @@ from .errors import (
     PrecisionMismatch,
     SchemaError,
     json_int,
+    json_list,
 )
 
 # ---------------------------------------------------------------------------
@@ -609,9 +610,8 @@ class SeriesElement:
             header = tuple(json_int(obj[key]) for key in ("p", "n_vars", "trunc"))
             if header != (ring.p, ring.n_vars, ring.trunc):
                 raise SchemaError(f"series payload {obj!r} does not match {ring}")
-            if any(type(e) is not list for e, _ in obj["coeffs"]):
-                raise SchemaError(f"series payload {obj!r} has a non-list exponent")
-            terms = [(tuple(map(json_int, e)), json_int(c)) for e, c in obj["coeffs"]]
+            pairs = json_list(obj["coeffs"])
+            terms = [(tuple(map(json_int, json_list(e))), json_int(c)) for e, c in pairs]
             if len(dict(terms)) != len(terms):
                 raise SchemaError(f"series payload {obj!r} repeats a monomial")
             return cls(ring, dict(terms))

@@ -13,7 +13,8 @@ h - I in M_m(m^n/m^(n+1)), each row paired with a group element.  Order,
 membership, subgroup and normal closures, the p-central series, the depth
 filtration and the uniformity checks all run on these sequences, in about
 rank^2 multiplies; only iteration builds an element set, under the cap.
-A seed element of depth 0 raises `DepthError`: it has no layer vector.
+`matgrp._weight_digits` reads the layer vector of h in Gamma_n over both
+rings; a seed element of depth 0 raises `DepthError`: it has none.
 Uniformity is decided on the p-th powers of each level's generators, one
 subgroup closure per level.
 
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 import os
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partialmethod
-from math import comb
 from operator import eq, ge, gt, le, lt
 
 from .errors import (
@@ -96,10 +97,9 @@ class _PcSet:
     held as an induced pc sequence: for each depth n < N, a basis of the layer
     (H cap Gamma_n) / (H cap Gamma_(n+1)), embedded in the F_p-space
     M_m(m^n/m^(n+1)) by h -> (h - I) mod m^(n+1) (a homomorphism, as
-    2n >= n + 1).  The layer vector (`_layer`, chosen once from the ring)
-    is (h - I)/p^n mod p over Z/p^N, m^2 digits, and over a series ring the
-    weight-n digits of each entry (`matgrp._weight_digits`), m^2
-    times C(n + v, v) digits, one per weight-n monomial p^a T^b.  Row i of
+    2n >= n + 1).  `matgrp._weight_digits` reads the layer vector off h in
+    Gamma_n over either ring (sifting reads level n only there): per entry,
+    one digit per weight-n monomial p^a T^b, m^2 C(n + v, v) in all.  Row i of
     `levels[n - 1][0]`, a `SpanTracker` in reduced echelon form, is the
     layer vector of the element `levels[n - 1][1][i]`, kept with its
     inverse.  So |H| = p^rank, and h is in H exactly when sifting ends at I:
@@ -120,12 +120,7 @@ class _PcSet:
         ent = self._ent = _Entries(ring)
         self.ring, self.m, self.mod = ring, m, ent.mod
         self.identity = ent.identity(m)
-        if ent.scalar:
-            self._layer, widths = self._digit_layer, [m * m] * (ring.cap - 1)
-        else:
-            v = ring.n_vars
-            self._layer = self._weight_layer
-            widths = [m * m * comb(n + v, v) for n in range(1, ring.cap)]
+        widths = (m * m * bisect_right(ent.degs, n) for n in range(1, ring.cap))
         self.levels = [(SpanTracker(w, ring.p), []) for w in widths]
         self._frozen = None
 
@@ -160,8 +155,7 @@ class _PcSet:
         p, last, mod = ring.p, ring.cap, pc.mod
         inserted, kept = [], []
         queue = list(seed)
-        ent = _Entries(ring)
-        if any(_depth(s, m, ent) < 1 for s in queue):
+        if any(_depth(s, m, pc._ent) < 1 for s in queue):
             raise DepthError("seed element not congruent to I mod m")
         for s in queue:  # with `conjugates`, queue grows while it is walked
             work = [s]
@@ -187,28 +181,19 @@ class _PcSet:
                 inserted.append((b, b_inv, n))
         return pc, kept
 
-    def _digit_layer(self, x: tuple, n: int) -> list:
-        """(x - I)/p^n mod p, for x congruent to I mod p^n."""
-        q, p = self.ring.p**n, self.ring.p
-        return [(e - d) // q % p for e, d in zip(x, self.identity)]
-
-    def _weight_layer(self, x: tuple, n: int) -> list:
-        """The weight-n digits of each entry of x - I, for x in Gamma_n."""
-        return _weight_digits(x, self.m, n, self._ent)
-
     def _sift(self, x: tuple):
         """None when x sifts to I, else (n, r, vec): x reduced to r of depth
         n, whose layer vector vec is outside the depth-n span."""
-        m, mod = self.m, self.mod
+        m, mod, ent = self.m, self.mod, self._ent
         for n, (tracker, basis) in enumerate(self.levels, 1):
-            vec = self._layer(x, n)
+            vec = _weight_digits(x, m, n, ent)
             if not any(vec):
                 continue
             for (_, b_inv), c in zip(basis, tracker.pivots):
                 k = vec[c]
                 if k:
                     x = _mul(x, _pow(b_inv, k, m, mod), m, mod)
-            vec = self._layer(x, n)
+            vec = _weight_digits(x, m, n, ent)
             if any(vec):
                 return n, x, vec
         return None

@@ -6,15 +6,25 @@ series rings alike.
 """
 
 import itertools
+import math
+import random
+from bisect import bisect_right
 
 import pytest
 
 from tamelab.certify import _weight_monomials, brute_search_certificate, slm_series_suite
 from tamelab.errors import NonUnitDeterminant, PrecisionMismatch
 from tamelab.liealg import rank
-from tamelab.matgrp import RingMatrix, _from_entries, _weight_digits, sl_standard_generators
+from tamelab.matgrp import (
+    RingMatrix,
+    _add,
+    _from_entries,
+    _weight_digits,
+    congruence_depth,
+    sl_standard_generators,
+)
 from tamelab.padic import ScalarRing, SeriesRing, _Layout, int_valuation
-from tamelab.pcentral import closure, pcentral_series
+from tamelab.pcentral import _PcSet, closure, pcentral_series
 
 
 def gamma1_generators(ring):
@@ -227,3 +237,122 @@ def test_weight_digit_rank_matches_the_sl_basis_oracle(m, k, n_vars, trunc, p):
     report = slm_series_suite(m, k, n_vars, trunc, p)
     assert report.all_pass
     assert report.data["gr_dim"] == gr_dim
+
+
+# ---------------------------------------------------------------------------
+# one graded-layer reader: the earlier formulas as oracles
+
+
+def _scalar_layer_oracle(flat, m, n, p):
+    """(x - I)/p^n mod p entrywise, the Z/p^N layer vector read before
+    `_weight_digits` read both rings."""
+    identity = [int(i == j) for i in range(m) for j in range(m)]
+    return [(e - d) // p**n % p for e, d in zip(flat, identity)]
+
+
+def _difference_digits_oracle(a, m, n, ent):
+    """The weight-n digits of a - I, I subtracted first: the series reader
+    before it read a itself."""
+    p, degs = ent.ring.p, ent.degs
+    width = bisect_right(degs, n)
+    out = [0] * (m * m * width)
+    for t, block in _add(a, ent.identity(m), ent.mod, -1):
+        if t >= width:
+            break
+        out[t::width] = [c // p ** (n - degs[t]) % p for c in block]
+    return out
+
+
+def _diagonal_constants(p, cap, n):
+    """1 and 1 + (p^(cap - n) - 1) p^n: the least and the largest reduced
+    constant congruent to 1 mod p^n."""
+    return [1, 1 + (p ** (cap - n) - 1) * p**n]
+
+
+def _random_sl_gamma(rng, ring, m, n, corner):
+    """An element of SL_m(Z/p^N) congruent to I mod p^n, with `corner` at
+    (0, 0): random entries, then the last row scaled by the inverse of the
+    determinant (a unit congruent to 1 mod p^n)."""
+    p, q = ring.p, ring.modulus
+    rows = [
+        [int(i == j) + p**n * rng.randrange(p ** (ring.prec - n)) for j in range(m)]
+        for i in range(m)
+    ]
+    rows[0][0] = corner
+    det = RingMatrix.from_int_rows(ring, rows).det().value
+    rows[-1] = [e * pow(det, -1, q) % q for e in rows[-1]]
+    g = RingMatrix.from_int_rows(ring, rows)
+    assert g.det() == ring.one()
+    return g
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_weight_digits_match_the_scalar_layer_formula(m, p):
+    rng = random.Random(f"{m}-{p}")
+    for prec in range(2, 6):
+        ring = ScalarRing(p, prec)
+        for n in range(1, prec):
+            corners = _diagonal_constants(p, prec, n)
+            corners += [1 + p**n * rng.randrange(p ** (prec - n)) for _ in range(6)]
+            for corner in corners:
+                g = _random_sl_gamma(rng, ring, m, n, corner)
+                assert congruence_depth(g) >= n
+                digits = _weight_digits(g._flat, m, n, g._ent)
+                assert digits == _scalar_layer_oracle(g._flat, m, n, p)
+            # every diagonal constant at an extreme at once (not in SL_m)
+            for c in corners[:2]:
+                flat = tuple(c if i == j else 0 for i in range(m) for j in range(m))
+                assert _weight_digits(flat, m, n, g._ent) == _scalar_layer_oracle(
+                    flat, m, n, p
+                )
+
+
+def _random_series_gamma(rng, ring, m, n, constant):
+    """A matrix over `ring` congruent to I mod m^n: each coefficient of
+    degree d a random multiple of p^(n - d), and `constant` as the constant
+    term of every diagonal entry."""
+    p, layout = ring.p, _Layout(ring)
+
+    def entry(diagonal):
+        terms = {}
+        for beta in layout.monos:
+            d, low = sum(beta), max(n - sum(beta), 0)
+            terms[beta] = p**low * rng.randrange(p ** (ring.trunc - d - low))
+        if diagonal:
+            terms[(0,) * ring.n_vars] = constant
+        return ring.from_terms(terms)
+
+    return RingMatrix(ring, [[entry(i == j) for j in range(m)] for i in range(m)])
+
+
+@pytest.mark.parametrize("n_vars", [0, 1, 2])
+@pytest.mark.parametrize("p", [3, 5])
+def test_weight_digits_match_the_digits_of_x_minus_identity(n_vars, p):
+    rng = random.Random(f"{n_vars}-{p}")
+    for m, trunc in itertools.product((2, 3), (2, 3, 4)):
+        ring = SeriesRing(p, n_vars, trunc)
+        for n in range(1, trunc):
+            constants = _diagonal_constants(p, trunc, n)
+            constants += [1 + p**n * rng.randrange(p ** (trunc - n)) for _ in range(3)]
+            for c in constants:
+                g = _random_series_gamma(rng, ring, m, n, c)
+                assert congruence_depth(g) >= n
+                digits = _weight_digits(g._flat, m, n, g._ent)
+                assert digits == _difference_digits_oracle(g._flat, m, n, g._ent)
+                entries = [e for row in (g - RingMatrix.identity(ring, m)).rows for e in row]
+                assert digits == [d for e in entries for d in _oracle_weight_digits(e, n)]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ScalarRing(3, 5), ScalarRing(7, 2), SeriesRing(3, 0, 4), SeriesRing(3, 1, 4),
+     SeriesRing(5, 2, 3), SeriesRing(3, 3, 4)],
+    ids=repr,
+)
+@pytest.mark.parametrize("m", [2, 3])
+def test_pc_level_widths_are_the_layer_dimensions(ring, m):
+    # m^2 digits per level over Z/p^N, m^2 C(n + v, v) over A/m^N
+    v = getattr(ring, "n_vars", 0)
+    widths = [tracker.dim for tracker, _ in _PcSet(ring, m).levels]
+    assert widths == [m * m * math.comb(n + v, v) for n in range(1, ring.cap)]

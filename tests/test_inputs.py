@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from tamelab import cli
+from tamelab.bounds import SplittingBoundInput
 from tamelab.certify import standard_inertial_certificate
-from tamelab.errors import DomainError, SchemaError, json_int
+from tamelab.errors import DomainError, SchemaError, json_int, json_list
+from tamelab.liealg import LieAlgebra
 from tamelab.matgrp import RingMatrix
 from tamelab.padic import _PRIME_BOUND, SeriesRing, is_odd_prime
 
@@ -36,6 +38,13 @@ def test_json_int_reads_integers_and_their_strings(value, want):
 def test_json_int_refuses_floats_and_bools(value):
     with pytest.raises(SchemaError):
         json_int(value)
+
+
+@pytest.mark.parametrize("value", ["", "12", {}, {"1": 2}, (1,), None, 3])
+def test_json_list_refuses_strings_and_objects(value):
+    assert json_list([value]) == [value]
+    with pytest.raises(SchemaError):
+        json_list(value)
 
 
 def _series_identity(cert):
@@ -78,6 +87,9 @@ _CERT_FIELDS = {
     "series-coefficient-float": _series_edit("coefficient", 1.5),
     "series-trunc-float": _series_edit("trunc", 3.0),
     "series-header-p-float": _series_edit("header", 5.0),
+    # an empty string or object used to load as the zero series
+    "series-coeffs-string": _series_edit("coeffs", ""),
+    "series-coeffs-object": _series_edit("coeffs", {}),
 }
 
 
@@ -151,6 +163,49 @@ def test_bound_flags_keep_fractional_discriminants(capsys, tmp_path):
     from_flags = run(capsys, "--json", "bound", "--disc", "7/2", "--r1", "1", "--r2", "0")
     assert from_file[0] == from_flags[0]
     assert json.loads(from_file[1])["data"] == json.loads(from_flags[1])["data"]
+
+
+# ---------------------------------------------------------------------------
+# JSON lists: a string or an object is no list
+
+
+_LIE_INPUT = {"dim": 3, "brackets": [[0, 1, [0, 0, 1]]]}
+# each used to load: "001" as [0, 0, 1], an object as its keys, and an
+# empty string or object as no brackets at all
+_LIE_NOT_LISTS = {
+    "coefficients-string": [[0, 1, "001"]],
+    "coefficients-object": [[0, 1, {"0": 0, "1": 0, "2": 1}]],
+    "brackets-string": "",
+    "brackets-object": {},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LIE_NOT_LISTS))
+def test_lie_lists_that_are_no_list_are_a_schema_error(capsys, tmp_path, kind):
+    payload = {**_LIE_INPUT, "brackets": _LIE_NOT_LISTS[kind]}
+    assert LieAlgebra.from_json(_LIE_INPUT).dim == 3
+    with pytest.raises(SchemaError):
+        LieAlgebra.from_json(payload)
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "lie", "--input", str(path), "--seed", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("norms", ["29", {"2": 1, "9": 1}], ids=["string", "object"])
+def test_prime_norms_that_are_no_list_are_a_schema_error(capsys, tmp_path, norms):
+    payload = {**_BOUND_INPUT, "prime_norms": norms}
+    assert SplittingBoundInput.from_json(_BOUND_INPUT).prime_norms == (2, 9)
+    with pytest.raises(SchemaError):
+        SplittingBoundInput.from_json(payload)
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "bound", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

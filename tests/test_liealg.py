@@ -426,11 +426,57 @@ def test_sl_m_and_abelian_spans_need_no_minimal_polynomial(monkeypatch, table):
     assert calls == []
 
 
-def test_a_forged_closure_image_raises(monkeypatch):
+def _closure_checking_every_image(L, certificates, tracker):
+    """The closure that builds and checks every image, even one whose y the
+    tracker already spans; yields what it builds."""
+    for g in certificates:
+        nums, d = liealg_module._numerators(g.y)
+        ad, scale = L._ad_numerators(nums), d * L.den
+        cols = [[(r, a) for r, a in enumerate(col) if a] for col in zip(*ad)]
+        for c in certificates:
+            phi_y, phi_x = (liealg_module._exp_ad(cols, scale, v) for v in (c.y, c.x))
+            cert = liealg_module.InertialLieCertificate(phi_y, phi_x, c.lam)
+            assert cert.holds_in(L)
+            yield cert
+
+
+CLOSURE_CASES = {**SPAN_CASES, "sl6": partial(sl_table, 6), "sl8": partial(sl_table, 8)}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+def test_closure_builds_only_the_images_it_keeps(monkeypatch, case):
+    L = CLOSURE_CASES[case]()
+    with monkeypatch.context() as patch:
+        built = []
+
+        def every_image(L, certificates, tracker):
+            for cert in _closure_checking_every_image(L, certificates, tracker):
+                built.append(cert)
+                yield cert
+
+        patch.setattr(liealg_module, "_closure_images", every_image)
+        oracle = inertial_span(L)
+    kept = [c for c in oracle.certificates if any(c is b for b in built)]
+    calls, real = [], liealg_module._exp_ad
     monkeypatch.setattr(
-        liealg_module, "_exp_ad", lambda cols, scale, v: tuple(2 * a for a in v)
+        liealg_module, "_exp_ad", lambda *args: calls.append(1) or real(*args)
     )
-    with pytest.raises(GuardFailed):
+    result = inertial_span(L)
+    assert result.certificates == oracle.certificates
+    assert (result.status, result.span_dim) == (oracle.status, oracle.span_dim)
+    # one series for each image's y, one more for the x of each kept image
+    assert len(calls) == len(built) + len(kept)
+    if case == "sl8":
+        assert (len(built), len(kept)) == (407, 7)
+
+
+def test_a_forged_closure_image_raises(monkeypatch):
+    # an image whose y stays in the span is skipped unchecked: the forgery
+    # moves y out of it, so the image is kept and must be checked
+    monkeypatch.setattr(
+        liealg_module, "_exp_ad", lambda cols, scale, v: tuple(a + 1 for a in v)
+    )
+    with pytest.raises(GuardFailed, match="exp"):
         inertial_span(sl2_table())
 
 
@@ -1132,7 +1178,7 @@ def test_closure_guards_and_minimal_polynomial_count_hold_under_python_O():
         spans = [liealg.inertial_span(L).span_dim
                  for L in (liealg.sl_table(4), liealg.abelian_table(6))]
         print("spans", spans, "minimal polynomials", len(calls))
-        liealg._exp_ad = lambda cols, scale, v: tuple(2 * a for a in v)
+        liealg._exp_ad = lambda cols, scale, v: tuple(a + 1 for a in v)
         try:
             liealg.inertial_span(liealg.sl2_table())
         except GuardFailed:

@@ -824,6 +824,18 @@ def test_series_block_form_matches_entry_oracles(n_vars, trunc):
             assert _check_inverse(one)
 
 
+@pytest.mark.parametrize(
+    "ring", [ScalarRing(3, 3), SeriesRing(3, 1, 3), SeriesRing(5, 2, 2)], ids=repr
+)
+def test_matrices_of_different_sizes_are_unequal(ring):
+    # over a series ring every zero matrix packs to (), whatever its size
+    for make in (RingMatrix.zeros, RingMatrix.identity):
+        small, big = make(ring, 2), make(ring, 3)
+        assert small != big and not small == big
+        assert hash(small) != hash(big) and len({small, big}) == 2
+        assert small == make(ring, 2) and hash(small) == hash(make(ring, 2))
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_scalar_inverse_matches_the_cofactor_oracle(p, m):
