@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``padic``    fixed-precision scalars mod p^N, truncated power series,
+- ``padic``    scalars mod p^N, truncated power series, the packed kernel,
                Hensel square roots, p-adic log/exp, exponent ratios
 - ``matgrp``   matrices over those rings: commutators, Z_p powering,
                truncated matrix exp/log, congruence depth, generators

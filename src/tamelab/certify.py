@@ -53,7 +53,6 @@ from .errors import (
 from .matgrp import (
     RingMatrix,
     _from_entries,
-    _int_product,
     _reduce_matrix,
     _weight_digits,
     commutator,
@@ -66,6 +65,7 @@ from .padic import (
     PadicScalar,
     ScalarRing,
     SeriesRing,
+    _int_product,
     _Layout,
     alpha_ratio,
     first_nonresidue,

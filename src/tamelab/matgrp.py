@@ -12,33 +12,24 @@ The commutator convention is load-bearing: it is the one under which the
 diagonal/unipotent relations of the SL_2 construction hold with exponent q-1 on the nose, and
 flipping it flips exponent signs everywhere downstream.
 
-This module owns the one packed matrix kernel.  Over Z/p^N a matrix is a
-flat row-major tuple of ints in [0, p^N); over A/m^M it is the matrix
-sum_beta T^beta C_beta itself: (beta, C_beta) pairs sorted by the index of
-beta in the ring's `_Layout`, each block a flat integer tuple reduced mod
-p^(M - deg beta), zero blocks left out, so equal matrices have equal forms.
-Every product, power, sum, inverse, depth and comparison of `RingMatrix`
-and of the pc groups of `pcentral` runs on these forms: a product is one
-generated integer product per m (`_int_product`) per pair of blocks whose
-degrees sum below the truncation, and `_inverse` lifts the inverse of the
-constant block by Newton steps.  `PadicScalar` and `SeriesElement` are the
-entry views at the boundary (constructor, `rows`, `det`, `trace`, JSON).
-Narrowing (`_reduce_matrix`), the weight-n digits (`_weight_digits`) and
-the entry contract of both rings (`_Entries`) are written here only.  The
-exp/log series is not: `mat_exp`/`mat_log` sum the coefficients that
-`padic` specifies for its scalar `pexp`/`plog`.
+The packed kernel (`_int_product`, `_mul`, `_add`, `_newton`,
+`_valuations`) and its flat forms are `padic`'s.  This module owns the
+entry contract of both rings (`_Entries`: how entries pack into a flat
+form, and the view back), the matrices, and the group operations on flat
+forms: powering, the seed of the Newton inverse, depth, the weight-n
+digits (`_weight_digits`) and narrowing (`_reduce_matrix`).  `PadicScalar`
+and `SeriesElement` are the entry views at the boundary (constructor,
+`rows`, `det`, `trace`, JSON); `mat_exp`/`mat_log` sum the exp/log
+coefficients that `padic` specifies for its scalar `pexp`/`plog`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import gcd
-from operator import add
 
 from .errors import (
     DepthError,
-    GuardFailed,
     NonUnitDeterminant,
     PrecisionMismatch,
     SchemaError,
@@ -47,11 +38,15 @@ from .errors import (
 from .padic import (
     PadicScalar,
     ScalarRing,
+    SeriesElement,
     SeriesRing,
+    _add,
     _Layout,
-    _reduced,
+    _mul,
+    _newton,
     _series_coefficients,
-    int_valuation,
+    _sorted_blocks,
+    _valuations,
     ring_from_header,
 )
 
@@ -88,96 +83,52 @@ class _Entries:
 
     def cell(self, e):
         """The packed form of one entry, its ring checked by `tag` (a scalar's
-        is (p, prec); none is built): its residue, or a series entry's terms."""
+        is (p, prec); none is built): its residue or a series entry's 1 x 1 form."""
         tag = (e.p, e.prec) if isinstance(e, PadicScalar) else getattr(e, "ring", None)
         if tag != self.tag:
             raise PrecisionMismatch("entries live in different rings")
-        return e.value if self.scalar else e._terms
+        return e.value if self.scalar else e._flat
 
     def pack(self, cells: list) -> tuple:
         """The flat form of m*m cells, row-major: ints, or over a series ring
-        term dicts, reduced here."""
+        1 x 1 forms merged into one m x m form, reduced here."""
         if self.scalar:
             return tuple(c % self.mod for c in cells)
-        keys = {i for terms in cells for i in terms}
-        blocks = {i: [terms.get(i, 0) for terms in cells] for i in keys}
+        n, blocks = len(cells), {}
+        for k, cell in enumerate(cells):
+            for i, (c,) in cell:
+                blocks.setdefault(i, [0] * n)[k] = c
         return _sorted_blocks(blocks, self.mod.mods)
 
     def view(self, flat: tuple, m: int) -> list:
         """The m*m entries of `flat`, row-major, as ring elements."""
-        ring = self.ring
+        ring, layout = self.ring, self.mod
         if self.scalar:
             return [PadicScalar(ring.p, ring.prec, e) for e in flat]
-        cols = range(m * m)
-        return [_reduced(ring, self.mod, {i: c[k] for i, c in flat if c[k]}) for k in cols]
+        return [
+            SeriesElement._packed(layout, tuple([(i, (c[k],)) for i, c in flat if c[k]]))
+            for k in range(m * m)
+        ]
+
+    def is_packed(self, x, m: int) -> bool:
+        """Whether x, of ints only, is the reduced flat form of an m x m matrix."""
+        try:
+            ints = isinstance(x, tuple) and all(
+                isinstance(i, int) and 0 <= i < len(self.degs) and len(b) == m * m
+                and all(isinstance(v, int) for v in b) for i, b in self.blocks(x)
+            )
+        except (TypeError, ValueError):  # an item that is no (index, block) pair
+            return False
+        # sorted and reduced, and over a series ring without a zero block
+        return ints and _add(self.zeros(m), x, self.mod) == x
 
 
 # ---------------------------------------------------------------------------
-# the kernel: loops over flat forms of m x m matrices
+# matrix loops on flat forms, over `padic`'s product and sum
 
 
 def _identity(m: int, zero, one) -> tuple:
     return tuple(one if i == j else zero for i in range(m) for j in range(m))
-
-
-@lru_cache(maxsize=None)
-def _int_product(m: int):
-    """product(mod, a, b) of flat m x m integer tuples, generated for m: unpack
-    both, then one (a0*b0 + ...) % mod per entry (for m = 2, the hand unroll).
-    Built at the first product of each m; the source grows as m^3."""
-    a, b = (", ".join(f"{x}{k}" for k in range(m * m)) for x in "ab")
-    entries = ", ".join(
-        "(" + " + ".join(f"a{i + t} * b{t * m + j}" for t in range(m)) + ") % mod"
-        for i in range(0, m * m, m)
-        for j in range(m)
-    )
-    code: dict = {}
-    exec(f"def product(mod, a, b):\n {a}, = a\n {b}, = b\n return ({entries},)", code)
-    return code["product"]
-
-
-def _sorted_blocks(acc: dict, mods: list) -> tuple:
-    """The series form of acc (index -> block): sorted, each list (a sum)
-    reduced mod its modulus, zero blocks dropped; tuples come reduced."""
-    out = []
-    for k in sorted(acc):
-        c = acc[k]
-        if type(c) is list:
-            q = mods[k]
-            c = tuple([e % q for e in c])
-        if any(c):
-            out.append((k, c))
-    return tuple(out)
-
-
-def _mul(a: tuple, b: tuple, m: int, mod) -> tuple:
-    """a b; over a series ring C_b1 C_b2 is added into block b1 + b2 when its
-    degree is below the truncation."""
-    product = _int_product(m)
-    if isinstance(mod, int):
-        return product(mod, a, b)
-    mods, acc = mod.mods, {}
-    for i, x in a:
-        row = mod[i]
-        size = len(row)
-        for j, y in b:
-            if j >= size:  # b is sorted by degree: the rest vanish too
-                break
-            k = row[j]
-            c = product(mods[k], x, y)
-            acc[k] = [*map(add, acc[k], c)] if k in acc else c
-    return _sorted_blocks(acc, mods)
-
-
-def _add(a: tuple, b: tuple, mod, c: int = 1) -> tuple:
-    """a + c b for an integer c."""
-    if isinstance(mod, int):
-        return tuple((x + c * y) % mod for x, y in zip(a, b))
-    acc = dict(a)
-    for k, y in b:
-        x = acc.get(k)
-        acc[k] = [u + c * v for u, v in zip(x, y)] if x else [c * v for v in y]
-    return _sorted_blocks(acc, mod.mods)
 
 
 def _pow(a: tuple, e: int, m: int, mod) -> tuple:
@@ -237,42 +188,23 @@ def _block_inverse(c: tuple, m: int, q: int, p: int) -> tuple | None:
 
 
 def _inverse(a: tuple, m: int, ent: _Entries) -> tuple:
-    """a^-1 by Newton lifting from the inverse of the constant block mod p^cap.
-
-    Each step X <- X + X(I - aX) squares the residual I - aX, whose blocks
-    start at degree >= 1, so it returns after no step over Z/p^N and at
-    most ceil(log2 M) over A/m^M, and only once aX = I (GuardFailed past
-    that bound).  NonUnitDeterminant (naming det a) when the constant block
-    is singular mod p.
-    """
-    mod, one = ent.mod, ent.identity(m)
-    blocks = ent.blocks(a)
+    """a^-1 by `_newton` from the inverse of the constant block mod p^cap;
+    NonUnitDeterminant (naming det a) when that block is singular mod p."""
+    mod, ring, blocks = ent.mod, ent.ring, ent.blocks(a)
     c0 = blocks[0][1] if blocks and blocks[0][0] == 0 else (0,) * (m * m)
     q = mod if ent.scalar else mod.mods[0]
-    x = _block_inverse(c0, m, q, ent.ring.p)
+    x = _block_inverse(c0, m, q, ring.p)
     if x is None:
-        det = _det(ent.view(a, m), m, ent.ring.one())
+        det = _det(ent.view(a, m), m, ring.one())
         raise NonUnitDeterminant(f"determinant {det!r} is not a unit")
-    x = x if ent.scalar else ((0, x),)
-    for _ in range(ent.ring.cap.bit_length() + 1):  # ceil(log2 M) steps, checked
-        ax = _mul(a, x, m, mod)
-        if ax == one:
-            return x
-        x = _add(x, _mul(x, _add(one, ax, mod, -1), m, mod), mod)
-    raise GuardFailed("Newton lifting did not reach the inverse")
-
-
-def _valuations(a: tuple, ent: _Entries) -> list:
-    """(degree, least p-adic valuation) of each block of a; a zero block
-    (only a scalar matrix has one) reports the precision cap."""
-    p, cap, degs = ent.ring.p, ent.ring.cap, ent.degs
-    return [(degs[i], int_valuation(gcd(*c), p, cap)) for i, c in ent.blocks(a)]
+    return _newton(a, x if ent.scalar else ((0, x),), m, mod, ent.identity(m), ring.cap)
 
 
 def _depth(a: tuple, m: int, ent: _Entries) -> int:
     """Largest k <= the precision cap with a congruent to I mod m^k."""
     diff = _add(a, ent.identity(m), ent.mod, -1)
-    return min((d + v for d, v in _valuations(diff, ent)), default=ent.ring.cap)
+    pairs = _valuations(ent.blocks(diff), ent.ring, ent.degs)
+    return min((d + v for d, v in pairs), default=ent.ring.cap)
 
 
 def _weight_digits(a: tuple, m: int, n: int, ent: _Entries) -> list:
@@ -304,8 +236,8 @@ class RingMatrix:
 
     def __init__(self, ring: Ring, rows):
         rows = [tuple(row) for row in rows]
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square and at least 1 x 1")
         self.ring, self.m, self._ent = ring, len(rows), _Entries(ring)
         self._flat = self._ent.pack([self._ent.cell(e) for row in rows for e in row])
 
@@ -489,7 +421,8 @@ def zp_power(g: RingMatrix, alpha: PadicScalar) -> RingMatrix:
 
 def _content(g: RingMatrix) -> int:
     """The least p-adic valuation of a coefficient of g."""
-    return min((v for _, v in _valuations(g._flat, g._ent)), default=g.ring.cap)
+    pairs = _valuations(g._ent.blocks(g._flat), g.ring, g._ent.degs)
+    return min((v for _, v in pairs), default=g.ring.cap)
 
 
 def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
@@ -532,7 +465,7 @@ def _from_entries(ring: Ring, m: int, entries: dict, diagonal=1) -> RingMatrix:
     def cell(e):  # an int stands for its image in the ring
         if not isinstance(e, int):
             return ent.cell(e)
-        return e if ent.scalar else {0: e} if e else {}
+        return e if ent.scalar else ((0, (e,)),) if e else ()
 
     cells = [cell(0)] * (m * m)
     cells[:: m + 1] = [cell(diagonal)] * m

@@ -6,13 +6,18 @@ loss is never silent.  Series elements carry graded precision: the
 coefficient of a total-degree-j monomial is a residue mod p^(M-j), which is
 exactly the information present in the quotient by m^M, m = (p, T_1..T_n).
 
-A series element is packed: a dict from monomial index to reduced residue,
-where the index is the monomial's place in graded-lex order (degree, then
-exponent tuple) among the monomials of degree < M.  Each ring caches this
-layout once (`_Layout`), with the moduli and, built row by row on first
-use, the product table.  Graded-lex order is prefix-stable: the monomials
-of (p, n, M) are the first ones of (p, n, M + h), so moving an element to
-a wider or narrower truncation keeps its indices.
+A monomial is named by its index, its place in graded-lex order (degree,
+then exponent tuple) among the monomials of degree < M.  Each ring caches
+this layout once (`_Layout`), with the moduli and, built row by row on
+first use, the product table.  Graded-lex order is prefix-stable: the
+monomials of (p, n, M) are the first ones of (p, n, M + h), so moving an
+element to a wider or narrower truncation keeps its indices.
+
+This module owns the one packed kernel (`_int_product`, `_mul`, `_add`,
+the Newton lift `_newton`, the valuation reader `_valuations`): `matgrp`'s
+matrices, `pcentral`'s pc groups and `SeriesElement`, the 1 x 1 case, all
+run on it.  `matgrp`, from which nothing is imported here, owns the entry
+contract, the matrices and the group operations.
 
 The truncated exp/log series is specified once, here: its cutoff, headroom
 and term coefficients come from `_series_coefficients`, which `plog`/`pexp`
@@ -30,12 +35,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
+from math import gcd
 from operator import add, mul
 from types import MappingProxyType
 
 from .errors import (
     DomainError,
     GuardFailed,
+    LimitExceeded,
     NonResidue,
     NonUnit,
     PrecisionMismatch,
@@ -135,6 +142,20 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
 # scalar ring Z/p^N
 
 
+# the largest precision of any ring, working ones (exp/log headroom,
+# `alpha_ratio` guard digits) included; checked before p^N is formed
+MAX_PRECISION = 1000
+
+
+def _check_ring(p: int, prec: int, what: str = "precision"):
+    if not is_odd_prime(p):
+        raise DomainError(f"p must be an odd prime, got {p}")
+    if prec < 1:
+        raise DomainError(f"{what} must be >= 1, got {prec}")
+    if prec > MAX_PRECISION:
+        raise LimitExceeded(f"{what} {prec} is past the bound {MAX_PRECISION}")
+
+
 @dataclass(frozen=True)
 class ScalarRing:
     """Descriptor for Z/p^N viewed as the length-N truncation of Z_p."""
@@ -143,10 +164,7 @@ class ScalarRing:
     prec: int
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise DomainError(f"p must be an odd prime, got {self.p}")
-        if self.prec < 1:
-            raise DomainError(f"precision must be >= 1, got {self.prec}")
+        _check_ring(self.p, self.prec)
 
     @property
     def cap(self) -> int:
@@ -178,10 +196,7 @@ class PadicScalar:
     __slots__ = ("p", "prec", "value")
 
     def __init__(self, p: int, prec: int, value: int):
-        if not is_odd_prime(p):
-            raise DomainError(f"p must be an odd prime, got {p}")
-        if prec < 1:
-            raise DomainError(f"precision must be >= 1, got {prec}")
+        _check_ring(p, prec)
         self.p = p
         self.prec = prec
         self.value = value % p**prec
@@ -380,12 +395,9 @@ class SeriesRing:
     trunc: int
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise DomainError(f"p must be an odd prime, got {self.p}")
+        _check_ring(self.p, self.trunc, "truncation")
         if self.n_vars < 0:
             raise DomainError("n_vars must be >= 0")
-        if self.trunc < 1:
-            raise DomainError("truncation must be >= 1")
 
     @property
     def cap(self) -> int:
@@ -468,28 +480,121 @@ class _Layout(dict):
         return row
 
 
+# ---------------------------------------------------------------------------
+# the packed kernel on flat forms of m x m matrices: over Z/p^N (`mod` = p^N)
+# a row-major tuple of ints in [0, p^N); over A/m^M (`mod` = the `_Layout`)
+# sum_beta T^beta C_beta as (index of beta, C_beta) pairs sorted by index,
+# each block a flat integer tuple reduced mod p^(M - deg beta), zero blocks
+# left out, so equal matrices have equal forms
+
+
+@lru_cache(maxsize=None)
+def _int_product(m: int):
+    """product(mod, a, b) of flat m x m integer tuples, generated for m: unpack
+    both, then one (a0*b0 + ...) % mod per entry (for m = 2, the hand unroll).
+    Built at the first product of each m; the source grows as m^3."""
+    a, b = (", ".join(f"{x}{k}" for k in range(m * m)) for x in "ab")
+    entries = ", ".join(
+        "(" + " + ".join(f"a{i + t} * b{t * m + j}" for t in range(m)) + ") % mod"
+        for i in range(0, m * m, m)
+        for j in range(m)
+    )
+    code: dict = {}
+    exec(f"def product(mod, a, b):\n {a}, = a\n {b}, = b\n return ({entries},)", code)
+    return code["product"]
+
+
+def _sorted_blocks(acc: dict, mods: list) -> tuple:
+    """The series form of acc (index -> block): sorted, each list (a sum)
+    reduced mod its modulus, zero blocks dropped; tuples come reduced."""
+    out = []
+    for k in sorted(acc):
+        c = acc[k]
+        if type(c) is list:
+            q = mods[k]
+            c = tuple([e % q for e in c])
+        if any(c):
+            out.append((k, c))
+    return tuple(out)
+
+
+def _mul(a: tuple, b: tuple, m: int, mod) -> tuple:
+    """a b; over a series ring C_b1 C_b2 is added into block b1 + b2 when its
+    degree is below the truncation."""
+    product = _int_product(m)
+    if isinstance(mod, int):
+        return product(mod, a, b)
+    mods, acc = mod.mods, {}
+    for i, x in a:
+        row = mod[i]
+        size = len(row)
+        for j, y in b:
+            if j >= size:  # b is sorted by degree: the rest vanish too
+                break
+            k = row[j]
+            c = product(mods[k], x, y)
+            acc[k] = [*map(add, acc[k], c)] if k in acc else c
+    return _sorted_blocks(acc, mods)
+
+
+def _add(a: tuple, b: tuple, mod, c: int = 1) -> tuple:
+    """a + c b for an integer c."""
+    if isinstance(mod, int):
+        return tuple((x + c * y) % mod for x, y in zip(a, b))
+    acc = dict(a)
+    for k, y in b:
+        x = acc.get(k)
+        acc[k] = [u + c * v for u, v in zip(x, y)] if x else [c * v for v in y]
+    return _sorted_blocks(acc, mod.mods)
+
+
+def _newton(a: tuple, x: tuple, m: int, mod, one: tuple, cap: int) -> tuple:
+    """a^-1 lifted from x, an inverse of a's constant block mod p^cap.  Each
+    step X <- X + X(I - aX) squares the residual I - aX, whose blocks start
+    at degree >= 1: no step over Z/p^N, at most ceil(log2 M) over A/m^M, and
+    a return only once aX = I (GuardFailed past that bound)."""
+    for _ in range(cap.bit_length() + 1):  # ceil(log2 M) steps, checked
+        ax = _mul(a, x, m, mod)
+        if ax == one:
+            return x
+        x = _add(x, _mul(x, _add(one, ax, mod, -1), m, mod), mod)
+    raise GuardFailed("Newton lifting did not reach the inverse")
+
+
+def _valuations(blocks, ring: ScalarRing | SeriesRing, degs: list) -> list:
+    """(degree, least p-adic valuation) of each (index, block) pair; a zero
+    block (only a scalar matrix has one) reports the precision cap."""
+    p, cap = ring.p, ring.cap
+    return [(degs[i], int_valuation(gcd(*c), p, cap)) for i, c in blocks]
+
+
 class SeriesElement:
-    """Element of A/m^M stored as monomial index -> residue mod p^(M - degree).
+    """Element of A/m^M as the packed form of a 1 x 1 matrix: sorted (monomial
+    index, (residue,)) pairs, each residue nonzero mod p^(M - degree); `coeffs`
+    is the read-only view keyed by exponent tuples."""
 
-    The index is the monomial's place in the ring's `_Layout`; `coeffs` is
-    the read-only view keyed by exponent tuples.
-    """
-
-    __slots__ = ("ring", "_layout", "_terms")
+    __slots__ = ("ring", "_layout", "_flat")
 
     def __init__(self, ring: SeriesRing, coeffs):
         layout, raw = _Layout(ring), {}
         for exps, c in coeffs.items():
             i = layout.index.get(tuple(exps))
             if i is not None:
-                raw[i] = c
+                raw[i] = [c]
             elif len(exps) != ring.n_vars or not all(
                 isinstance(e, int) and e >= 0 for e in exps
             ):
                 raise DomainError(f"{exps} is not a monomial of {ring}")
             # any other exponent vector has degree >= M: zero in A/m^M
-        mods, self.ring, self._layout = layout.mods, ring, layout
-        self._terms = {i: c % mods[i] for i, c in raw.items() if c % mods[i]}
+        self.ring, self._layout = ring, layout
+        self._flat = _sorted_blocks(raw, layout.mods)
+
+    @classmethod
+    def _packed(cls, layout: _Layout, flat: tuple) -> "SeriesElement":
+        """Wrap a packed form (reduced, canonical) without checks."""
+        x = object.__new__(cls)
+        x.ring, x._layout, x._flat = layout.ring, layout, flat
+        return x
 
     def _check(self, other: "SeriesElement"):
         if not isinstance(other, SeriesElement):
@@ -500,93 +605,70 @@ class SeriesElement:
     @property
     def coeffs(self) -> MappingProxyType:
         monos = self._layout.monos
-        return MappingProxyType({monos[i]: c for i, c in self._terms.items()})
+        return MappingProxyType({monos[i]: c for i, (c,) in self._flat})
 
     def __add__(self, other):
         self._check(other)
-        raw = dict(self._terms)
-        for i, c in other._terms.items():
-            raw[i] = raw.get(i, 0) + c
-        return _element(self.ring, self._layout, raw)
+        return self._packed(self._layout, _add(self._flat, other._flat, self._layout))
 
     def __neg__(self):
-        terms = {i: -c for i, c in self._terms.items()}
-        return _element(self.ring, self._layout, terms)
+        return self._packed(self._layout, _add((), self._flat, self._layout, -1))
 
     def __sub__(self, other):
         self._check(other)
-        return self + -other
+        layout = self._layout
+        return self._packed(layout, _add(self._flat, other._flat, layout, -1))
 
     def __mul__(self, other):
         self._check(other)
-        layout, acc = self._layout, {}
-        right = other._terms.items()
-        for i, c1 in self._terms.items():
-            row = layout[i]
-            size = len(row)
-            for j, c2 in right:
-                if j < size:
-                    k = row[j]
-                    acc[k] = acc.get(k, 0) + c1 * c2
-        return _element(self.ring, layout, acc)
-
-    def _valuations(self) -> list:
-        """(degree, p-adic valuation) of each term."""
-        p, trunc, degs = self.ring.p, self.ring.trunc, self._layout.degs
-        return [
-            (degs[i], int_valuation(c, p, trunc - degs[i]))
-            for i, c in self._terms.items()
-        ]
+        layout = self._layout
+        return self._packed(layout, _mul(self._flat, other._flat, 1, layout))
 
     def m_adic_depth(self) -> int:
         """Largest k with the element in m^k, capped at the truncation order."""
-        return min((d + v for d, v in self._valuations()), default=self.ring.trunc)
+        pairs = _valuations(self._flat, self.ring, self._layout.degs)
+        return min((d + v for d, v in pairs), default=self.ring.trunc)
 
     def p_content(self) -> int:
         """Minimal coefficient valuation; infinite (capped) for the zero element."""
-        return min((v for _, v in self._valuations()), default=self.ring.trunc)
+        pairs = _valuations(self._flat, self.ring, self._layout.degs)
+        return min((v for _, v in pairs), default=self.ring.trunc)
 
     def constant_coefficient(self) -> int:
-        return self._terms.get(0, 0)
+        return self._flat[0][1][0] if self._flat and self._flat[0][0] == 0 else 0
 
     def is_unit(self) -> bool:
         return self.constant_coefficient() % self.ring.p != 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._flat
 
     def inv(self) -> "SeriesElement":
-        """Newton iteration; each step doubles the correct m-adic depth."""
+        """Newton lifting from the inverse of the constant coefficient."""
         if not self.is_unit():
             raise NonUnit("series inverse needs a unit constant coefficient")
-        ring = self.ring
-        x = ring.from_int(pow(self.constant_coefficient(), -1, ring.p**ring.trunc))
-        two = ring.from_int(2)
-        depth = 1
-        while depth < ring.trunc:
-            x = x * (two - self * x)
-            depth *= 2
-        if self * x != ring.one():
-            raise GuardFailed("Newton iteration did not reach the series inverse")
-        return x
+        layout = self._layout
+        seed = ((0, (pow(self.constant_coefficient(), -1, layout.mods[0]),)),)
+        x = _newton(self._flat, seed, 1, layout, ((0, (1,)),), self.ring.trunc)
+        return self._packed(layout, x)
 
     def sorted_terms(self) -> list:
         """(exponent tuple, residue) pairs in graded-lex order."""
         monos = self._layout.monos
-        return [(monos[i], c) for i, c in sorted(self._terms.items())]
+        return [(monos[i], c) for i, (c,) in self._flat]
 
     def __eq__(self, other):
         return (
             isinstance(other, SeriesElement)
             and (other._layout is self._layout or other.ring == self.ring)
-            and self._terms == other._terms
+            and self._flat == other._flat
         )
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(self._flat)
 
     def __repr__(self):
-        if not self._terms:
+        if not self._flat:
             return "SeriesElement(0)"
         parts = []
         for exps, c in self.sorted_terms():
@@ -617,19 +699,3 @@ class SeriesElement:
             return cls(ring, dict(terms))
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise SchemaError(f"bad series payload {obj!r}: {exc}") from exc
-
-
-def _element(ring: SeriesRing, layout: _Layout, raw: dict) -> SeriesElement:
-    """The element with terms raw (index -> integer), reduced; unchecked."""
-    mods, x = layout.mods, object.__new__(SeriesElement)
-    x.ring, x._layout = ring, layout
-    x._terms = {i: c % mods[i] for i, c in raw.items() if c % mods[i]}
-    return x
-
-
-def _reduced(ring: SeriesRing, layout: _Layout, terms: dict) -> SeriesElement:
-    """The element with terms (index -> nonzero reduced residue); unchecked."""
-    x = object.__new__(SeriesElement)
-    x.ring, x._layout, x._terms = ring, layout, terms
-    return x
-

@@ -1,10 +1,11 @@
 """Finite congruence quotients: pc sequences, p-central series, uniformity.
 
-A group is a set of flat tuples, matrices over Z/p^N or A/m^M in the layout
-of `matgrp`, which owns the one packed matrix kernel and the entry contract
-(`_Entries`) of both rings.  Multiplication, inversion, powering and depth
-run on that kernel, and an element tuple is exactly the packed form of the
-matching `RingMatrix`.  No matrix loops live here.
+A group is a set of flat tuples, matrices over Z/p^N or A/m^M in the packed
+form of `padic`, which owns the one packed kernel; `matgrp` owns the entry
+contract (`_Entries`) of both rings and the group operations on that
+kernel.  Multiplication, inversion, powering and depth run on it, and an
+element tuple is exactly the packed form of the matching `RingMatrix`.  No
+matrix loops live here.
 
 Every group lies in Gamma_1 = ker(GL_m(R) -> GL_m(F_p)), over either ring
 R, and is held as an induced polycyclic (pc) sequence, `_PcSet`: one F_p
@@ -50,7 +51,6 @@ from .matgrp import (
     _depth,
     _Entries,
     _inverse,
-    _mul,
     _pow,
     _reduce_matrix,
     _weight_digits,
@@ -60,7 +60,7 @@ from .matgrp import (
     mat_log,
 )
 from .liealg import SpanTracker
-from .padic import ScalarRing, int_valuation
+from .padic import ScalarRing, _mul, int_valuation
 
 DEFAULT_CLOSURE_LIMIT = 10**6
 
@@ -258,15 +258,14 @@ class _PcSet:
         return iter(self._elements())
 
     def __contains__(self, x) -> bool:
-        if not isinstance(x, tuple):
-            return False
         if self._frozen is not None:
             try:
                 return x in self._frozen
             except TypeError:  # a tuple holding an unhashable item
                 return False
+        # the element set holds reduced packed forms only: so does sifting
         return (
-            all(len(b) == self.m * self.m for _, b in self._ent.blocks(x))
+            self._ent.is_packed(x, self.m)
             and _depth(x, self.m, self._ent) >= 1
             and self._sift(x) is None
         )

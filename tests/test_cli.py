@@ -385,6 +385,39 @@ def test_inputs_past_a_work_cap_exit_2_within_seconds(tmp_path, argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def _huge_precision_cert(path):
+    """A 300-byte certificate whose ring header asks for precision 2 * 10^8."""
+    one = {"p": 3, "prec": 200000000, "value": "1"}
+    matrix = {"ring": {"type": "padic", "p": 3, "prec": 200000000}, "m": 1,
+              "entries": [one]}
+    path.write_text(json.dumps({"y": matrix, "x": matrix, "a": one, "k": 1}))
+    return str(path)
+
+
+# A precision past padic.MAX_PRECISION exits 2 before any p^N is formed: the
+# certificate below ran past 20 s, as 3^(2 * 10^8) was being formed.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--cert", "{cert}"),
+        ("plan", "--a", "1", "--b", "2", "--k", "1", "--p", "5", "--prec", "1001"),
+        ("plan", "--a", "1", "--b", "2", "--k", "1", "--p", "5", "--prec", "10000000"),
+        ("pcentral", "--m", "2", "--p", "3", "--prec", "10000000", "--window", "1"),
+        ("verify-examples", "--p", "3", "--prec", "10000000"),
+        ("verify-examples", "--p", "3", "--suite", "slm", "--m", "2", "--k", "1",
+         "--nvars", "1", "--trunc", "10000000"),
+    ],
+)
+def test_a_precision_past_the_bound_exits_2_within_seconds(tmp_path, argv):
+    cert = _huge_precision_cert(tmp_path / "cert.json")
+    assert len(Path(cert).read_bytes()) < 320
+    argv = [a.format(cert=cert) for a in argv]
+    proc = _run_module("--json", *argv, capture_output=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "past the bound" in proc.stderr
+
+
 # Lie algebra files that must exit 3.  A dim below 1 that got past the schema
 # would loop forever in the sampler, so these run in a child with a timeout.
 _BAD_LIE_FILES = {

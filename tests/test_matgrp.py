@@ -13,7 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from tamelab.errors import DepthError, NonUnitDeterminant, PrecisionMismatch
+from tamelab.errors import (
+    DepthError,
+    NonUnitDeterminant,
+    PrecisionMismatch,
+    SchemaError,
+)
 from tamelab.matgrp import (
     RingMatrix,
     commutator,
@@ -24,12 +29,11 @@ from tamelab.matgrp import (
     sl_standard_generators,
     zp_power,
 )
-from tamelab import matgrp
+from tamelab import matgrp, padic
 from tamelab.matgrp import (
     _content,
     _Entries,
     _identity,
-    _int_product,
     _mul,
     _pow,
     _reduce_matrix,
@@ -39,8 +43,8 @@ from tamelab.padic import (
     ScalarRing,
     SeriesElement,
     SeriesRing,
+    _int_product,
     _Layout,
-    _element,
     _exp_cutoff,
     _log_cutoff,
     int_valuation,
@@ -108,6 +112,21 @@ def test_mixed_ring_rejected():
     b = ident(ScalarRing(3, 4))
     with pytest.raises(PrecisionMismatch):
         a * b
+
+
+@pytest.mark.parametrize("ring", [ScalarRing(3, 3), SeriesRing(3, 1, 3)], ids=repr)
+def test_empty_and_non_square_row_lists_are_refused(ring):
+    # a 0 x 0 matrix used to fail only at its first product, inside the
+    # generated kernel (range() arg 3 must not be zero)
+    one = ring.one()
+    for rows in ([], [[one, one]], [[one], [one, one]]):
+        with pytest.raises(ValueError, match="square"):
+            RingMatrix(ring, rows)
+    with pytest.raises(ValueError):
+        RingMatrix.from_int_rows(ring, [])
+    payload = {**ident(ring).to_json(), "m": 0, "entries": []}
+    with pytest.raises(SchemaError):
+        RingMatrix.from_json(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +619,7 @@ def test_importing_the_cli_generates_no_product():
     src = str(Path(matgrp.__file__).resolve().parent.parent)
     probe = (
         "import tamelab.cli\n"
-        "from tamelab.matgrp import _int_product\n"
+        "from tamelab.padic import _int_product\n"
         "print(_int_product.cache_info().currsize)"
     )
     proc = subprocess.run(
@@ -624,12 +643,17 @@ def _oracle_series_dot(xs, ys):
     and reduced once."""
     layout, acc = xs[0]._layout, {}
     for x, y in zip(xs, ys):
-        for i, c1 in x._terms.items():
+        for i, (c1,) in x._flat:
             row = layout[i]
-            for j, c2 in y._terms.items():
+            for j, (c2,) in y._flat:
                 if j < len(row):
                     acc[row[j]] = acc.get(row[j], 0) + c1 * c2
     return _element(xs[0].ring, layout, acc)
+
+
+def _element(ring, layout, raw):
+    """The element with terms raw (monomial index -> integer)."""
+    return ring.from_terms({layout.monos[i]: c for i, c in raw.items()})
 
 
 def _oracle_series_mul(a, b, m):
@@ -898,13 +922,13 @@ def test_newton_inverse_lifts_at_most_log2_trunc_times(monkeypatch):
         calls.append(1)
         return _mul(*args)
 
-    monkeypatch.setattr(matgrp, "_mul", counting_mul)
+    monkeypatch.setattr(padic, "_mul", counting_mul)
     inverse = g.inverse()
     monkeypatch.undo()
     assert inverse == _oracle_inverse(g)
     assert 1 < len(calls) <= 1 + 2 * 3  # ceil(log2 8) = 3 steps
     calls.clear()
-    monkeypatch.setattr(matgrp, "_mul", counting_mul)
+    monkeypatch.setattr(padic, "_mul", counting_mul)
     ident(ScalarRing(3, 4), 3).inverse()
     assert len(calls) == 1  # the exact seed: one residual check
 

@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -11,13 +15,16 @@ from hypothesis import given, strategies as st
 from tamelab.certify import _weight_monomials
 from tamelab.errors import (
     DomainError,
+    LimitExceeded,
     NonResidue,
     NonUnit,
     PrecisionMismatch,
     SchemaError,
 )
 from tamelab.padic import (
+    MAX_PRECISION,
     PadicScalar,
+    ScalarRing,
     SeriesElement,
     SeriesRing,
     _Layout,
@@ -31,6 +38,7 @@ from tamelab.padic import (
     is_nonresidue,
     pexp,
     plog,
+    ring_from_header,
 )
 
 PRIMES = [3, 5, 7]
@@ -105,6 +113,41 @@ def test_even_prime_rejected():
         mk(2, 3, 1)
     with pytest.raises(DomainError):
         mk(9, 3, 1)
+
+
+def test_padic_loads_without_matgrp():
+    # the packed kernel lives here and matgrp imports it: no cycle
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys, tamelab.padic\nprint('tamelab.matgrp' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_precision_past_the_bound_raises_before_any_power_is_formed():
+    # ScalarRing(3, 10**7).modulus alone took seconds; the check comes first
+    for prec in (MAX_PRECISION + 1, 10**7, 2 * 10**8):
+        for make in (
+            lambda: ScalarRing(3, prec),
+            lambda: mk(3, prec, 1),
+            lambda: SeriesRing(3, 1, prec),
+            lambda: ring_from_header({"type": "padic", "p": 3, "prec": prec}),
+        ):
+            with pytest.raises(LimitExceeded, match="past the bound"):
+                make()
+    assert ScalarRing(3, MAX_PRECISION).modulus == 3**MAX_PRECISION
+    assert SeriesRing(5, 2, MAX_PRECISION).trunc == MAX_PRECISION
+    assert mk(3, MAX_PRECISION, -1).value == 3**MAX_PRECISION - 1
+    # the lower bound stays a usage error
+    for make in (lambda: ScalarRing(3, 0), lambda: SeriesRing(3, 1, 0)):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            make()
 
 
 # ---------------------------------------------------------------------------

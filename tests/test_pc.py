@@ -201,6 +201,51 @@ def test_sifting_membership_matches_the_enumerated_set(p, prec, seed):
     assert not any(x in pc.elements for x in strangers)
 
 
+def _non_canonical(x):
+    """Tuples equal to no packed form, each made from the member x: an entry
+    raised by its modulus, and over a series ring a zero block, a list
+    block, a repeated or out-of-range index and the blocks out of order."""
+    if not isinstance(x[0], tuple):  # Z/p^N: x is one flat block
+        return [(x[0] + 27,) + x[1:], x[:-1], x + (0,)]
+    (i, block), rest = x[0], x[1:]
+    out = [
+        ((i, (block[0] + 9,) + block[1:]),) + rest,
+        ((i, list(block)),) + rest,
+        ((i, block),) + x,
+        x + ((10**6, block),),
+        x + ((x[-1][0] + 1, (0, 0, 0, 0)),),
+        (i, block),
+    ]
+    return out + ([tuple(reversed(x))] if len(x) > 1 else [])
+
+
+def _bool_twin(x):
+    """x with each 0 and 1 written as False and True: equal to x, so a member
+    exactly when x is."""
+    if not isinstance(x[0], tuple):
+        return tuple(bool(v) if v in (0, 1) else v for v in x)
+    return tuple((bool(i) if i in (0, 1) else i, _bool_twin(b)) for i, b in x)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [sl_standard_generators(2, 3, 3), gamma1_generators(SeriesRing(3, 1, 2))],
+    ids=["SL_2 mod 27", "Gamma_1 over Z_3[[T]]/m^2"],
+)
+def test_membership_refuses_non_canonical_tuples_before_and_after_iteration(gens):
+    # (28, 0, 0, 1) sifts like I (28 = 1 mod 27) but equals no element tuple:
+    # both paths must say no, whether or not the element set is built
+    G = closure(gens)
+    members = [G.identity, *(g._flat for g in gens[:3])]
+    members += [_bool_twin(x) for x in members]
+    strangers = [y for x in members for y in _non_canonical(x)]
+    answers = [[x in G.elements for x in xs] for xs in (members, strangers)]
+    assert answers == [[True] * len(members), [False] * len(strangers)]
+    assert G.elements._frozen is None
+    assert len(set(G.elements)) == G.order and G.elements._frozen is not None
+    assert [[x in G.elements for x in xs] for xs in (members, strangers)] == answers
+
+
 def test_sequences_compare_by_sifting_without_enumerating():
     gens = sl_standard_generators(2, 3, 5)
     G = closure(gens)
