@@ -21,14 +21,14 @@ Both certificate searches, the exhaustive one in a finite quotient and the
 bounded cyclic-direction one in the quaternion lattice, work on flat tuples
 and one table.  Since [x, y] = y^h is x y x^-1 = y^(h+1), a conjugate of y
 is looked up in y's power table shifted by one and restricted to the
-admissible exponents.  The cyclic-direction search looks up each
-candidate's conjugate, two multiplies.  The exhaustive search walks the
-conjugacy class of y once, as a breadth-first orbit under the group's
-generators that records each conjugate's generator path: a class that
-misses the table is an exhaustive "no", at |class(y)| |generators|
-conjugations, and otherwise the path to the first class element in the
-table, multiplied out, is the witness x.  Neither answer builds G's
-element set.
+admissible exponents.  The cyclic-direction search walks z <- g z g^-1
+from y, two multiplies a step, and builds x = g^e only on a hit.  The
+exhaustive search walks the conjugacy class of y once, as a breadth-first
+orbit under the group's generators that records each conjugate's generator
+path: a class that misses the table is an exhaustive "no", at |class(y)|
+|generators| conjugations, and otherwise the path to the first class
+element in the table, multiplied out, is the witness x.  Neither answer
+builds G's element set.
 """
 
 from __future__ import annotations
@@ -284,9 +284,10 @@ def slm_series_suite(
     For every weight-k monomial mu and ordered basis pair (i, j), checks the
     diagonal conjugations of I + mu E_ij and I + mu E_ji and the D/N pair
     (N the rank-one nilpotent, D the symmetric conjugator scaling N by
-    (p^k - 1)^2), each with exponent (p^k - 1)^2 exactly.  The harvested
-    unipotent directions must span the full graded layer, verified by an
-    independent rank computation over F_p.
+    (p^k - 1)^2), each with exponent (p^k - 1)^2 exactly.  Each diagonal
+    conjugation identity is computed once: the lower line of (i, j) is the
+    upper line of (j, i).  The harvested unipotent directions must span the
+    full graded layer, verified by an independent rank computation over F_p.
 
     A direction w is read as the weight-k digits of the entries of w - I
     (`matgrp._weight_digits`).  Each harvested w - I is trace zero,
@@ -296,6 +297,8 @@ def slm_series_suite(
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
     if truncation <= k:
         raise ValueError("truncation must exceed the weight k")
     ring = SeriesRing(p, n_vars, truncation)
@@ -317,9 +320,12 @@ def slm_series_suite(
 
     # diag[(j, i)] is the inverse of diag[(i, j)] and D is symmetric in
     # (i, j), so one inversion per unordered pair builds every conjugator
-    diag, dual = {}, {}
+    diag, dual, nil = {}, {}, {}
     for i, j in pairs:
         diag[(i, j)] = _from_entries(ring, m, {(i, i): u, (j, j): u_inv})
+        nil[(i, j)] = _from_entries(
+            ring, m, {(i, i): 1, (i, j): 1, (j, i): -1, (j, j): -1}, 0
+        )
         if i > j:
             if diag[(i, j)] * diag[(j, i)] != identity:
                 raise GuardFailed("diagonal conjugators are not mutually inverse")
@@ -333,21 +339,16 @@ def slm_series_suite(
         mono_label = f"p^{a0}" + "".join(
             f"*T{i+1}^{e}" for i, e in enumerate(beta) if e
         )
+        units = {(i, j): _from_entries(ring, m, {(i, j): mu}) for i, j in pairs}
+        conj = {
+            (i, j): diag[(i, j)] * g * diag[(j, i)] == int_power(g, exponent)
+            for (i, j), g in units.items()
+        }
+        harvested += [_weight_digits(g._flat, m, k, g._ent) for g in units.values()]
         for i, j in pairs:
-            s, s_inv, (d_mat, d_inv) = diag[(i, j)], diag[(j, i)], dual[(i, j)]
-            n_mat = _from_entries(
-                ring, m, {(i, i): 1, (i, j): 1, (j, i): -1, (j, j): -1}, 0
-            )
-            upper = _from_entries(ring, m, {(i, j): mu})
-            report.add(
-                f"{mono_label}/({i},{j})/diag-conj-upper",
-                s * upper * s_inv == int_power(upper, exponent),
-            )
-            lower = _from_entries(ring, m, {(j, i): mu})
-            report.add(
-                f"{mono_label}/({i},{j})/diag-conj-lower",
-                s_inv * lower * s == int_power(lower, exponent),
-            )
+            (d_mat, d_inv), n_mat = dual[(i, j)], nil[(i, j)]
+            report.add(f"{mono_label}/({i},{j})/diag-conj-upper", conj[(i, j)])
+            report.add(f"{mono_label}/({i},{j})/diag-conj-lower", conj[(j, i)])
             if not checked_dn:
                 report.add("N-nilpotent", n_mat * n_mat == RingMatrix.zeros(ring, m))
                 report.add(
@@ -361,9 +362,7 @@ def slm_series_suite(
                 d_mat * w * d_inv == int_power(w, exponent),
             )
             if i < j:
-                harvested += [
-                    _weight_digits(g._flat, m, k, g._ent) for g in (upper, lower, w)
-                ]
+                harvested.append(_weight_digits(w._flat, m, k, w._ent))
 
     spanned = rank(harvested, p) == gr_dim
     report.add("gr_k-span", spanned, f"rank target {gr_dim}")
@@ -552,23 +551,17 @@ def _cyclic_direction_certificate_search(directions, exponent_bound: int):
     ring, m = directions[0].ring, directions[0].m
     ident = RingMatrix.identity(ring, m)._flat
     mul = partial(_int_product(m), ring.modulus)
-    # g^e and g^-e for 1 <= e < exponent_bound, built one factor at a time
-    # and shared by every y
-    candidates = []
-    for d in directions:
-        g, g_inv = d._flat, d.inverse()._flat
-        base = base_inv = ident
-        for _ in range(1, exponent_bound):
-            base, base_inv = mul(base, g), mul(g_inv, base_inv)
-            candidates.append((base, base_inv))
-
+    steps = [(d, d._flat, d.inverse()._flat) for d in directions]
     for y in directions:
         y_t, cap = y._flat, exponent_bound * ring.p
         table = _conjugate_table(y_t, ident, mul, ring.p, ring.prec, cap)
-        for x, x_inv in candidates:
-            hit = table.get(mul(mul(x, y_t), x_inv))
-            if hit is not None:
-                return {"y": y, "x": RingMatrix._packed(ring, m, x), "exponent": hit}
+        for d, g, g_inv in steps:
+            z = y_t
+            for e in range(1, exponent_bound):  # z = g^e y g^-e
+                z = mul(mul(g, z), g_inv)
+                hit = table.get(z)
+                if hit is not None:
+                    return {"y": y, "x": int_power(d, e), "exponent": hit}
     return None
 
 

@@ -41,6 +41,7 @@ from .padic import (
     SeriesElement,
     SeriesRing,
     _add,
+    _check_work,
     _Layout,
     _mul,
     _newton,
@@ -428,6 +429,8 @@ def _content(g: RingMatrix) -> int:
 def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
     ring, m = x.ring, x.m
     headroom, coeffs = _series_coefficients(kind, ring.p, ring.cap)
+    what = "precision" if isinstance(ring, ScalarRing) else "truncation"
+    _check_work(ring.cap, ring.cap + headroom, what)
     wide = _reduce_matrix(x, ring.cap + headroom)
     ent = wide._ent
     mod, power = ent.mod, ent.identity(m)

@@ -156,6 +156,13 @@ def _check_ring(p: int, prec: int, what: str = "precision"):
         raise LimitExceeded(f"{what} {prec} is past the bound {MAX_PRECISION}")
 
 
+def _check_work(prec: int, work: int, what: str = "precision"):
+    """Refuse a working precision past the bound, naming the given one too."""
+    if work > MAX_PRECISION:
+        bound = f"working precision {work}, past the bound {MAX_PRECISION}"
+        raise LimitExceeded(f"{what} {prec} needs {bound}")
+
+
 @dataclass(frozen=True)
 class ScalarRing:
     """Descriptor for Z/p^N viewed as the length-N truncation of Z_p."""
@@ -324,11 +331,11 @@ def _series_coefficients(kind: str, p: int, prec: int) -> tuple[int, tuple]:
     the final one by p^h.  Scalars (`plog`, `pexp`) and matrices
     (`matgrp.mat_exp`, `matgrp.mat_log`) both read these coefficients.
     """
-    if kind == "exp":
-        denoms = list(accumulate(range(1, _exp_cutoff(p, prec) + 1), mul))
-    else:
-        denoms = range(1, _log_cutoff(p, prec) + 1)
-    vals = [int_valuation(d, p, d) for d in denoms]
+    cutoff = (_exp_cutoff if kind == "exp" else _log_cutoff)(p, prec)
+    denoms = range(1, cutoff + 1)
+    vals = [int_valuation(i, p, i) for i in denoms]
+    if kind == "exp":  # v_p(i!) sums v_p(j) over j <= i
+        denoms, vals = list(accumulate(denoms, mul)), list(accumulate(vals))
     h = max(vals)
     work = p ** (prec + h)
     coeffs = [p**h if kind == "exp" else 0]
@@ -374,6 +381,7 @@ def alpha_ratio(a: PadicScalar, b: PadicScalar, k: int) -> PadicScalar:
         raise DomainError("alpha_ratio needs a unit first argument")
     p, prec = a.p, a.prec
     work = prec + k + 2
+    _check_work(prec, work)
     num = plog(PadicScalar(p, work, 1 + a.value * p**k))
     den = plog(PadicScalar(p, work, 1 + b.value * p**k))
     # log(1+ap^k) has valuation exactly k for unit a

@@ -606,10 +606,9 @@ def dictionary_bracket(g: RingMatrix, h: RingMatrix) -> DictionaryBracket:
         raise InsufficientPrecision(f"precision {prec} supports no step; need >= 4")
     gain = 3 if p >= 5 else 2
 
-    results = []
+    results, gn, hn = [], g, h
     for n in range(1, steps + 1):
-        gn = int_power(g, p**n)
-        hn = int_power(h, p**n)
+        gn, hn = int_power(gn, p), int_power(hn, p)  # g^(p^n), h^(p^n)
         level = mat_log(commutator(gn, hn))
         shift = p ** (2 * n)
         if any(v % shift for v in level._flat):
@@ -623,11 +622,7 @@ def dictionary_bracket(g: RingMatrix, h: RingMatrix) -> DictionaryBracket:
         ):
             raise InsufficientPrecision(f"no stabilization between steps {n}, {n + 1}")
 
-    certified, best = 0, 1
-    for n in range(1, steps + 1):
-        level = min(prec - 2 * n, n + gain)
-        if level > certified:
-            certified, best = level, n
-    return DictionaryBracket(
-        _reduce_matrix(results[best - 1], certified), certified, steps
-    )
+    levels = [min(prec - 2 * n, n + gain) for n in range(1, steps + 1)]
+    certified = max(levels)  # the first step that reaches it is kept
+    best = levels.index(certified)
+    return DictionaryBracket(_reduce_matrix(results[best], certified), certified, steps)

@@ -1,7 +1,9 @@
 """Certificates, local plans, identity suites, audits, searches."""
 
 import json
+import math
 import random
+from functools import partial
 
 import pytest
 
@@ -21,17 +23,33 @@ from tamelab.certify import (
     standard_inertial_certificate,
     verify_certificate,
 )
-from tamelab.errors import CertificateInvalid, NotNonresidue, RingMismatch, ZeroVector
+from tamelab.errors import (
+    CertificateInvalid,
+    DomainError,
+    NotNonresidue,
+    RingMismatch,
+    ZeroVector,
+)
+from tamelab.liealg import rank
 from tamelab.matgrp import (
     RingMatrix,
+    _from_entries,
+    _weight_digits,
     commutator,
     int_power,
     mat_exp,
     sl_standard_generators,
 )
 from tamelab import certify, pcentral
-from tamelab.padic import PadicScalar, ScalarRing, hensel_sqrt, int_valuation
+from tamelab.padic import (
+    PadicScalar,
+    ScalarRing,
+    SeriesRing,
+    hensel_sqrt,
+    int_valuation,
+)
 from tamelab.pcentral import closure, pcentral_series
+from tamelab.report import SuiteReport
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +236,142 @@ def test_slm_series_suite_gr_dim_formula():
 def test_slm_series_suite_needs_headroom():
     with pytest.raises(ValueError):
         slm_series_suite(2, 3, 0, 3, 3)
+
+
+def test_slm_series_suite_refuses_k_below_one_before_any_ring_work(monkeypatch):
+    def no_ring(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(certify, "SeriesRing", no_ring)
+    for k in (0, -1):
+        with pytest.raises(DomainError, match=f"k must be >= 1, got {k}"):
+            slm_series_suite(2, k, 0, 3, 3)
+
+
+def _oracle_slm_series_suite(m, k, n_vars, truncation, p):
+    """The per-ordered-pair loop: both diagonal conjugations of every pair,
+    each powered on its own, with N rebuilt for every monomial."""
+    ring = SeriesRing(p, n_vars, truncation)
+    report = SuiteReport(
+        f"slm-series/m{m}k{k}n{n_vars}",
+        data={"m": m, "k": k, "n_vars": n_vars, "trunc": truncation, "p": p},
+    )
+    u = ring.from_int(1 - p**k)
+    u_inv = u.inv()
+    c, s_off = certify._conjugator(u, u_inv)
+    exponent = (p**k - 1) ** 2
+    monomials = list(certify._weight_monomials(ring, k))
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    identity = RingMatrix.identity(ring, m)
+    harvested, checked_dn = [], False
+    for a0, beta, mu in monomials:
+        mono_label = f"p^{a0}" + "".join(
+            f"*T{i+1}^{e}" for i, e in enumerate(beta) if e
+        )
+        for i, j in pairs:
+            s = _from_entries(ring, m, {(i, i): u, (j, j): u_inv})
+            s_inv = _from_entries(ring, m, {(i, i): u_inv, (j, j): u})
+            d_mat = _from_entries(
+                ring, m, {(i, i): c, (i, j): s_off, (j, i): s_off, (j, j): c}
+            )
+            d_inv = d_mat.inverse()
+            n_mat = _from_entries(
+                ring, m, {(i, i): 1, (i, j): 1, (j, i): -1, (j, j): -1}, 0
+            )
+            upper = _from_entries(ring, m, {(i, j): mu})
+            report.add(
+                f"{mono_label}/({i},{j})/diag-conj-upper",
+                s * upper * s_inv == certify.int_power(upper, exponent),
+            )
+            lower = _from_entries(ring, m, {(j, i): mu})
+            report.add(
+                f"{mono_label}/({i},{j})/diag-conj-lower",
+                s_inv * lower * s == certify.int_power(lower, exponent),
+            )
+            if not checked_dn:
+                report.add("N-nilpotent", n_mat * n_mat == RingMatrix.zeros(ring, m))
+                report.add(
+                    "DND^-1=(p^k-1)^2*N",
+                    d_mat * n_mat * d_inv == n_mat.scale(ring.from_int(exponent)),
+                )
+                checked_dn = True
+            w = identity + n_mat.scale(mu)
+            report.add(
+                f"{mono_label}/({i},{j})/DN-conj",
+                d_mat * w * d_inv == certify.int_power(w, exponent),
+            )
+            if i < j:
+                harvested += [
+                    _weight_digits(g._flat, m, k, g._ent) for g in (upper, lower, w)
+                ]
+    gr_dim = len(monomials) * (m * m - 1)
+    report.add("gr_k-span", rank(harvested, p) == gr_dim, f"rank target {gr_dim}")
+    report.data["gr_dim"] = gr_dim
+    return report
+
+
+def _ledger(report):
+    return [(i.anchor, i.status, i.detail) for i in report.items], report.data
+
+
+_SLM_CASES = [
+    (m, k, n, k + extra, p)
+    for m in (2, 3)
+    for k in (1, 2)
+    for n in (0, 1, 2)
+    for extra in (1, 2)
+    for p in (3, 5)
+]
+
+
+@pytest.mark.parametrize("m, k, n_vars, truncation, p", _SLM_CASES)
+def test_slm_series_suite_matches_the_per_pair_oracle(m, k, n_vars, truncation, p):
+    report = slm_series_suite(m, k, n_vars, truncation, p)
+    assert report.all_pass
+    assert _ledger(report) == _ledger(
+        _oracle_slm_series_suite(m, k, n_vars, truncation, p)
+    )
+
+
+@pytest.mark.parametrize("m, n_vars", [(2, 1), (3, 0), (3, 1)])
+def test_a_broken_power_fails_exactly_the_two_lines_of_its_identity(
+    monkeypatch, m, n_vars
+):
+    # I + mu E_ij for the last weight-1 monomial is powered wrongly; that
+    # identity is the upper line of (i, j) and the lower line of (j, i)
+    k, p, i, j = 1, 3, m - 1, 0
+    ring = SeriesRing(p, n_vars, k + 2)
+    a0, beta, mu = list(certify._weight_monomials(ring, k))[-1]
+    target = _from_entries(ring, m, {(i, j): mu})
+    real = certify.int_power
+
+    def forged(g, e):
+        h = real(g, e)
+        return h * target if g == target else h
+
+    monkeypatch.setattr(certify, "int_power", forged)
+    mono = f"p^{a0}" + "".join(f"*T{v+1}^{e}" for v, e in enumerate(beta) if e)
+    name = f"slm-series/m{m}k{k}n{n_vars}/{mono}"
+    broken = {f"{name}/({i},{j})/diag-conj-upper", f"{name}/({j},{i})/diag-conj-lower"}
+    for report in (
+        slm_series_suite(m, k, n_vars, k + 2, p),
+        _oracle_slm_series_suite(m, k, n_vars, k + 2, p),
+    ):
+        assert {item.anchor for item in report.items if not item.ok} == broken
+
+
+@pytest.mark.parametrize("m, k, n_vars, truncation, p", [(2, 1, 1, 3, 3), (3, 2, 2, 4, 5)])
+def test_slm_series_suite_powers_each_conjugation_once(
+    monkeypatch, m, k, n_vars, truncation, p
+):
+    calls = []
+    real = certify.int_power
+    monkeypatch.setattr(
+        certify, "int_power", lambda g, e: calls.append(e) or real(g, e)
+    )
+    slm_series_suite(m, k, n_vars, truncation, p)
+    # one diagonal conjugation and one D/N conjugation per ordered pair
+    assert len(calls) == 2 * m * (m - 1) * math.comb(k + n_vars, n_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +713,34 @@ def test_quaternion_scan_matches_oracle(p):
         found = _cyclic_direction_certificate_search(directions, bound)
         assert found == _oracle_cyclic_direction_certificate_search(directions, bound)
         assert found is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_quaternion_scan_walks_two_products_per_conjugate(monkeypatch, p):
+    directions = _quaternion_directions(p, 4)
+    ring, m = directions[0].ring, directions[0].m
+    real = certify._int_product
+    calls = [0]
+
+    def counted(mul):
+        def run(*args):
+            calls[0] += 1
+            return mul(*args)
+
+        return run
+
+    monkeypatch.setattr(certify, "_int_product", lambda m: counted(real(m)))
+    for bound in (p**2, p**3):
+        calls[0] = 0
+        mul = partial(certify._int_product(m), ring.modulus)
+        ident = RingMatrix.identity(ring, m)._flat
+        for y in directions:
+            certify._conjugate_table(y._flat, ident, mul, p, ring.prec, bound * p)
+        table_products = calls[0]
+        calls[0] = 0
+        assert _cyclic_direction_certificate_search(directions, bound) is None
+        walk = 2 * len(directions) ** 2 * (bound - 1)
+        assert calls[0] <= table_products + walk
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -418,6 +418,25 @@ def test_a_precision_past_the_bound_exits_2_within_seconds(tmp_path, argv):
     assert proc.stderr.startswith("error: ") and "past the bound" in proc.stderr
 
 
+# A given precision within the bound whose working precision is past it (the
+# exp headroom, `alpha_ratio`'s guard digits) is named in the error with the
+# working one.
+@pytest.mark.parametrize(
+    "argv, given, work",
+    [
+        (("pcentral", "--m", "2", "--p", "3", "--prec", "990", "--window", "1"), 990, 1975),
+        (("plan", "--a", "1", "--b", "2", "--k", "1", "--p", "5", "--prec", "1000"), 1000, 1003),
+        (("verify-examples", "--p", "3", "--prec", "999", "--suite", "quaternion"), 999, 1992),
+    ],
+)
+def test_a_working_precision_past_the_bound_names_the_given_one(capsys, argv, given, work):
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: precision {given} needs working precision {work}, past the bound 1000\n"
+    )
+
+
 # Lie algebra files that must exit 3.  A dim below 1 that got past the schema
 # would loop forever in the sampler, so these run in a child with a timeout.
 _BAD_LIE_FILES = {

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from tamelab.errors import (
     DepthError,
+    LimitExceeded,
     NonUnitDeterminant,
     PrecisionMismatch,
     SchemaError,
@@ -247,6 +248,14 @@ def test_mat_log_exp_roundtrip():
                 ring, [[p * rng.randrange(p**prec) for _ in range(2)] for _ in range(2)]
             )
             assert mat_log(mat_exp(x)) == x
+
+
+def test_exp_headroom_past_the_bound_names_the_given_truncation(monkeypatch):
+    monkeypatch.setattr(padic, "MAX_PRECISION", 5)
+    ring = SeriesRing(3, 1, 4)
+    x = RingMatrix.from_int_rows(ring, [[0, 3], [0, 0]])
+    with pytest.raises(LimitExceeded, match=r"^truncation 4 needs working precision \d+, past the bound 5$"):
+        mat_exp(x)
 
 
 def test_mat_exp_det_is_exp_trace():
