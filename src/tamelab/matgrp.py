@@ -16,8 +16,10 @@ The packed kernel (`_int_product`, `_mul`, `_add`, `_newton`,
 `_valuations`) and its flat forms are `padic`'s.  This module owns the
 entry contract of both rings (`_Entries`: how entries pack into a flat
 form, and the view back), the matrices, and the group operations on flat
-forms: powering, the seed of the Newton inverse, depth, the weight-n
-digits (`_weight_digits`) and narrowing (`_reduce_matrix`).  `PadicScalar`
+forms: powering (`_pow`: in Gamma_1 the binomial series, when
+square-and-multiply would take more steps), the seed of the Newton
+inverse, depth, the weight-n digits (`_weight_digits`) and narrowing
+(`_reduce_matrix`).  `PadicScalar`
 and `SeriesElement` are the entry views at the boundary (constructor,
 `rows`, `det`, `trace`, JSON); `mat_exp`/`mat_log` sum the exp/log
 coefficients that `padic` specifies for its scalar `pexp`/`plog`.
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from math import gcd
+from operator import sub
 
 from .errors import (
     DepthError,
@@ -42,12 +46,14 @@ from .padic import (
     SeriesRing,
     _add,
     _check_work,
+    _factorial_units,
     _Layout,
     _mul,
     _newton,
     _series_coefficients,
     _sorted_blocks,
     _valuations,
+    int_valuation,
     ring_from_header,
 )
 
@@ -70,6 +76,7 @@ class _Entries:
         self.mod = ring.modulus if self.scalar else _Layout(ring)
         self.degs = [0] if self.scalar else self.mod.degs
         self.tag = (ring.p, ring.prec) if self.scalar else ring
+        self.cap = ring.cap
 
     def blocks(self, flat: tuple) -> tuple:
         return ((0, flat),) if self.scalar else flat
@@ -132,8 +139,37 @@ def _identity(m: int, zero, one) -> tuple:
     return tuple(one if i == j else zero for i in range(m) for j in range(m))
 
 
-def _pow(a: tuple, e: int, m: int, mod) -> tuple:
-    """a^e for e >= 1 by square-and-multiply from the leading bit of e."""
+def _pow(a: tuple, e: int, m: int, ent: _Entries) -> tuple:
+    """a^e for e >= 1.  Square-and-multiply takes s = bit_length(e) +
+    popcount(e) - 2 products; the binomial sum below takes at most cap - 2
+    products and cap - 1 scaled sums.  When s > 2 cap - 3 and a = I + X is
+    in Gamma_1 (X's constant block is 0 mod p), a^e = sum_i C(e, i) X^i,
+    summed up to the first zero X^i.  Proof: X^i lies in m^i, so it is zero
+    for i >= cap, and its degree-d block, of modulus p^(cap - d), lies in
+    p^(i - d): only C(e, i) mod p^(cap - i) counts, and as i! C(e, i) is in
+    Z[e] and v_p(i!) < i, e mod q = p^cap fixes it.  For i <= e < q,
+    C(e, i) = p^(v - v_p(i!)) u / u_i, u and v the unit part mod q and the
+    valuation of e (e - 1) ... (e - i + 1), 1 / u_i the inverse unit part
+    of i! (`_factorial_units`)."""
+    mod, cap = ent.mod, ent.cap
+    if e.bit_length() + e.bit_count() - 2 > 2 * cap - 3:
+        one, p = ent.identity(m), ent.ring.p
+        x = tuple(map(sub, a, one)) if ent.scalar else _add(a, one, mod, -1)
+        if not gcd(*dict(ent.blocks(x)).get(0, ())) % p:
+            q = p**cap
+            e %= q
+            vals, invs = _factorial_units(p, cap, cap)
+            v = int_valuation(e, p, cap)
+            acc, power, unit = _add(one, x, mod, e), x, e // p**v
+            for i in range(2, min(cap, e + 1)):
+                power = _mul(power, x, m, mod)
+                if not any(power):
+                    break
+                w = int_valuation(e - i + 1, p, cap)
+                unit, v = unit * ((e - i + 1) // p**w) % q, v + w
+                if v - vals[i] < cap:
+                    acc = _add(acc, power, mod, unit * invs[i] * p ** (v - vals[i]))
+            return acc
     acc = a
     for bit in bin(e)[3:]:
         acc = _mul(acc, acc, m, mod)
@@ -386,9 +422,7 @@ def commutator(g: RingMatrix, h: RingMatrix) -> RingMatrix:
 def int_power(g: RingMatrix, e: int) -> RingMatrix:
     if e < 0:
         return int_power(g.inverse(), -e)
-    if e == 0:
-        return RingMatrix.identity(g.ring, g.m)
-    return g._like(_pow(g._flat, e, g.m, g._ent.mod))
+    return g._like(_pow(g._flat, e, g.m, g._ent) if e else g._ent.identity(g.m))
 
 
 def congruence_depth(g: RingMatrix) -> int:

@@ -34,9 +34,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import gcd
-from operator import add, mul
+from operator import add
 from types import MappingProxyType
 
 from .errors import (
@@ -321,6 +321,18 @@ def _exp_cutoff(p: int, prec: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _factorial_units(p: int, prec: int, n: int) -> tuple[tuple, tuple]:
+    """v_p(i!) and the inverse mod p^prec of the unit part i! / p^v_p(i!),
+    for i = 0..n, carried over the factors j <= i."""
+    q, vals, invs = p**prec, [0], [1]
+    for j in range(1, n + 1):
+        v = int_valuation(j, p, j)
+        vals.append(vals[-1] + v)
+        invs.append(invs[-1] * pow(j // p**v, -1, q) % q)
+    return tuple(vals), tuple(invs)
+
+
+@lru_cache(maxsize=None)
 def _series_coefficients(kind: str, p: int, prec: int) -> tuple[int, tuple]:
     """Headroom h and c_0..c_B with p^h f(x) = sum c_i x^i mod p^(prec+h).
 
@@ -332,16 +344,17 @@ def _series_coefficients(kind: str, p: int, prec: int) -> tuple[int, tuple]:
     (`matgrp.mat_exp`, `matgrp.mat_log`) both read these coefficients.
     """
     cutoff = (_exp_cutoff if kind == "exp" else _log_cutoff)(p, prec)
-    denoms = range(1, cutoff + 1)
-    vals = [int_valuation(i, p, i) for i in denoms]
-    if kind == "exp":  # v_p(i!) sums v_p(j) over j <= i
-        denoms, vals = list(accumulate(denoms, mul)), list(accumulate(vals))
+    if kind == "exp":
+        vals, invs = (t[1:] for t in _factorial_units(p, prec, cutoff))
+    else:
+        vals = [int_valuation(i, p, i) for i in range(1, cutoff + 1)]
+        invs = [pow(i // p**e, -1, p**prec) for i, e in enumerate(vals, 1)]
     h = max(vals)
     work = p ** (prec + h)
     coeffs = [p**h if kind == "exp" else 0]
-    for i, (d, e) in enumerate(zip(denoms, vals), 1):
+    for i, (e, u) in enumerate(zip(vals, invs), 1):
         sign = -1 if kind == "log" and i % 2 == 0 else 1
-        coeffs.append(sign * p ** (h - e) * pow(d // p**e, -1, p**prec) % work)
+        coeffs.append(sign * p ** (h - e) * u % work)
     return h, tuple(coeffs)
 
 

@@ -172,7 +172,7 @@ class _PcSet:
                 n, r, vec = hit
                 b, b_inv = pc._insert(n, r, vec)
                 if n + 1 < last:
-                    work.append(_pow(b, p, m, mod))
+                    work.append(_pow(b, p, m, pc._ent))
                 work += [
                     _commutator(b, b_inv, a, a_inv, m, mod)
                     for a, a_inv, d in inserted
@@ -192,7 +192,7 @@ class _PcSet:
             for (_, b_inv), c in zip(basis, tracker.pivots):
                 k = vec[c]
                 if k:
-                    x = _mul(x, _pow(b_inv, k, m, mod), m, mod)
+                    x = _mul(x, _pow(b_inv, k, m, ent), m, mod)
             vec = _weight_digits(x, m, n, ent)
             if any(vec):
                 return n, x, vec
@@ -200,21 +200,21 @@ class _PcSet:
 
     def _insert(self, n: int, r: tuple, vec: list) -> tuple:
         """Add r's row at depth n; returns the new (b, b^-1)."""
-        m, mod, p = self.m, self.mod, self.ring.p
+        m, mod, p, ent = self.m, self.mod, self.ring.p, self._ent
         tracker, basis = self.levels[n - 1]
         c = next(i for i, v in enumerate(vec) if v)
         s = pow(vec[c], -1, p)
-        r_inv = _inverse(r, m, self._ent)
+        r_inv = _inverse(r, m, ent)
         b, b_inv = r, r_inv
         if s != 1:
-            b, b_inv = _pow(r, s, m, mod), _pow(r_inv, s, m, mod)
+            b, b_inv = _pow(r, s, m, ent), _pow(r_inv, s, m, ent)
         # the tracker subtracts row[c] times b's row from each row: so do the elements
         for i, row in enumerate(tracker.rows):
             if row[c]:
                 a, a_inv = basis[i]
                 basis[i] = (
-                    _mul(a, _pow(b_inv, row[c], m, mod), m, mod),
-                    _mul(_pow(b, row[c], m, mod), a_inv, m, mod),
+                    _mul(a, _pow(b_inv, row[c], m, ent), m, mod),
+                    _mul(_pow(b, row[c], m, ent), a_inv, m, mod),
                 )
         tracker.add(vec)
         basis.append((b, b_inv))
@@ -239,7 +239,7 @@ class _PcSet:
             m, mod = self.m, self.mod
             words = [self.identity]
             for b in reversed(self.basis()):
-                powers = [_pow(b, e, m, mod) for e in range(1, self.ring.p)]
+                powers = [_pow(b, e, m, self._ent) for e in range(1, self.ring.p)]
                 words += [_mul(c, w, m, mod) for c in powers for w in words]
             self._frozen = frozenset(words)
         return self._frozen
@@ -259,8 +259,11 @@ class _PcSet:
 
     def __contains__(self, x) -> bool:
         if self._frozen is not None:
-            try:
-                return x in self._frozen
+            try:  # a float or Fraction twin equals and hashes like an element,
+                # but its entries sum to no int: refused, as sifting refuses it
+                return x in self._frozen and type(sum(
+                    x if self._ent.scalar else [v for i, b in x for v in (i, *b)]
+                )) is int
             except TypeError:  # a tuple holding an unhashable item
                 return False
         # the element set holds reduced packed forms only: so does sifting
@@ -350,7 +353,7 @@ class FiniteQuotientGroup:
     def power(self, a: tuple, e: int) -> tuple:
         if e < 0:
             return self.inv(self.power(a, -e))
-        return _pow(a, e, self.m, self.modulus) if e else self.identity
+        return _pow(a, e, self.m, self._ent) if e else self.identity
 
     def comm(self, a: tuple, b: tuple) -> tuple:
         return _commutator(a, self.inv(a), b, self.inv(b), self.m, self.modulus)

@@ -30,7 +30,7 @@ from tamelab.matgrp import (
     sl_standard_generators,
     zp_power,
 )
-from tamelab import matgrp, padic
+from tamelab import certify, matgrp, padic
 from tamelab.matgrp import (
     _content,
     _Entries,
@@ -44,10 +44,12 @@ from tamelab.padic import (
     ScalarRing,
     SeriesElement,
     SeriesRing,
+    _add,
     _int_product,
     _Layout,
     _exp_cutoff,
     _log_cutoff,
+    _sorted_blocks,
     int_valuation,
     pexp,
 )
@@ -724,8 +726,8 @@ def test_series_block_product_and_power_match_the_oracle(n_vars, trunc):
                 x, y = _flat_of(ent, a), _flat_of(ent, b)
                 assert ent.view(_mul(x, y, m, mod), m) == _oracle_series_mul(a, b, m)
                 for e in (1, 2, 3, (p - 1) ** 2):
-                    assert ent.view(_pow(x, e, m, mod), m) == _oracle_series_pow(a, e, m)
-    assert _pow(x, 1, m, mod) is x
+                    assert ent.view(_pow(x, e, m, ent), m) == _oracle_series_pow(a, e, m)
+    assert _pow(x, 1, m, ent) is x
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -741,7 +743,7 @@ def test_series_block_product_on_extreme_matrices(m, p):
     assert _mul(ent.zeros(m), _flat_of(ent, extreme), m, ent.mod) == ent.zeros(m) == ()
     for a in (extreme, zero, one):
         for e in (1, 2, 3, (p - 1) ** 2, (p**2 - 1) ** 2):
-            power = _pow(_flat_of(ent, a), e, m, ent.mod)
+            power = _pow(_flat_of(ent, a), e, m, ent)
             assert ent.view(power, m) == _oracle_series_pow(a, e, m)
 
 
@@ -958,16 +960,65 @@ def test_reduce_matrix_widens_and_narrows_like_the_coefficient_dicts():
 
 
 # ---------------------------------------------------------------------------
-# powering: the accumulator starts at the leading bit
+# powering: square-and-multiply, or the binomial series in Gamma_1
 
 
-def test_powering_counts_and_results(sl2_mod27, monkeypatch):
-    G = sl2_mod27
-    a = sorted(G.elements)[5]
-    g = G.to_matrix(a)
-    expected = {0: G.identity}
-    for e in range(1, 10):
-        expected[e] = _oracle_tmul(expected[e - 1], a, G.m, G.modulus)
+def _oracle_pow(a, e, m, mod):
+    """a^e by square-and-multiply from the leading bit of e, which `_pow`
+    keeps for depth 0 and for exponents of at most 2 cap - 3 products."""
+    acc = a
+    for bit in bin(e)[3:]:
+        acc = _mul(acc, acc, m, mod)
+        if bit == "1":
+            acc = _mul(acc, a, m, mod)
+    return acc
+
+
+def _near_identity(rng, ent, m, depth):
+    """A random flat m x m form congruent to I mod m^depth; at depth 0 its
+    (0, 0) entry is a unit plus 1, so the form is not in Gamma_1."""
+    p = ent.ring.p
+    mods = [ent.mod] if ent.scalar else ent.mod.mods
+    blocks = {
+        i: [rng.randrange(q) * p ** max(0, depth - d) for _ in range(m * m)]
+        for i, (d, q) in enumerate(zip(ent.degs, mods))
+    }
+    if depth == 0:
+        blocks[0][0] = p * rng.randrange(mods[0]) + rng.randrange(1, p)
+    x = tuple(c % mods[0] for c in blocks[0]) if ent.scalar else _sorted_blocks(blocks, mods)
+    return _add(ent.identity(m), x, ent.mod)
+
+
+_POWER_RINGS = [ScalarRing(3, 1), ScalarRing(3, 4), ScalarRing(5, 3), ScalarRing(7, 6),
+                SeriesRing(3, 1, 4), SeriesRing(5, 2, 3), SeriesRing(3, 0, 5),
+                SeriesRing(7, 1, 2)]
+
+
+@pytest.mark.parametrize("ring", _POWER_RINGS, ids=repr)
+def test_binomial_powers_match_square_and_multiply(ring):
+    rng = random.Random(repr(ring))
+    ent, p = _Entries(ring), ring.p
+    exponents = [1, 2, 3, p, p - 1, (p - 1) ** 2, (p**2 - 1) ** 2]
+    for m in range(1, 5):
+        for depth in (0, 1, 2):
+            a = _near_identity(rng, ent, m, depth)
+            for e in exponents + [rng.randrange(1, 10**6) for _ in range(3)]:
+                assert _pow(a, e, m, ent) == _oracle_pow(a, e, m, ent.mod), (m, depth, e)
+
+
+@pytest.mark.parametrize("ring", [ScalarRing(3, 300), ScalarRing(5, 700),
+                                  SeriesRing(3, 0, 300), SeriesRing(5, 0, 700)], ids=repr)
+def test_binomial_powers_at_caps_300_and_700(ring):
+    rng = random.Random(ring.cap)
+    ent, p = _Entries(ring), ring.p
+    for depth in (1, 2):
+        a = _near_identity(rng, ent, 2, depth)
+        for e in (rng.randrange(p ** (ring.cap - 1)), p ** (ring.cap - 1) - 1):
+            assert _pow(a, e, 2, ent) == _oracle_pow(a, e, 2, ent.mod), depth
+
+
+@pytest.fixture
+def product_count(monkeypatch):
     calls = []
 
     def counting_mul(*args):
@@ -975,17 +1026,64 @@ def test_powering_counts_and_results(sl2_mod27, monkeypatch):
         return _mul(*args)
 
     monkeypatch.setattr(matgrp, "_mul", counting_mul)
+    return calls
+
+
+@pytest.mark.parametrize("args", [(4, 2, 2, 4, 3), (3, 3, 2, 5, 5), (2, 2, 1, 3, 7)])
+def test_each_slm_power_makes_one_product(args, product_count, monkeypatch):
+    # each power of the suite is of I + X with X^2 = 0: the binomial sum
+    # stops at its first product
+    per_power = []
+
+    def counting_power(g, e):
+        before = len(product_count)
+        out = int_power(g, e)
+        per_power.append(len(product_count) - before)
+        return out
+
+    monkeypatch.setattr(certify, "int_power", counting_power)
+    report = certify.slm_series_suite(*args)
+    assert all(item.status == "pass" for item in report.items)
+    assert per_power and set(per_power) == {1}
+
+
+@pytest.mark.parametrize("ring", _POWER_RINGS, ids=repr)
+def test_depth_one_powers_make_at_most_2cap_minus_3_products(ring, product_count):
+    # square-and-multiply runs only up to 2 cap - 3 products, the binomial
+    # sum's cap - 2 products and cap - 1 sums; the sum makes at most cap - 2
+    rng = random.Random(repr(ring) + "count")
+    ent, p = _Entries(ring), ring.p
+    for m in (1, 2, 3):
+        a = _near_identity(rng, ent, m, 1)
+        for e in [2, 3, p, (p**2 - 1) ** 2, *(rng.randrange(1, p**ring.cap) for _ in range(5))]:
+            product_count.clear()
+            _pow(a, e, m, ent)
+            assert len(product_count) <= max(2 * ring.cap - 3, 0), (m, e)
+
+
+def test_powering_counts_and_results(sl2_mod27, product_count):
+    G = sl2_mod27
+    a = sorted(G.elements)[5]
+    g = G.to_matrix(a)
+    expected = {0: G.identity}
+    for e in range(1, 10):
+        expected[e] = _oracle_tmul(expected[e - 1], a, G.m, G.modulus)
     for e, want in expected.items():
         assert G.power(a, e) == want
         assert int_power(g, e) == G.to_matrix(want)
         assert G.power(a, -e) == G.inv(want)
         assert int_power(g, -e) == G.to_matrix(G.inv(want))
-    calls.clear()
+    # cap 3: a cube and a fifth power take square-and-multiply's 2 and 3
+    # products (<= 2 cap - 3); a ninth power (4) sums I + 9X + 36X^2, one
+    product_count.clear()
     G.power(a, 3)
-    assert len(calls) == 2
-    calls.clear()
+    assert len(product_count) == 2
+    product_count.clear()
     int_power(g, 5)
-    assert len(calls) == 3
+    assert len(product_count) == 3
+    product_count.clear()
+    int_power(g, 9)
+    assert len(product_count) == 1
 
 
 # ---------------------------------------------------------------------------

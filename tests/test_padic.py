@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -29,7 +30,9 @@ from tamelab.padic import (
     SeriesRing,
     _Layout,
     _exp_cutoff,
+    _factorial_units,
     _log_cutoff,
+    _series_coefficients,
     _sqrt_mod_prime,
     alpha_ratio,
     first_nonresidue,
@@ -311,6 +314,42 @@ def test_series_oracles_at_higher_precision():
                 v = p * rng.randrange(p ** (prec - 1))
                 assert plog(mk(p, prec, v + 1)) == _oracle_plog(mk(p, prec, v + 1))
                 assert pexp(mk(p, prec, v)) == _oracle_pexp(mk(p, prec, v))
+
+
+def _oracle_series_coefficients(kind, p, prec):
+    """`_series_coefficients` inverting the unit part of each full i!, the
+    formula it had before it read `_factorial_units`."""
+    cutoff = (_exp_cutoff if kind == "exp" else _log_cutoff)(p, prec)
+    denoms = range(1, cutoff + 1)
+    vals = [int_valuation(i, p, i) for i in denoms]
+    if kind == "exp":  # v_p(i!) sums v_p(j) over j <= i
+        denoms = list(itertools.accumulate(denoms, operator.mul))
+        vals = list(itertools.accumulate(vals))
+    h = max(vals)
+    work = p ** (prec + h)
+    coeffs = [p**h if kind == "exp" else 0]
+    for i, (d, e) in enumerate(zip(denoms, vals), 1):
+        sign = -1 if kind == "log" and i % 2 == 0 else 1
+        coeffs.append(sign * p ** (h - e) * pow(d // p**e, -1, p**prec) % work)
+    return h, tuple(coeffs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_series_coefficients_match_the_full_factorial_formula(p):
+    for prec in [*range(1, 60), 100, 257, 400, 990]:
+        for kind in ("exp", "log"):
+            got = _series_coefficients(kind, p, prec)
+            assert got == _oracle_series_coefficients(kind, p, prec), (kind, prec)
+
+
+def test_factorial_units_against_the_factorials():
+    for p, prec in ((3, 1), (3, 5), (5, 3), (13, 2)):
+        vals, invs = _factorial_units(p, prec, 40)
+        fact = 1
+        for i in range(41):
+            fact *= max(i, 1)
+            assert vals[i] == _oracle_factorial_valuation(i, p)
+            assert invs[i] * (fact // p ** vals[i]) % p**prec == 1 % p**prec
 
 
 _ODD_PRIMES = [p for p in range(3, 100) if all(p % d for d in range(2, p))]

@@ -227,6 +227,13 @@ def _bool_twin(x):
     return tuple((bool(i) if i in (0, 1) else i, _bool_twin(b)) for i, b in x)
 
 
+def _float_twin(x):
+    """x with every integer a float: equal to x, with the same hash."""
+    if not isinstance(x[0], tuple):
+        return tuple(map(float, x))
+    return tuple((float(i), tuple(map(float, b))) for i, b in x)
+
+
 @pytest.mark.parametrize(
     "gens",
     [sl_standard_generators(2, 3, 3), gamma1_generators(SeriesRing(3, 1, 2))],
@@ -239,6 +246,7 @@ def test_membership_refuses_non_canonical_tuples_before_and_after_iteration(gens
     members = [G.identity, *(g._flat for g in gens[:3])]
     members += [_bool_twin(x) for x in members]
     strangers = [y for x in members for y in _non_canonical(x)]
+    strangers += [_float_twin(x) for x in members]
     answers = [[x in G.elements for x in xs] for xs in (members, strangers)]
     assert answers == [[True] * len(members), [False] * len(strangers)]
     assert G.elements._frozen is None
