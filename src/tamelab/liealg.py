@@ -80,8 +80,7 @@ class SpanTracker:
     entries are in [0, p) with a 1 at the pivot; over Q it is a primitive
     integer row with a positive pivot, to be divided by it.  Over F_p,
     inserting a row with pivot c subtracts row[c] times it from each stored
-    row; `pcentral._PcSet` mirrors that on the group elements paired with
-    the rows.
+    row.
     """
 
     def __init__(self, dim: int, p: int | None = None):
@@ -151,7 +150,7 @@ def _echelon(rows, p: int | None = None) -> tuple[list, list]:
     over F_p for rows of ints given a prime p (see `SpanTracker`)."""
     tracker = SpanTracker(len(rows[0]) if rows else 0, p)
     for row in rows:
-        tracker._insert(tracker._reduce(_numerators(row)[0]))
+        tracker._insert(tracker._reduce(_numerators(row)[0] if p is None else row))
     order = sorted(range(tracker.rank), key=tracker.pivots.__getitem__)
     return [tracker.rows[i] for i in order], [tracker.pivots[i] for i in order]
 

@@ -130,6 +130,13 @@ class _Entries:
         # sorted and reduced, and over a series ring without a zero block
         return ints and _add(self.zeros(m), x, self.mod) == x
 
+    def sums_to_int(self, x) -> bool:
+        """Whether the entries of x (and a series form's monomial indices) sum
+        to an int: one pass that refuses the float or Fraction twin of a flat
+        form, which equals and hashes like it; TypeError if they do not add."""
+        flat = x if self.scalar else [v for i, b in x for v in (i, *b)]
+        return type(sum(flat)) is int
+
 
 # ---------------------------------------------------------------------------
 # matrix loops on flat forms, over `padic`'s product and sum

@@ -8,8 +8,8 @@ element tuple is exactly the packed form of the matching `RingMatrix`.  No
 matrix loops live here.
 
 Every group lies in Gamma_1 = ker(GL_m(R) -> GL_m(F_p)), over either ring
-R, and is held as an induced polycyclic (pc) sequence, `_PcSet`: one F_p
-echelon basis (`liealg.SpanTracker`) of each depth layer, the image of
+R, and is held as an induced polycyclic (pc) sequence, `_PcSet`: one
+forward-reduced F_p echelon basis of each depth layer, the image of
 h - I in M_m(m^n/m^(n+1)), each row paired with a group element.  Order,
 membership, subgroup and normal closures, the p-central series, the depth
 filtration and the uniformity checks all run on these sequences, in about
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partialmethod
 from operator import eq, ge, gt, le, lt
@@ -59,7 +58,6 @@ from .matgrp import (
     int_power,
     mat_log,
 )
-from .liealg import SpanTracker
 from .padic import ScalarRing, _mul, int_valuation
 
 DEFAULT_CLOSURE_LIMIT = 10**6
@@ -99,13 +97,16 @@ class _PcSet:
     M_m(m^n/m^(n+1)) by h -> (h - I) mod m^(n+1) (a homomorphism, as
     2n >= n + 1).  `matgrp._weight_digits` reads the layer vector off h in
     Gamma_n over either ring (sifting reads level n only there): per entry,
-    one digit per weight-n monomial p^a T^b, m^2 C(n + v, v) in all.  Row i of
-    `levels[n - 1][0]`, a `SpanTracker` in reduced echelon form, is the
-    layer vector of the element `levels[n - 1][1][i]`, kept with its
-    inverse.  So |H| = p^rank, and h is in H exactly when sifting ends at I:
-    at h's depth n, multiply h by b_i^(-c_i), c_i the entry of h's vector at
-    row i's pivot, which clears the layer, and go down a level.  H cap
-    Gamma_n is the part of the sequence at depth >= n (`at_depth`).
+    one digit per weight-n monomial p^a T^b, m^2 C(n + v, v) in all.
+    `levels[n - 1]` lists (row, pivot, b, b^-1) in insertion order: row is
+    the layer vector of b, 1 at its pivot and 0 at the pivots of the rows
+    before it (forward-reduced echelon form).  So |H| = p^rank, and h is in
+    H exactly when sifting ends at I: at depth n, walk the level in order,
+    and for each row with k, the entry of the carried vector at its pivot,
+    not 0, subtract k row from the vector and multiply h by b^-k (the layer
+    map being additive, the vector stays h's); the layer is then clear at
+    every pivot, and h goes down a level when it is 0.  H cap Gamma_n is the
+    part of the sequence at depth >= n (`at_depth`).
 
     `order` reads p^rank, and so does `len` up to sys.maxsize (LimitExceeded
     past it).  Only iteration builds the element set, the normal words (basis
@@ -120,8 +121,7 @@ class _PcSet:
         ent = self._ent = _Entries(ring)
         self.ring, self.m, self.mod = ring, m, ent.mod
         self.identity = ent.identity(m)
-        widths = (m * m * bisect_right(ent.degs, n) for n in range(1, ring.cap))
-        self.levels = [(SpanTracker(w, ring.p), []) for w in widths]
+        self.levels = [[] for _ in range(1, ring.cap)]
         self._frozen = None
 
     @classmethod
@@ -129,31 +129,30 @@ class _PcSet:
         """(H, kept): H = <seed>, normal under `conjugates` when it is given.
 
         Sifting an element either ends at I or inserts its residual r as a
-        new basis element b = r^s at r's depth n (s scales the pivot to 1);
-        the rows the tracker then reduces by b's row are mirrored on their
-        elements.  Each insertion queues b^p and [b, a] for every element a
-        inserted before, skipping those that are I by depth alone (depths
-        add in commutators, and b^p is one deeper), and these are sifted
-        before the next seed element.  Proof, by descent on n, that H_n, the
-        group generated by the elements ever inserted at depth >= n, is the
-        set of normal words from depth n on, with H_n cap Gamma_(n+1) =
-        H_(n+1): these powers and commutators sift to I through depths
-        >= n + 1, so they lie in H_(n+1), which the depth-n insertions
-        therefore normalize, and modulo which they commute and have order
-        p; H_n / H_(n+1) is then elementary abelian and maps onto the
-        depth-n rows, of rank r_n, by the layer map, which is 0 on H_(n+1).
-        Every basis element is a word in the insertions and back, so before
-        each seed element s, H is the group that the earlier members of
-        `kept` generate, and s joins `kept` when H does not hold it.  With
-        `conjugates`, a map from s to the g s g^-1 over generators g, these
-        join the seed for each kept s, so g H g^-1 <= H.  DepthError for a
-        seed element of depth 0, which has no layer vector (conjugates keep
-        the depth); LimitExceeded as soon as p^rank would pass `limit`,
-        before any element set is made.
+        new basis element b = r^s at r's depth n (s scales the pivot to 1),
+        appended to its level; no stored element changes.  Each insertion
+        queues b^p and [b, a] for every basis element a before it, skipping
+        those that are I by depth alone (depths add in commutators, and b^p
+        is one deeper), and these are sifted before the next seed element.
+        Proof, by descent on n, that H_n, the group generated by the
+        elements ever inserted at depth >= n, is the set of normal words
+        from depth n on, with H_n cap Gamma_(n+1) = H_(n+1): these powers
+        and commutators sift to I through depths >= n + 1, so they lie in
+        H_(n+1), which the depth-n insertions therefore normalize, and
+        modulo which they commute and have order p; H_n / H_(n+1) is then
+        elementary abelian and maps onto the depth-n rows, of rank r_n, by
+        the layer map, which is 0 on H_(n+1).  The basis elements are the
+        insertions, so before each seed element s, H is the group that the
+        earlier members of `kept` generate, and s joins `kept` when H does
+        not hold it.  With `conjugates`, a map from s to the g s g^-1 over
+        generators g, these join the seed for each kept s, so g H g^-1 <= H.
+        DepthError for a seed element of depth 0, which has no layer vector
+        (conjugates keep the depth); LimitExceeded as soon as p^rank would
+        pass `limit`, before any element set is made.
         """
         pc = cls(ring, m)
         p, last, mod = ring.p, ring.cap, pc.mod
-        inserted, kept = [], []
+        kept = []
         queue = list(seed)
         if any(_depth(s, m, pc._ent) < 1 for s in queue):
             raise DepthError("seed element not congruent to I mod m")
@@ -173,51 +172,40 @@ class _PcSet:
                 b, b_inv = pc._insert(n, r, vec)
                 if n + 1 < last:
                     work.append(_pow(b, p, m, pc._ent))
-                work += [
+                work += [  # a at depth d < last - n; b itself is on level n now
                     _commutator(b, b_inv, a, a_inv, m, mod)
-                    for a, a_inv, d in inserted
-                    if n + d < last
+                    for level in pc.levels[: last - 1 - n]
+                    for _, _, a, a_inv in level
+                    if a is not b
                 ]
-                inserted.append((b, b_inv, n))
         return pc, kept
 
     def _sift(self, x: tuple):
         """None when x sifts to I, else (n, r, vec): x reduced to r of depth
-        n, whose layer vector vec is outside the depth-n span."""
-        m, mod, ent = self.m, self.mod, self._ent
-        for n, (tracker, basis) in enumerate(self.levels, 1):
+        n, whose layer vector vec is 0 at the depth-n pivots and is not 0."""
+        m, mod, p, ent = self.m, self.mod, self.ring.p, self._ent
+        for n, level in enumerate(self.levels, 1):
             vec = _weight_digits(x, m, n, ent)
-            if not any(vec):
-                continue
-            for (_, b_inv), c in zip(basis, tracker.pivots):
+            for row, c, _, b_inv in level:
                 k = vec[c]
-                if k:
+                if k:  # the layer map is additive: x b^-k has vector vec - k row
                     x = _mul(x, _pow(b_inv, k, m, ent), m, mod)
-            vec = _weight_digits(x, m, n, ent)
+                    vec = [(v - k * w) % p for v, w in zip(vec, row)]
             if any(vec):
                 return n, x, vec
         return None
 
     def _insert(self, n: int, r: tuple, vec: list) -> tuple:
-        """Add r's row at depth n; returns the new (b, b^-1)."""
-        m, mod, p, ent = self.m, self.mod, self.ring.p, self._ent
-        tracker, basis = self.levels[n - 1]
+        """Append r's row at depth n, scaled to 1 at its pivot; returns the
+        new (b, b^-1)."""
+        m, p, ent = self.m, self.ring.p, self._ent
         c = next(i for i, v in enumerate(vec) if v)
         s = pow(vec[c], -1, p)
-        r_inv = _inverse(r, m, ent)
-        b, b_inv = r, r_inv
+        b, b_inv = r, _inverse(r, m, ent)
         if s != 1:
-            b, b_inv = _pow(r, s, m, ent), _pow(r_inv, s, m, ent)
-        # the tracker subtracts row[c] times b's row from each row: so do the elements
-        for i, row in enumerate(tracker.rows):
-            if row[c]:
-                a, a_inv = basis[i]
-                basis[i] = (
-                    _mul(a, _pow(b_inv, row[c], m, ent), m, mod),
-                    _mul(_pow(b, row[c], m, ent), a_inv, m, mod),
-                )
-        tracker.add(vec)
-        basis.append((b, b_inv))
+            b, b_inv = _pow(b, s, m, ent), _pow(b_inv, s, m, ent)
+            vec = [s * v % p for v in vec]
+        self.levels[n - 1].append((vec, c, b, b_inv))
         return b, b_inv
 
     def at_depth(self, n: int) -> "_PcSet":
@@ -229,7 +217,7 @@ class _PcSet:
         return out
 
     def basis(self) -> list:
-        return [b for _, level in self.levels for b, _ in level]
+        return [b for level in self.levels for _, _, b, _ in level]
 
     def _elements(self) -> frozenset:
         if self._frozen is None:
@@ -247,7 +235,7 @@ class _PcSet:
     @property
     def order(self) -> int:
         """|H| = p^rank, at any size (`len` stops at sys.maxsize)."""
-        return self.ring.p ** sum(len(level) for _, level in self.levels)
+        return self.ring.p ** sum(len(level) for level in self.levels)
 
     def __len__(self) -> int:
         if self.order > sys.maxsize:
@@ -261,9 +249,7 @@ class _PcSet:
         if self._frozen is not None:
             try:  # a float or Fraction twin equals and hashes like an element,
                 # but its entries sum to no int: refused, as sifting refuses it
-                return x in self._frozen and type(sum(
-                    x if self._ent.scalar else [v for i, b in x for v in (i, *b)]
-                )) is int
+                return x in self._frozen and self._ent.sums_to_int(x)
             except TypeError:  # a tuple holding an unhashable item
                 return False
         # the element set holds reduced packed forms only: so does sifting

@@ -19,6 +19,7 @@ from tamelab.matgrp import (
     RingMatrix,
     _add,
     _from_entries,
+    _mul,
     _weight_digits,
     congruence_depth,
     sl_standard_generators,
@@ -27,19 +28,26 @@ from tamelab.padic import ScalarRing, SeriesRing, _Layout, int_valuation
 from tamelab.pcentral import _PcSet, closure, pcentral_series
 
 
-def gamma1_generators(ring):
-    """Unipotent and diagonal generators of Gamma_1 in SL_2 over a series ring.
-
-    One triple per F_p basis element t of m/m^2 (p, then each variable).
+def gamma1_generators(ring, m=2):
+    """Unipotent and diagonal generators of Gamma_1 in SL_m over Z/p^N or a
+    series ring: I + t E_ij (i != j) and the diagonal (1 + t, (1 + t)^-1)
+    steps, for each F_p basis element t of the ideal modulo its square (p,
+    then each variable).
     """
-    smalls = [ring.from_int(ring.p)] + [ring.variable(i) for i in range(ring.n_vars)]
+    smalls = [ring.from_int(ring.p)]
+    smalls += [ring.variable(i) for i in range(getattr(ring, "n_vars", 0))]
     out = []
     for t in smalls:
         u = ring.one() + t
         out += [
-            _from_entries(ring, 2, {(0, 1): t}),
-            _from_entries(ring, 2, {(1, 0): t}),
-            _from_entries(ring, 2, {(0, 0): u, (1, 1): u.inv()}),
+            _from_entries(ring, m, {(i, j): t})
+            for i in range(m)
+            for j in range(m)
+            if i != j
+        ]
+        out += [
+            _from_entries(ring, m, {(i, i): u, (i + 1, i + 1): u.inv()})
+            for i in range(m - 1)
         ]
     return out
 
@@ -354,5 +362,29 @@ def test_weight_digits_match_the_digits_of_x_minus_identity(n_vars, p):
 def test_pc_level_widths_are_the_layer_dimensions(ring, m):
     # m^2 digits per level over Z/p^N, m^2 C(n + v, v) over A/m^N
     v = getattr(ring, "n_vars", 0)
-    widths = [tracker.dim for tracker, _ in _PcSet(ring, m).levels]
+    pc = _PcSet(ring, m)
+    widths = [
+        len(_weight_digits(pc.identity, m, n, pc._ent))
+        for n in range(1, len(pc.levels) + 1)
+    ]
     assert widths == [m * m * math.comb(n + v, v) for n in range(1, ring.cap)]
+
+
+@pytest.mark.parametrize(
+    "ring, m",
+    [(ScalarRing(3, 4), 2), (ScalarRing(5, 3), 2), (ScalarRing(3, 4), 3),
+     (SeriesRing(3, 1, 3), 2), (SeriesRing(3, 2, 3), 2), (SeriesRing(3, 1, 3), 3)],
+    ids=repr,
+)
+def test_pc_levels_stay_forward_reduced(ring, m):
+    # each stored row is its element's layer vector, 1 at its pivot and 0 at
+    # the pivots of the rows stored before it on its level
+    G = closure(gamma1_generators(ring, m), limit=10**100)
+    parts = [G.elements.at_depth(n) for n in range(1, ring.cap)]
+    for pc in parts + pcentral_series(G).levels:
+        for n, level in enumerate(pc.levels, 1):
+            for j, (row, c, b, b_inv) in enumerate(level):
+                assert row == _weight_digits(b, pc.m, n, pc._ent)
+                assert row[c] == 1 and not any(row[:c])
+                assert all(row[c2] == 0 for _, c2, _, _ in level[:j])
+                assert _mul(b, b_inv, pc.m, pc.mod) == pc.identity

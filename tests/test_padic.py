@@ -118,10 +118,11 @@ def test_even_prime_rejected():
         mk(9, 3, 1)
 
 
-def test_padic_loads_without_matgrp():
-    # the packed kernel lives here and matgrp imports it: no cycle
+def loads_without(module: str, absent: str) -> bool:
+    """Whether importing `module` in a fresh interpreter leaves `absent` out
+    of sys.modules."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    probe = "import sys, tamelab.padic\nprint('tamelab.matgrp' in sys.modules)"
+    probe = f"import sys, {module}\nprint({absent!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -130,7 +131,12 @@ def test_padic_loads_without_matgrp():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "False"
+
+
+def test_padic_loads_without_matgrp():
+    # the packed kernel lives here and matgrp imports it: no cycle
+    assert loads_without("tamelab.padic", "tamelab.matgrp")
 
 
 def test_precision_past_the_bound_raises_before_any_power_is_formed():

@@ -36,6 +36,12 @@ from tamelab.pcentral import (
     uniformity_check,
 )
 from test_entries import gamma1_generators
+from test_padic import loads_without
+
+
+def test_pcentral_loads_without_liealg():
+    # pc layers are forward-reduced lists: no elimination kernel is needed
+    assert loads_without("tamelab.pcentral", "tamelab.liealg")
 
 
 class _EnumeratedSet(frozenset):
