@@ -21,8 +21,9 @@ Both certificate searches, the exhaustive one in a finite quotient and the
 bounded cyclic-direction one in the quaternion lattice, work on flat tuples
 and one table.  Since [x, y] = y^h is x y x^-1 = y^(h+1), a conjugate of y
 is looked up in y's power table shifted by one and restricted to the
-admissible exponents.  The cyclic-direction search walks z <- g z g^-1
-from y, two multiplies a step, and builds x = g^e only on a hit.  The
+admissible exponents, which the table walks in steps of y^p.  The
+cyclic-direction search walks z <- g z g^-1 from y, two multiplies a step,
+up to the orbit's period, and builds x = g^e only on a hit.  The
 exhaustive search walks the conjugacy class of y once, as a breadth-first
 orbit under the group's generators that records each conjugate's generator
 path: a class that misses the table is an exhaustive "no", at |class(y)|
@@ -39,6 +40,7 @@ from functools import partial
 
 from .errors import (
     CertificateInvalid,
+    DepthError,
     DomainError,
     GuardFailed,
     NonUnitDeterminant,
@@ -56,6 +58,7 @@ from .matgrp import (
     _reduce_matrix,
     _weight_digits,
     commutator,
+    congruence_depth,
     int_power,
     mat_exp,
     mat_log,
@@ -529,36 +532,51 @@ def _quaternion_coordinates(bracket: RingMatrix, basis, p: int):
 # certificate searches: quaternion directions and finite quotients
 
 
-def _conjugate_table(y, identity, mul, p, k_max, cap=None):
+def _conjugate_table(y, mul, p, k_max, cap=None):
     """{y^j: j - 1} over the exponents j - 1 a certificate may carry.
 
     x y x^-1 = y^j is [x, y] = y^(j-1), so the table keeps y^j for
-    2 <= j < ord(y) with 1 <= v_p(j - 1) <= k_max, and j - 1 <= `cap`.
+    2 <= j < ord(y) with 1 <= v_p(j - 1) <= k_max, and j - 1 <= `cap` (a
+    positive int, or None for no bound).  Only j = 1 + p t can qualify, so
+    the walk steps by y^p from y^(p+1) until it returns to y.  This is exact
+    for y of p-power order p^a (a precondition, met by any y in Gamma_1):
+    y^(1+pt) = y first at t = p^(a-1) (at once if y = 1), j = ord(y) + 1, so
+    the walk visits exactly the j = 1 + p t below ord(y).
     """
-    table = {}
-    acc, hit = mul(y, y), 1
-    while acc != identity:
-        if hit % p == 0 and hit % p ** (k_max + 1):
+    step = y
+    for _ in range(p - 1):
+        step = mul(step, y)
+    table, acc, hit = {}, mul(step, y), p
+    while acc != y and (cap is None or hit <= cap):
+        if hit % p ** (k_max + 1):
             table[acc] = hit
-        if hit == cap:
-            break
-        acc, hit = mul(acc, y), hit + 1
+        acc, hit = mul(acc, step), hit + p
     return table
 
 
 def _cyclic_direction_certificate_search(directions, exponent_bound: int):
-    """Search [g^e, y] = y^(a p^k) over cyclic powers of the given directions."""
+    """Search [g^e, y] = y^(a p^k) over cyclic powers of the given directions.
+
+    Each direction must lie in Gamma_1 (depth >= 1, so of p-power order, as
+    the table needs); one of depth 0 raises DepthError before any product.
+    The walk z_e = g^e y g^-e stops at its first return z_t = y: then g^t
+    commutes with y and z_e = z_(e mod t) for e >= t, and z_0 = y is no
+    table key, so no later e is a first hit.
+    """
+    if min(map(congruence_depth, directions)) < 1:
+        raise DepthError("cyclic-direction search needs directions in Gamma_1")
     ring, m = directions[0].ring, directions[0].m
-    ident = RingMatrix.identity(ring, m)._flat
     mul = partial(_int_product(m), ring.modulus)
     steps = [(d, d._flat, d.inverse()._flat) for d in directions]
     for y in directions:
         y_t, cap = y._flat, exponent_bound * ring.p
-        table = _conjugate_table(y_t, ident, mul, ring.p, ring.prec, cap)
+        table = _conjugate_table(y_t, mul, ring.p, ring.prec, cap)
         for d, g, g_inv in steps:
             z = y_t
             for e in range(1, exponent_bound):  # z = g^e y g^-e
                 z = mul(mul(g, z), g_inv)
+                if z == y_t:
+                    break
                 hit = table.get(z)
                 if hit is not None:
                     return {"y": y, "x": int_power(d, e), "exponent": hit}
@@ -595,7 +613,8 @@ def brute_search_certificate(
         raise DomainError("y is not an element of the group")
     # a valuation is read only up to the group's precision
     k_max = min(k_max, G.prec)
-    table = _conjugate_table(y_t, G.identity, G.mul, G.p, k_max)
+    mul = partial(_int_product(G.m), G.modulus)
+    table = _conjugate_table(y_t, mul, G.p, k_max)
     if not table:
         return None
     found = next(((z, path) for z, path in G.conjugacy_class(y_t) if z in table), None)
@@ -604,7 +623,7 @@ def brute_search_certificate(
     z, path = found
     x_t = G.identity
     for i in path:
-        x_t = G.mul(G.generators[i], x_t)
+        x_t = mul(G.generators[i], x_t)
     hit = table[z]
     k = int_valuation(hit, G.p, k_max)
     cert = GroupInertialCertificate(

@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 
@@ -25,6 +25,7 @@ from tamelab.certify import (
 )
 from tamelab.errors import (
     CertificateInvalid,
+    DepthError,
     DomainError,
     NotNonresidue,
     RingMismatch,
@@ -45,6 +46,7 @@ from tamelab.padic import (
     PadicScalar,
     ScalarRing,
     SeriesRing,
+    _int_product,
     hensel_sqrt,
     int_valuation,
 )
@@ -708,39 +710,98 @@ def _quaternion_directions(p, prec):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_quaternion_scan_matches_oracle(p):
-    directions = _quaternion_directions(p, 4)
-    for bound in (p**2, p**3):
-        found = _cyclic_direction_certificate_search(directions, bound)
-        assert found == _oracle_cyclic_direction_certificate_search(directions, bound)
-        assert found is None
+    # at precision 6 the orbit periods pass the bound p^3
+    for prec in (4, 6):
+        directions = _quaternion_directions(p, prec)
+        for bound in (p**2, p**3):
+            found = _cyclic_direction_certificate_search(directions, bound)
+            oracle = _oracle_cyclic_direction_certificate_search(directions, bound)
+            assert found == oracle
+            assert found is None
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_quaternion_scan_walks_two_products_per_conjugate(monkeypatch, p):
-    directions = _quaternion_directions(p, 4)
-    ring, m = directions[0].ring, directions[0].m
-    real = certify._int_product
-    calls = [0]
+def _counting_products(monkeypatch):
+    """Count the products of every kernel `certify` binds from then on."""
+    real, calls = certify._int_product, [0]
 
-    def counted(mul):
+    def counted(m):
+        mul = real(m)
+
         def run(*args):
             calls[0] += 1
             return mul(*args)
 
         return run
 
-    monkeypatch.setattr(certify, "_int_product", lambda m: counted(real(m)))
+    monkeypatch.setattr(certify, "_int_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_quaternion_scan_walks_two_products_per_conjugate(monkeypatch, p):
+    directions = _quaternion_directions(p, 4)
+    ring, m = directions[0].ring, directions[0].m
+    calls = _counting_products(monkeypatch)
     for bound in (p**2, p**3):
         calls[0] = 0
         mul = partial(certify._int_product(m), ring.modulus)
-        ident = RingMatrix.identity(ring, m)._flat
         for y in directions:
-            certify._conjugate_table(y._flat, ident, mul, p, ring.prec, bound * p)
+            certify._conjugate_table(y._flat, mul, p, ring.prec, bound * p)
         table_products = calls[0]
         calls[0] = 0
         assert _cyclic_direction_certificate_search(directions, bound) is None
         walk = 2 * len(directions) ** 2 * (bound - 1)
         assert calls[0] <= table_products + walk
+
+
+def _order(y):
+    ident, acc, n = RingMatrix.identity(y.ring, y.m), y, 1
+    while acc != ident:
+        acc, n = acc * y, n + 1
+    return n
+
+
+def _period(g, y):
+    """The least t >= 1 with g^t y g^-t = y."""
+    g_inv = g.inverse()
+    z, t = g * y * g_inv, 1
+    while z != y:
+        z, t = g * z * g_inv, t + 1
+    return t
+
+
+@pytest.mark.parametrize(
+    "p, products", [(3, (115, 123)), (5, (305, 313)), (7, (583, 591))]
+)
+def test_quaternion_scan_products_follow_periods_and_orders(monkeypatch, p, products):
+    # per y: p products reach y^(p+1), then one a y^p step while the walk
+    # stays below ord(y) and the cap bound * p; per (y, g): two a conjugate
+    # until the orbit returns to y, at most bound - 1 of them
+    directions = _quaternion_directions(p, 4)
+    orders = [_order(y) for y in directions]
+    periods = [[_period(g, y) for g in directions] for y in directions]
+    calls = _counting_products(monkeypatch)
+    for bound, pinned in zip((p**2, p**3), products):
+        expected = sum(
+            p + min(order // p, bound + 1) - 1
+            + sum(2 * min(t, bound - 1) for t in row)
+            for order, row in zip(orders, periods)
+        )
+        calls[0] = 0
+        assert _cyclic_direction_certificate_search(directions, bound) is None
+        assert calls[0] == expected == pinned
+
+
+def test_cyclic_scan_refuses_a_depth_zero_direction_before_any_product(monkeypatch):
+    ring = ScalarRing(3, 4)
+    directions = (
+        RingMatrix.from_int_rows(ring, [[1, 3], [0, 1]]),
+        RingMatrix.from_int_rows(ring, [[2, 0], [0, pow(2, -1, 81)]]),
+    )
+    calls = _counting_products(monkeypatch)
+    with pytest.raises(DepthError):
+        _cyclic_direction_certificate_search(directions, 9)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -776,6 +837,57 @@ def _criterion_7_groups():
         RingMatrix.from_int_rows(ring4, [[4, 3], [3, pow(4, -1, 81)]]),
     ]
     return [closure([g]) for g in seeds]
+
+
+def _oracle_conjugate_table(y, identity, mul, p, k_max, cap=None):
+    """The power table walked one power of y at a step, to the identity."""
+    table = {}
+    acc, hit = mul(y, y), 1
+    while acc != identity:
+        if hit % p == 0 and hit % p ** (k_max + 1):
+            table[acc] = hit
+        if hit == cap:
+            break
+        acc, hit = mul(acc, y), hit + 1
+    return table
+
+
+def _assert_tables_match(ys, m, ring):
+    p, n = ring.p, ring.prec
+    mul = partial(_int_product(m), ring.modulus)
+    ident = RingMatrix.identity(ring, m)._flat
+    for y in ys:
+        for k_max in sorted({1, 2, 3, n}):
+            for cap in (None, 1, 5, 7, p, p * p):
+                table = certify._conjugate_table(y, mul, p, k_max, cap)
+                assert table == _oracle_conjugate_table(y, ident, mul, p, k_max, cap)
+
+
+@pytest.mark.parametrize(
+    "m, p, prec", [(2, 3, 4), (2, 5, 3), (2, 3, 5), (2, 7, 3), (3, 3, 2)]
+)
+def test_stepped_table_matches_oracle_on_seeded_gamma_1(m, p, prec):
+    # random words in the depth-one generators, some raised to p-power
+    # powers, so the orders run from p up to the largest in the group
+    gens = [g._flat for g in sl_standard_generators(m, p, prec)]
+    ring = ScalarRing(p, prec)
+    mul = partial(_int_product(m), ring.modulus)
+    rng = random.Random(m * p * prec)
+    ys = []
+    for _ in range(300):
+        y = rng.choice(gens)
+        for _ in range(rng.randrange(8)):
+            y = mul(y, rng.choice(gens))
+        for _ in range(rng.randrange(prec - 1)):  # y <- y^p
+            y = reduce(mul, [y] * p)
+        ys.append(y)
+    _assert_tables_match(ys, m, ring)
+
+
+def test_stepped_table_matches_oracle_on_criterion_7_groups():
+    for G in _criterion_7_groups():
+        ys = [y for y in sorted(G.elements) if y != G.identity]
+        _assert_tables_match(ys, G.m, G.ring)
 
 
 def _nonabelian_order_81():
@@ -865,6 +977,9 @@ def test_conjugacy_class_is_the_orbit_under_all_of_g(sl2_mod27):
 
 
 def _counting_group_ops(monkeypatch):
+    """Count the kernel products `certify` binds plus the group's own
+    multiplies, and the group's inversions."""
+    products = _counting_products(monkeypatch)
     muls, invs = [], []
     mul, inv = pcentral.FiniteQuotientGroup.mul, pcentral.FiniteQuotientGroup.inv
 
@@ -878,7 +993,7 @@ def _counting_group_ops(monkeypatch):
 
     monkeypatch.setattr(pcentral.FiniteQuotientGroup, "mul", counting_mul)
     monkeypatch.setattr(pcentral.FiniteQuotientGroup, "inv", counting_inv)
-    return muls, invs
+    return (lambda: products[0] + len(muls)), invs
 
 
 def test_brute_search_no_costs_the_orbit_not_the_group(sl2_mod81, monkeypatch):
@@ -886,11 +1001,11 @@ def test_brute_search_no_costs_the_orbit_not_the_group(sl2_mod81, monkeypatch):
     y = _conjugate(G, sorted(G.elements)[7000], _split_diagonal(10, 81))
     size = len({_conjugate(G, x, y) for x in G.elements})
     order = next(e for e in range(1, G.order + 1) if G.power(y, e) == G.identity)
-    muls, invs = _counting_group_ops(monkeypatch)
+    products, invs = _counting_group_ops(monkeypatch)
     assert brute_search_certificate(G, y, k_max=3) is None
-    # the power table, then two multiplies per conjugate and generator; at
-    # most the generators are inverted
-    assert len(muls) <= order + 2 * size * len(G.generators)
+    # the power table in steps of y^p, then two multiplies per conjugate and
+    # generator; at most the generators are inverted
+    assert products() <= order // G.p + G.p + 2 * size * len(G.generators)
     assert len(invs) <= len(G.generators)
 
 
@@ -904,12 +1019,14 @@ def test_brute_search_builds_no_element_set_and_pays_the_path_on_yes(monkeypatch
     oracle = _oracle_brute_search_certificate(G, yes, 2)
     walk = _oracle_orbit(G, yes)
     prefix, depth = next((i + 1, d) for i, (_, x, d) in enumerate(walk) if x == oracle[0])
-    muls, invs = _counting_group_ops(monkeypatch)
+    products, invs = _counting_group_ops(monkeypatch)
     cert = brute_search_certificate(G, yes, k_max=2)
     assert cert.x == G.to_matrix(oracle[0])
-    # the power table, two multiplies per generator on the orbit prefix the
-    # walk conjugated, then one multiply per step of the found path
-    assert len(muls) <= order + 2 * prefix * len(G.generators) + depth
+    # the power table in steps of y^p, two multiplies per generator on the
+    # orbit prefix the walk conjugated, then one multiply per step of the
+    # found path
+    bound = order // G.p + G.p + 2 * prefix * len(G.generators) + depth
+    assert products() <= bound
     assert len(invs) <= len(G.generators)
     assert brute_search_certificate(G, no, k_max=2) is None
     assert G.elements._frozen is None
