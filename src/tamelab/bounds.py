@@ -273,24 +273,25 @@ class GSResult:
 
 
 def gs_negative(inp: GSInput, grid_points: int = 100) -> GSResult:
-    """Exact-rational grid scan of 1 - d t + sum t^(e_i) on (0, 1).
+    """Exact-rational grid scan of f(t) = 1 - d t + sum t^(e_i) on (0, 1).
 
     A negative value anywhere in (0, 1) certifies the presented pro-p group
     is infinite; the scan is one-sided, so a non-negative sweep proves
-    nothing and is reported as grid-relative.
+    nothing and is reported as grid-relative.  At t = j / n the scan reads
+    the integer n^D f(j / n) = n^D - d j n^(D-1) + sum j^e n^(D-e), D the
+    largest degree (or 1), which has the sign and order of f(j / n).
     """
     if grid_points < 10:
         raise InvalidSignature("grid must have at least 10 points")
-
-    def f(t: Fraction) -> Fraction:
-        return 1 - inp.d * t + sum(t**e for e in inp.relation_degrees)
-
-    best_t = None
-    best_val = None
-    for j in range(1, grid_points):
-        t = Fraction(j, grid_points)
-        val = f(t)
-        if best_val is None or val < best_val:
-            best_val, best_t = val, t
-    negative = best_val < 0
-    return GSResult(negative, best_t if negative else None, best_val, grid_points)
+    n, degrees = grid_points, inp.relation_degrees
+    top = max(degrees, default=1)
+    one, slope = n**top, inp.d * n ** (top - 1)
+    weights = [(e, n ** (top - e)) for e in degrees]
+    best_j, best = None, None
+    for j in range(1, n):
+        val = one - slope * j + sum(j**e * w for e, w in weights)
+        if best is None or val < best:
+            best, best_j = val, j
+    negative = best < 0
+    witness = Fraction(best_j, n) if negative else None
+    return GSResult(negative, witness, Fraction(best, one), grid_points)

@@ -11,7 +11,8 @@ upgraded to certainty; the only exact toral verdict is the abelian case.
 Work over Q runs on ints: a sparse integer structure-constant table, and
 `SpanTracker`, the one exact elimination kernel, fraction-free over Q or
 over F_p, behind rref, rank, solve, nullspace and minimal polynomials
-(one Krylov pass).  `Fraction`s are made only where a result leaves the
+(one Krylov pass); squarefreeness is a primitive pseudo-remainder
+sequence on ints.  `Fraction`s are made only where a result leaves the
 kernel.
 """
 
@@ -277,16 +278,31 @@ def minimal_polynomial(mat: Matrix) -> list:
     raise GuardFailed("minimal polynomial degree exceeds the dimension")
 
 
-def is_squarefree(poly: list) -> bool:
-    """gcd(f, f') = 1, i.e. the Sylvester matrix of f and f' has full rank."""
-    f = _poly_trim(list(poly))
-    df = _poly_derivative(f)
-    n, m = len(f) - 1, len(df) - 1
-    if m < 1:
+def _squarefree(f) -> bool:
+    """gcd(f, f') = 1 over Q[t], by the primitive pseudo-remainder sequence
+    (Knuth, TAOCP 2, 4.6.1) of f's integer numerators and their derivative.
+    Each pseudo-division step (`_eliminate` on the top coefficient) replaces
+    a by (s a - u t^k b) / c with s > 0 and c a's new content, and b is
+    negated when its lead is negative: every step multiplies by nonzero
+    constants, so gcd(a, b) over Q[t] keeps its degree along the sequence.
+    The degrees fall, so the last b is a nonzero constant when that degree
+    is 0 and zero otherwise.  Zero, constant and linear f are squarefree."""
+    a = _poly_trim(_numerators(f)[0])
+    if len(a) <= 2:
         return True
-    rows = [[0] * i + f + [0] * (m - 1 - i) for i in range(m)]
-    rows += [[0] * i + df + [0] * (n - 1 - i) for i in range(n)]
-    return rank(rows) == n + m
+    b = _poly_derivative(a)
+    while len(b) > 1:
+        if b[-1] < 0:
+            b = [-x for x in b]
+        while len(a) >= len(b):
+            a = _poly_trim(_eliminate(a, [0] * (len(a) - len(b)) + b, len(a) - 1))
+        a, b = b, a
+    return bool(b)
+
+
+def is_squarefree(poly: list) -> bool:
+    """gcd(f, f') = 1 over Q[t], decided on integers (`_squarefree`)."""
+    return _squarefree(poly)
 
 
 # ---------------------------------------------------------------------------

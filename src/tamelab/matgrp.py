@@ -478,6 +478,8 @@ def _series_sum(x: RingMatrix, kind: str) -> RingMatrix:
     acc = _add(ent.zeros(m), power, mod, coeffs[0])
     for c in coeffs[1:]:
         power = _mul(power, wide._flat, m, mod)
+        if not any(power):  # so is every later power of x
+            break
         acc = _add(acc, power, mod, c)
     return _reduce_matrix(wide._like(acc), ring.cap, ring.p**headroom)
 

@@ -5,6 +5,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tamelab.bounds import (
     GAMMA,
@@ -238,3 +239,35 @@ def test_gs_grid_validation():
         GSInput(0, (9,))
     with pytest.raises(InvalidSignature):
         GSInput(2, (1,))
+
+
+def _oracle_gs_negative(inp, grid_points):
+    """The Fraction scan the integer one replaced: (negative, witness, min)."""
+
+    def f(t):
+        return 1 - inp.d * t + sum(t**e for e in inp.relation_degrees)
+
+    best_t = best_val = None
+    for j in range(1, grid_points):
+        t = Fraction(j, grid_points)
+        val = f(t)
+        if best_val is None or val < best_val:
+            best_val, best_t = val, t
+    negative = best_val < 0
+    return negative, best_t if negative else None, best_val
+
+
+# 1 - t + t^2 is symmetric about 1/2: an odd grid ties at its two middle points
+@example(1, (2,), 11)
+@example(3, (), 10)
+@given(
+    st.integers(1, 8),
+    st.lists(st.integers(2, 40), max_size=6).map(tuple),
+    st.integers(10, 200),
+)
+def test_gs_integer_scan_matches_fraction_scan(d, degrees, grid_points):
+    result = gs_negative(GSInput(d, degrees), grid_points)
+    assert (result.negative, result.witness_t, result.min_value) == (
+        _oracle_gs_negative(GSInput(d, degrees), grid_points)
+    )
+    assert result.grid_points == grid_points

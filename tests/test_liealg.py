@@ -12,6 +12,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamelab import liealg as liealg_module
 from tamelab.liealg import rank as _fp_rank
@@ -827,7 +828,8 @@ def test_random_minimal_polynomials_match_oracle(d):
 # The oracles below are the earlier Fraction kernel, kept apart from their
 # names: its SpanTracker over Q, its dense bracket, adjoint, Jacobi check and
 # Killing form over a dense Fraction table, its Krylov minimal polynomial,
-# and its Euclidean squarefree test and rational root search.
+# its Euclidean squarefree test and rational root search, and the
+# Sylvester-rank squarefree test of the integer kernel.
 
 
 class _FractionSpanTracker:
@@ -999,6 +1001,18 @@ def _euclid_is_squarefree(poly):
     return len(a) <= 1
 
 
+def _sylvester_is_squarefree(poly):
+    """gcd(f, f') = 1, i.e. the Sylvester matrix of f and f' has full rank."""
+    f = _poly_trim(list(poly))
+    df = _poly_trim([i * c for i, c in enumerate(f)][1:])
+    n, m = len(f) - 1, len(df) - 1
+    if m < 1:
+        return True
+    rows = [[0] * i + f + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + df + [0] * (n - 1 - i) for i in range(n)]
+    return rank(rows) == n + m
+
+
 def _oracle_rational_roots(poly):
     poly = _poly_trim(list(map(Fraction, poly)))
     if not poly:
@@ -1132,6 +1146,125 @@ def test_polynomial_helpers_match_oracle(seed):
             poly = [b - root * a for a, b in zip(poly + [0], [0] + poly)]
     assert is_squarefree(poly) == _euclid_is_squarefree(poly)
     assert rational_roots(poly) == _oracle_rational_roots(poly)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def _repeated_factor_polynomials(draw):
+    """A large rational constant times rational linear and quadratic factors
+    up to degree cap, and maybe one of them once more.
+
+    The cap runs to 40 and the factors' coefficients shrink as it grows:
+    at degree 40 the two Fraction oracles take 1-5 s with integer factors
+    in [-10, 10] and up to 17 s with thirds, against under 1 s in [-3, 3].
+    """
+    cap = draw(st.integers(2, 40))
+    size, den = (10 ** max(1, 36 // cap), 3) if cap <= 20 else (3, 1)
+    coeff = st.fractions(min_value=-size, max_value=size, max_denominator=den)
+    factor = st.lists(coeff, min_size=2, max_size=3).filter(lambda f: f[-1])
+    big = st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6)
+    poly, factors = [draw(big.filter(bool))], []
+    while len(poly) <= cap:
+        factors.append(draw(factor))
+        poly = _poly_mul(poly, factors[-1])
+    if draw(st.booleans()):
+        poly = _poly_mul(poly, draw(st.sampled_from(factors)))
+    return poly
+
+
+@settings(max_examples=20)
+@given(_repeated_factor_polynomials())
+def test_squarefree_matches_both_oracles(poly):
+    want = _sylvester_is_squarefree(poly)
+    assert liealg_module._squarefree(poly) == want == _euclid_is_squarefree(poly)
+    assert is_squarefree(poly) == want
+
+
+@pytest.mark.parametrize(
+    "poly", [[], [0], [0, 0], [F(7, 3)], [F(7, 3), 0], [0, F(-5, 2)], [F(1, 2), 3, 0]]
+)
+def test_zero_constant_and_linear_polynomials_are_squarefree(poly):
+    assert liealg_module._squarefree(poly)
+    assert _sylvester_is_squarefree(poly) and _euclid_is_squarefree(poly)
+
+
+def _old_ad_semisimple(L, x):
+    """ad_semisimple as it was composed with the Sylvester-rank test."""
+    nums, _ = liealg_module._numerators(tuple(map(Fraction, x)))
+    return _sylvester_is_squarefree(minimal_polynomial(L._ad_numerators(nums)))
+
+
+def _sl_coordinates(mat):
+    """sl_table(m)'s coordinates of a trace-zero matrix."""
+    m = len(mat)
+    off = [mat[i][j] for i in range(m) for j in range(m) if i != j]
+    return tuple(off) + tuple(itertools.accumulate(mat[k][k] for k in range(m - 1)))
+
+
+def _conjugated(rng, mat):
+    """P mat P^-1 for a seeded unimodular integer P."""
+    m = len(mat)
+    P = [[int(i == j) for j in range(m)] for i in range(m)]
+    P_inv = [row[:] for row in P]
+    for _ in range(2 * m):
+        i, j = rng.sample(range(m), 2)
+        f = rng.choice([-2, -1, 1, 2])
+        P[i] = [a + f * b for a, b in zip(P[i], P[j])]  # (I + f E_ij) P
+        for row in P_inv:  # P^-1 (I - f E_ij)
+            row[j] -= f * row[i]
+
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    return times(times(P, mat), P_inv)
+
+
+def _sl_elements(m, seed):
+    """Seeded nilpotent, Jordan (semisimple plus commuting nilpotent) and generic elements."""
+    rng = random.Random(seed)
+    nilpotent = [[rng.randint(-3, 3) if j > i else 0 for j in range(m)] for i in range(m)]
+    a = rng.choice([-2, -1, 1, 2])
+    jordan = [[0] * m for _ in range(m)]
+    for k in range(m):
+        jordan[k][k] = a if k < m - 1 else -a * (m - 1)
+    jordan[0][1] = 1
+    generic = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)]
+    generic[-1][-1] = -sum(generic[k][k] for k in range(m - 1))
+    return [_conjugated(rng, mat) for mat in (nilpotent, jordan, generic)]
+
+
+def _ad_semisimple_cases():
+    for name in list_fixtures():
+        L = load_fixture(name)
+        rng = random.Random(0)
+        samples = [L.basis_vector(i) for i in range(L.dim)]
+        yield name, L, samples + [liealg_module._random_vector(rng, L.dim) for _ in range(200)]
+    for m in (3, 4):
+        elements = [el for seed in range(4) for el in _sl_elements(m, seed)]
+        yield f"sl{m}-elements", sl_table(m), [_sl_coordinates(el) for el in elements]
+    for table in (sl2_table, partial(sl_table, 3)):
+        for seed in (1, 2):
+            L = _unimodular_basis_change(table(), seed)
+            rng = random.Random(seed)
+            samples = [L.basis_vector(i) for i in range(L.dim)]
+            yield f"basis{seed}-dim{L.dim}", L, samples + [
+                liealg_module._random_vector(rng, L.dim) for _ in range(20)
+            ]
+
+
+def test_ad_semisimple_matches_the_sylvester_composition():
+    for name, L, samples in _ad_semisimple_cases():
+        verdicts = [ad_semisimple(L, x) for x in samples]
+        assert verdicts == [_old_ad_semisimple(L, x) for x in samples], name
+        if name.endswith("-elements"):  # nilpotent, Jordan, generic per seed
+            assert verdicts[0::3] == verdicts[1::3] == [False] * 4, name
 
 
 def test_sympy_cross_check_rref_and_minimal_polynomial():

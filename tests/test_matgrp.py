@@ -1166,6 +1166,30 @@ def test_mat_exp_log_match_series_oracle_on_scalar_matrices(p, m):
             _check_exp_log(RingMatrix.from_int_rows(ring, rows))
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exp_log_stop_at_the_first_zero_power(p, depth, product_count):
+    # x lies in p^depth M_m, so x^i vanishes mod p^(prec + headroom) once
+    # i depth >= prec + headroom: the sum makes one product per power of x
+    # up to the first zero one, not one per coefficient of the series
+    prec, m = 12, 3
+    rng = random.Random(10 * p + depth)
+    rows = [[p**depth * rng.randrange(1, p**prec) for _ in range(m)] for _ in range(m)]
+    x = RingMatrix.from_int_rows(ScalarRing(p, prec), rows)
+    for kind, run, arg in (("exp", mat_exp, x), ("log", mat_log, ident(x.ring, m) + x)):
+        headroom, coeffs = padic._series_coefficients(kind, p, prec)
+        mod, power, first_zero = p ** (prec + headroom), rows, 1
+        while any(map(any, power)) and first_zero < len(coeffs) - 1:
+            power = [
+                [sum(a * b for a, b in zip(row, col)) % mod for col in zip(*rows)]
+                for row in power
+            ]
+            first_zero += 1
+        product_count.clear()
+        assert run(arg) == _oracle_series_sum(x, kind)
+        assert len(product_count) == first_zero < len(coeffs) - 1, kind
+
+
 _EXP_LOG_RINGS = [
     SeriesRing(3, 2, 4), SeriesRing(5, 1, 3), SeriesRing(3, 0, 4), SeriesRing(5, 3, 3),
     SeriesRing(7, 2, 5),
