@@ -278,7 +278,7 @@ def minimal_polynomial(mat: Matrix) -> list:
     raise GuardFailed("minimal polynomial degree exceeds the dimension")
 
 
-def _squarefree(f) -> bool:
+def is_squarefree(poly: list) -> bool:
     """gcd(f, f') = 1 over Q[t], by the primitive pseudo-remainder sequence
     (Knuth, TAOCP 2, 4.6.1) of f's integer numerators and their derivative.
     Each pseudo-division step (`_eliminate` on the top coefficient) replaces
@@ -287,7 +287,7 @@ def _squarefree(f) -> bool:
     constants, so gcd(a, b) over Q[t] keeps its degree along the sequence.
     The degrees fall, so the last b is a nonzero constant when that degree
     is 0 and zero otherwise.  Zero, constant and linear f are squarefree."""
-    a = _poly_trim(_numerators(f)[0])
+    a = _poly_trim(_numerators(poly)[0])
     if len(a) <= 2:
         return True
     b = _poly_derivative(a)
@@ -298,11 +298,6 @@ def _squarefree(f) -> bool:
             a = _poly_trim(_eliminate(a, [0] * (len(a) - len(b)) + b, len(a) - 1))
         a, b = b, a
     return bool(b)
-
-
-def is_squarefree(poly: list) -> bool:
-    """gcd(f, f') = 1 over Q[t], decided on integers (`_squarefree`)."""
-    return _squarefree(poly)
 
 
 # ---------------------------------------------------------------------------

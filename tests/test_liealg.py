@@ -1183,15 +1183,14 @@ def _repeated_factor_polynomials(draw):
 @given(_repeated_factor_polynomials())
 def test_squarefree_matches_both_oracles(poly):
     want = _sylvester_is_squarefree(poly)
-    assert liealg_module._squarefree(poly) == want == _euclid_is_squarefree(poly)
-    assert is_squarefree(poly) == want
+    assert is_squarefree(poly) == want == _euclid_is_squarefree(poly)
 
 
 @pytest.mark.parametrize(
     "poly", [[], [0], [0, 0], [F(7, 3)], [F(7, 3), 0], [0, F(-5, 2)], [F(1, 2), 3, 0]]
 )
 def test_zero_constant_and_linear_polynomials_are_squarefree(poly):
-    assert liealg_module._squarefree(poly)
+    assert is_squarefree(poly)
     assert _sylvester_is_squarefree(poly) and _euclid_is_squarefree(poly)
 
 
